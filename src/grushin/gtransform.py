@@ -24,9 +24,11 @@ from typing import Callable, Optional, Tuple
 import numpy as np
 from scipy.special import jv
 
-from .quadrature import HalfLineRule, TruncationPolicy, build_finite_rule, build_rule
+from .hankel import (HalfLineFunction, as_half_line_function, hankel_liouville,
+                     rule_for_function)
+from .laguerre import analysis_rule
+from .quadrature import HalfLineRule, build_finite_rule
 from .specfun import laguerre_eigenvalue, laguerre_fn_seq
-from .hankel import HalfLineFunction, as_half_line_function, rule_for_function
 
 __all__ = [
     "TypePair",
@@ -137,7 +139,6 @@ class Multiplier:
     """Spectral multiplier applied to the symbol lam_n^a * tau."""
 
     phi: Callable[[np.ndarray], np.ndarray]
-    bounded: bool = True
 
     def __call__(self, y):
         return self.phi(y)
@@ -149,44 +150,52 @@ def spectral_symbol(alpha, n, tau):
 
 
 def default_tau_rule(upper: float = 12.0, panels: int = 32,
-                     points_per_panel: int = 8,
                      endpoint_exponent: float = 0.0) -> HalfLineRule:
     """Default tau discretization: panels of width upper/panels on (0, upper),
     refined geometrically toward 0."""
-    return build_finite_rule(0.0, upper, upper / panels, points_per_panel,
+    return build_finite_rule(0.0, upper, upper / panels,
                              endpoint_exponent=endpoint_exponent)
-
-
-def _laguerre_axis_rule(alpha: float, prof: HalfLineFunction, n_max: int,
-                        tau_max: float) -> HalfLineRule:
-    """r-rule resolving l_{n,tau} for every n < n_max and tau <= tau_max,
-    over the extent of the profile."""
-    kmax = np.sqrt(laguerre_eigenvalue(alpha, n_max - 1) * tau_max)
-    if prof.support is not None:
-        a, b = prof.support
-        gamma = (prof.endpoint_exponent + alpha + 0.5) if a == 0.0 else 0.0
-        return build_finite_rule(a, b, np.pi / kmax, endpoint_exponent=gamma)
-    base = build_rule(TruncationPolicy(decay_hint=prof.decay, rate=prof.rate))
-    return build_finite_rule(0.0, base.upper_cut, np.pi / kmax,
-                             endpoint_exponent=prof.endpoint_exponent + alpha + 0.5)
-
-
-def _axis_rules(tp: TypePair, f: PlaneFunction, n_max: int,
-                tau_max: float) -> tuple[HalfLineRule, HalfLineRule]:
-    """(r_rule, s_rule) resolving the Laguerre and Hankel kernels for f."""
-    r_prof, s_prof = f.axis_profile(0), f.axis_profile(1)
-    r_rule = _laguerre_axis_rule(tp.alpha, r_prof, n_max, tau_max)
-    s_rule = rule_for_function(
-        HalfLineFunction(fn=s_prof.fn, support=s_prof.support, decay=s_prof.decay,
-                         rate=s_prof.rate, endpoint_exponent=tp.beta + 0.5),
-        freq=tau_max)
-    return r_rule, s_rule
 
 
 def _liouville_kernel(beta, taus, pts):
     """(tau s)^(1/2) J_beta(tau s) as a (len(pts), len(taus)) matrix."""
     x = taus[None, :] * pts[:, None]
     return np.sqrt(x) * jv(beta, x)
+
+
+def _forward_setup(tp: TypePair, n_max: int, tau_rule, r_prof: HalfLineFunction,
+                   r_rule=None):
+    """Set-up shared by the forward variants: the tau rule, the r-rule and the
+    Laguerre arguments sqrt(tau) r on the (r-node, tau-node) tensor."""
+    if tau_rule is None:
+        tau_rule = default_tau_rule(endpoint_exponent=min(2.0 * tp.beta + 1.0, 0.0))
+    tg = tau_rule.nodes
+    if r_rule is None:
+        r_rule = analysis_rule(tp.alpha, (tg[0], tg[-1]), r_prof, n_max)
+    return tau_rule, r_rule, np.sqrt(tg)[None, :] * r_rule.nodes[:, None]
+
+
+def _plane_setup(tp: TypePair, f, n_max: int, tau_rule, r_rule, s_rule):
+    """_forward_setup for a function on the plane, plus its samples on the
+    (r, s) tensor rule and the s-weighted Hankel kernel (ns, K)."""
+    f = as_plane_function(f)
+    tau_rule, r_rule, x = _forward_setup(tp, n_max, tau_rule, f.axis_profile(0), r_rule)
+    tg = tau_rule.nodes
+    if s_rule is None:
+        s_prof = f.axis_profile(1)
+        s_rule = rule_for_function(
+            HalfLineFunction(fn=s_prof.fn, support=s_prof.support, decay=s_prof.decay,
+                             rate=s_prof.rate, endpoint_exponent=tp.beta + 0.5),
+            freq=float(tg[-1]))
+    rn, sn = r_rule.nodes, s_rule.nodes
+    fvals = np.asarray(f(rn[:, None], sn[None, :]))
+    hankel = s_rule.weights[:, None] * _liouville_kernel(tp.beta, tg, sn)
+    return tau_rule, r_rule.weights, fvals, hankel, x
+
+
+def _laguerre_rows(alpha, x, n_max, contract) -> np.ndarray:
+    """Rows contract(l_n^a(x)) for n < n_max."""
+    return np.array([contract(q) for q in laguerre_fn_seq(alpha, x, n_max)])
 
 
 def g_forward(tp: TypePair, f, n_max: int = DEFAULT_N_MAX,
@@ -198,52 +207,25 @@ def g_forward(tp: TypePair, f, n_max: int = DEFAULT_N_MAX,
     The inner transform is independent of n and is evaluated once on the
     (r-node, tau-node) tensor, then reused for every coefficient order.
     """
-    f = as_plane_function(f)
-    if tau_rule is None:
-        tau_rule = default_tau_rule(endpoint_exponent=min(2.0 * tp.beta + 1.0, 0.0))
-    tg, tw = tau_rule.nodes, tau_rule.weights
-    if r_rule is None or s_rule is None:
-        auto_r, auto_s = _axis_rules(tp, f, n_max, float(tg[-1]))
-        r_rule = r_rule or auto_r
-        s_rule = s_rule or auto_s
-    rn, rw = r_rule.nodes, r_rule.weights
-    sn, sw = s_rule.nodes, s_rule.weights
-
-    fvals = np.asarray(f(rn[:, None], sn[None, :]))
-    hankel_kernel = _liouville_kernel(tp.beta, tg, sn)         # (ns, K)
-    inner = fvals @ (sw[:, None] * hankel_kernel)              # (nr, K)
-
-    x = np.sqrt(tg)[None, :] * rn[:, None]                     # (nr, K)
-    weighted = rw[:, None] * inner
-    values = np.empty((n_max, len(tg)), dtype=weighted.dtype)
-    for n, q in enumerate(laguerre_fn_seq(tp.alpha, x, n_max)):
-        values[n] = np.sum(weighted * q, axis=0)
-    values *= tg[None, :] ** 0.25
-    return SpectralData(tp.alpha, tp.beta, tg, tw, values)
+    tau_rule, rw, fvals, hankel, x = _plane_setup(tp, f, n_max, tau_rule, r_rule, s_rule)
+    weighted = rw[:, None] * (fvals @ hankel)                  # (nr, K)
+    values = _laguerre_rows(tp.alpha, x, n_max, lambda q: np.sum(weighted * q, axis=0))
+    values *= tau_rule.nodes[None, :] ** 0.25
+    return SpectralData(tp.alpha, tp.beta, tau_rule.nodes, tau_rule.weights, values)
 
 
 def g_forward_separated(tp: TypePair, f1, f2, n_max: int = DEFAULT_N_MAX,
                         tau_rule: Optional[HalfLineRule] = None) -> SpectralData:
     """Forward transform of f(r, s) = f1(r) f2(s) as a product of 1-d
     transforms."""
-    from .hankel import hankel_liouville
-
-    f1 = as_half_line_function(f1)
-    f2 = as_half_line_function(f2)
-    if tau_rule is None:
-        tau_rule = default_tau_rule(endpoint_exponent=min(2.0 * tp.beta + 1.0, 0.0))
-    tg, tw = tau_rule.nodes, tau_rule.weights
-    h2 = np.asarray(hankel_liouville(tp.beta, f2, tg))
-    # one shared r-rule keyed to the largest tau keeps the basis table reusable
-    rule = _laguerre_axis_rule(tp.alpha, f1, n_max, float(tg[-1]))
-    f1v = np.asarray(f1(rule.nodes))
-    weighted = rule.weights * f1v
-    x = np.sqrt(tg)[None, :] * rule.nodes[:, None]
-    values = np.empty((n_max, len(tg)), dtype=weighted.dtype)
-    for n, q in enumerate(laguerre_fn_seq(tp.alpha, x, n_max)):
-        values[n] = weighted @ q
-    values = values * (tg[None, :] ** 0.25 * h2[None, :])
-    return SpectralData(tp.alpha, tp.beta, tg, tw, values)
+    f1, f2 = as_half_line_function(f1), as_half_line_function(f2)
+    # one shared r-rule keyed to the tau range keeps the basis table reusable
+    tau_rule, r_rule, x = _forward_setup(tp, n_max, tau_rule, f1)
+    h2 = np.asarray(hankel_liouville(tp.beta, f2, tau_rule.nodes))
+    weighted = r_rule.weights * np.asarray(f1(r_rule.nodes))
+    values = _laguerre_rows(tp.alpha, x, n_max, lambda q: weighted @ q)
+    values = values * (tau_rule.nodes[None, :] ** 0.25 * h2[None, :])
+    return SpectralData(tp.alpha, tp.beta, tau_rule.nodes, tau_rule.weights, values)
 
 
 def g_forward_hat(tp: TypePair, f, n_max: int = DEFAULT_N_MAX,
@@ -252,29 +234,14 @@ def g_forward_hat(tp: TypePair, f, n_max: int = DEFAULT_N_MAX,
                   s_rule: Optional[HalfLineRule] = None) -> SpectralData:
     """Order-exchanged transform: scaled Laguerre in r first, Hankel in s
     second.  Coincides with g_forward; the contraction order differs."""
-    f = as_plane_function(f)
-    if tau_rule is None:
-        tau_rule = default_tau_rule(endpoint_exponent=min(2.0 * tp.beta + 1.0, 0.0))
-    tg, tw = tau_rule.nodes, tau_rule.weights
-    if r_rule is None or s_rule is None:
-        auto_r, auto_s = _axis_rules(tp, f, n_max, float(tg[-1]))
-        r_rule = r_rule or auto_r
-        s_rule = s_rule or auto_s
-    rn, rw = r_rule.nodes, r_rule.weights
-    sn, sw = s_rule.nodes, s_rule.weights
-
-    fvals = np.asarray(f(rn[:, None], sn[None, :]))            # (nr, ns)
-    weighted_f = rw[:, None] * fvals
-    hankel_kernel = sw[:, None] * _liouville_kernel(tp.beta, tg, sn)  # (ns, K)
-    x = np.sqrt(tg)[None, :] * rn[:, None]                     # (nr, K)
-    values = np.empty((n_max, len(tg)), dtype=fvals.dtype)
-    for n, q in enumerate(laguerre_fn_seq(tp.alpha, x, n_max)):
-        # Laguerre analysis of every s-slice at each tau, then the Hankel
-        # contraction evaluated on the diagonal tau
-        inner = weighted_f.T @ q                               # (ns, K)
-        values[n] = np.sum(inner * hankel_kernel, axis=0)
-    values *= tg[None, :] ** 0.25
-    return SpectralData(tp.alpha, tp.beta, tg, tw, values)
+    tau_rule, rw, fvals, hankel, x = _plane_setup(tp, f, n_max, tau_rule, r_rule, s_rule)
+    weighted_f = rw[:, None] * fvals                           # (nr, ns)
+    # Laguerre analysis of every s-slice at each tau, then the Hankel
+    # contraction evaluated on the diagonal tau
+    values = _laguerre_rows(tp.alpha, x, n_max,
+                            lambda q: np.sum((weighted_f.T @ q) * hankel, axis=0))
+    values *= tau_rule.nodes[None, :] ** 0.25
+    return SpectralData(tp.alpha, tp.beta, tau_rule.nodes, tau_rule.weights, values)
 
 
 def _synthesize_columns(sd: SpectralData, rs: np.ndarray) -> np.ndarray:

@@ -28,7 +28,8 @@ from scipy.special import gammaln, iv, ive, jv
 
 from ._util import thread_count
 from .gtransform import Multiplier, TypePair, as_plane_function, functional_calculus
-from .quadrature import HalfLineRule, TruncationPolicy, build_finite_rule, build_rule
+from .quadrature import (HalfLineRule, TruncationPolicy, build_finite_rule, build_rule,
+                         truncation_point)
 from .specfun import bessel_i_normalized, bessel_j_normalized
 
 __all__ = [
@@ -140,57 +141,50 @@ def heat_kernel_weighted(hp: HeatParams, r, s, u, v,
     """Kernel against the weighted measure u^(2a+1) v^(2b+1) du dv:
     (ru)^(-a-1/2) (sv)^(-b-1/2) K_t, written with normalized Bessel kernels
     so that it extends continuously to u = v = 0."""
+    if u < 0.0 or v < 0.0:
+        raise ValueError("u, v must be >= 0")
+    if (u == 0.0) != (v == 0.0):
+        raise ValueError("only the joint limit u = v = 0 is defined")
+    return _weighted_kernel(hp, r, s, u, v, rule)
+
+
+def kernel_at_origin(hp: HeatParams, r, s,
+                     rule: Optional[HalfLineRule] = None) -> float:
+    """Continuous extension of the weighted kernel at (u, v) = (0, 0)."""
+    return _weighted_kernel(hp, r, s, 0.0, 0.0, rule)
+
+
+def _weighted_kernel(hp, r, s, u, v, rule):
     for name, val in (("r", r), ("s", s)):
         if val <= 0.0:
             raise ValueError(f"{name} must be > 0")
-    if u < 0.0 or v < 0.0:
-        raise ValueError("u, v must be >= 0")
-    if u == 0.0 and v == 0.0:
-        return kernel_at_origin(hp, r, s, rule=rule)
-    if u == 0.0 or v == 0.0:
-        raise ValueError("only the joint limit u = v = 0 is defined")
     if rule is None:
         rule = kernel_tau_rule(hp, freq=max(s, v),
                                endpoint_exponent=min(2.0 * hp.beta + 1.0, 0.0))
     tau = rule.nodes
     y = 2.0 * hp.t * tau
     inv = _inv_sinh(y)
-    x = tau * r * u * inv
-    expo = -0.5 * tau * (r * r + u * u) * _coth(y)
-    small = x < 1.0
-    with np.errstate(over="ignore"):
-        i_part = np.where(
-            small,
-            bessel_i_normalized(hp.alpha, np.where(small, x, 1.0)) * np.exp(expo),
-            ive(hp.alpha, np.where(small, 1.0, x))
-            * np.where(small, 1.0, x) ** (-hp.alpha) * np.exp(expo + x))
-    integrand = bessel_j_normalized(hp.beta, tau * s) \
-        * bessel_j_normalized(hp.beta, tau * v) * i_part \
-        * (tau * inv) ** (hp.alpha + 1.0) * tau ** (2.0 * hp.beta + 1.0)
-    return float(np.dot(rule.weights, integrand))
-
-
-def kernel_at_origin(hp: HeatParams, r, s,
-                     rule: Optional[HalfLineRule] = None) -> float:
-    """Continuous extension of the weighted kernel at (u, v) = (0, 0).
-
-    The constant in front is the joint small-argument limit of
-    I_a(x)/x^a -> 2^-a/Gamma(a+1) and J_b(y)/y^b -> 2^-b/Gamma(b+1); it is
-    pinned down by agreement with heat_kernel_weighted as (u, v) -> 0.
-    """
-    for name, val in (("r", r), ("s", s)):
-        if val <= 0.0:
-            raise ValueError(f"{name} must be > 0")
-    if rule is None:
-        rule = kernel_tau_rule(hp, freq=s,
-                               endpoint_exponent=min(2.0 * hp.beta + 1.0, 0.0))
-    tau = rule.nodes
-    y = 2.0 * hp.t * tau
-    integrand = bessel_j_normalized(hp.beta, tau * s) \
-        * np.exp(-0.5 * tau * r * r * _coth(y)) \
-        * (tau * _inv_sinh(y)) ** (hp.alpha + 1.0) * tau ** (2.0 * hp.beta + 1.0)
-    const = 2.0 ** (-hp.alpha - hp.beta) \
-        * np.exp(-gammaln(hp.alpha + 1.0) - gammaln(hp.beta + 1.0))
+    head = bessel_j_normalized(hp.beta, tau * s)
+    if u == 0.0:
+        # the constant is the joint small-argument limit of I_a(x)/x^a ->
+        # 2^-a/Gamma(a+1) and J_b(y)/y^b -> 2^-b/Gamma(b+1); it is pinned
+        # down by agreement with the u, v > 0 branch as (u, v) -> 0
+        head = head * np.exp(-0.5 * tau * r * r * _coth(y))
+        const = 2.0 ** (-hp.alpha - hp.beta) \
+            * np.exp(-gammaln(hp.alpha + 1.0) - gammaln(hp.beta + 1.0))
+    else:
+        x = tau * r * u * inv
+        expo = -0.5 * tau * (r * r + u * u) * _coth(y)
+        small = x < 1.0
+        with np.errstate(over="ignore"):
+            i_part = np.where(
+                small,
+                bessel_i_normalized(hp.alpha, np.where(small, x, 1.0)) * np.exp(expo),
+                ive(hp.alpha, np.where(small, 1.0, x))
+                * np.where(small, 1.0, x) ** (-hp.alpha) * np.exp(expo + x))
+        head = head * bessel_j_normalized(hp.beta, tau * v) * i_part
+        const = 1.0
+    integrand = head * (tau * inv) ** (hp.alpha + 1.0) * tau ** (2.0 * hp.beta + 1.0)
     return float(const * np.dot(rule.weights, integrand))
 
 
@@ -231,31 +225,21 @@ def heat_apply(hp: HeatParams, f, points, route: str = "kernel",
     if route != "kernel":
         raise ValueError("route must be 'kernel' or 'spectral'")
 
-    u_prof, v_prof = f.axis_profile(0), f.axis_profile(1)
     # the tau envelope drops below ~2e-8 past tau_half; the u and v rules only
     # need to resolve gaussian width 1/sqrt(tau) and frequency tau up to there
     rate = 2.0 * hp.t * (1.0 + min(hp.alpha, 0.0))
     tau_half = 18.0 / rate
-    trule = kernel_tau_rule(hp, freq=max(float(pts[:, 1].max()), 1.0),
-                            abs_tol=abs_tol)
-    tau = trule.nodes
-
-    u_width = min(0.15, 1.5 / np.sqrt(tau_half))
-    v_width = min(0.15, np.pi / (2.0 * tau_half))
-    if u_prof.support is not None:
-        urule = build_finite_rule(*u_prof.support, u_width)
-    else:
-        urule = build_finite_rule(0.0, build_rule(TruncationPolicy(
-            decay_hint=u_prof.decay, rate=u_prof.rate)).upper_cut, u_width)
-    if v_prof.support is not None:
-        vrule = build_finite_rule(*v_prof.support, v_width)
-    else:
-        vrule = build_finite_rule(0.0, build_rule(TruncationPolicy(
-            decay_hint=v_prof.decay, rate=v_prof.rate)).upper_cut, v_width)
-
+    urule = _profile_rule(f.axis_profile(0), min(0.15, 1.5 / np.sqrt(tau_half)))
+    vrule = _profile_rule(f.axis_profile(1), min(0.15, np.pi / (2.0 * tau_half)))
     fvals = np.asarray(f(urule.nodes[:, None], vrule.nodes[None, :]))
-    out = _kernel_route(hp, fvals, urule, vrule, pts, trule)
-    return out if out.size > 1 else out[0]
+    return heat_apply_grid(hp, fvals, urule, vrule, pts, abs_tol)
+
+
+def _profile_rule(prof, width: float) -> HalfLineRule:
+    """Rule of panel width <= width over the support or the cut of prof."""
+    span = prof.support or (0.0, truncation_point(
+        TruncationPolicy(decay_hint=prof.decay, rate=prof.rate)))
+    return build_finite_rule(*span, width)
 
 
 def heat_apply_grid(hp: HeatParams, fvals, urule: HalfLineRule,

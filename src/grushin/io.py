@@ -4,9 +4,9 @@ Both formats are `#`-prefixed key=value header lines followed by one CSV
 record per row.  Floats are written as e-notation with 17 significant
 digits, which round-trips double precision exactly.
 
-Grid file:    header alpha, beta, nr, ns; rows r,s,value (r-major).
+Grid file:    header alpha, beta, nr, ns; rows r,s,value (r-major, every r,s checked).
 Spectral file: header alpha, beta, n_max, n_tau, tau_grid, tau_weights
-               (grids comma-separated inside the value); rows n,tau_index,value.
+               (grids comma-separated inside the value); rows n,tau_index,value (real).
 """
 
 from __future__ import annotations
@@ -144,6 +144,12 @@ def read_grid(path):
                 f"{path}:{body + k + 1}: non-finite entry in row {k}")
     r_nodes = data[::ns, 0]
     s_nodes = data[:ns, 1]
+    bad = (data[:, 0] != np.repeat(r_nodes, ns)) | (data[:, 1] != np.tile(s_nodes, nr))
+    if np.any(bad):
+        k = int(np.argmax(bad))
+        raise FileFormatError(
+            f"{path}:{body + k + 1}: coordinates ({data[k, 0]!r}, {data[k, 1]!r}) are "
+            f"not the r-major grid point ({r_nodes[k // ns]!r}, {s_nodes[k % ns]!r})")
     values = data[:, 2].reshape(nr, ns)
     return GridFunction2D(r_nodes, s_nodes, values), alpha, beta
 
@@ -151,6 +157,9 @@ def read_grid(path):
 def write_spectral(path, sd: SpectralData) -> None:
     """Write n,tau_index,value records with grids and weights in the header,
     so norms are reproducible from the file alone."""
+    if np.iscomplexobj(sd.values):
+        raise FileFormatError(f"{path}: spectral files hold real values only; "
+                              f"values has dtype {sd.values.dtype}")
     with open(path, "w") as fh:
         fh.write(f"# alpha={_fmt(sd.alpha)}\n")
         fh.write(f"# beta={_fmt(sd.beta)}\n")

@@ -18,8 +18,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import gammaln
 
-from .hankel import HalfLineFunction, as_half_line_function, rule_for_function
-from .quadrature import HalfLineRule, build_finite_rule
+from .hankel import HalfLineFunction, as_half_line_function
+from .quadrature import HalfLineRule, TruncationPolicy, build_finite_rule, truncation_point
 from .specfun import _order_value, laguerre_eigenvalue, laguerre_fn_seq
 
 __all__ = [
@@ -54,24 +54,22 @@ class LaguerreCoeffs:
         return len(self.values)
 
 
-def analysis_rule(alpha, tau, f: HalfLineFunction, n_max,
-                  points_per_panel: int = 8) -> HalfLineRule:
-    """Rule resolving both f and the fastest basis oscillation sqrt(lam_N tau)."""
+def analysis_rule(alpha, taus, f: HalfLineFunction, n_max) -> HalfLineRule:
+    """r-rule resolving f and every l_{n,tau}^a with n < n_max and tau in the
+    range taus = (tau_lo, tau_hi)."""
     alpha = _order_value(alpha)
-    # highest local wavenumber of l_{n,tau} for n < n_max
-    kmax = np.sqrt(laguerre_eigenvalue(alpha, n_max - 1) * tau)
-    width = np.pi / kmax
+    lam = laguerre_eigenvalue(alpha, n_max - 1)
+    tau_lo, tau_hi = taus
+    # pi over the highest local wavenumber sqrt(lam_N tau) of the basis
+    width = np.pi / np.sqrt(lam * tau_hi)
     if f.support is not None:
         a, b = f.support
         gamma = (f.endpoint_exponent + alpha + 0.5) if a == 0.0 else 0.0
-        return build_finite_rule(a, b, width, points_per_panel,
-                                 endpoint_exponent=gamma)
+        return build_finite_rule(a, b, width, endpoint_exponent=gamma)
     # the basis functions die out past the classical turning point
-    turning = np.sqrt(laguerre_eigenvalue(alpha, n_max - 1) / tau)
-    base = rule_for_function(f, freq=0.0, points_per_panel=points_per_panel,
-                             extra_exponent=alpha + 0.5)
-    upper = min(base.upper_cut, np.ceil(turning + 6.0))
-    return build_finite_rule(0.0, float(upper), width, points_per_panel,
+    cut = truncation_point(TruncationPolicy(decay_hint=f.decay, rate=f.rate))
+    upper = min(cut, np.ceil(np.sqrt(lam / tau_lo) + 6.0))
+    return build_finite_rule(0.0, float(upper), width,
                              endpoint_exponent=f.endpoint_exponent + alpha + 0.5)
 
 
@@ -90,7 +88,7 @@ def laguerre_analyze(alpha, tau, f, n_max: int = 128,
     else:
         hf = as_half_line_function(f)
         if rule is None:
-            rule = analysis_rule(alpha, tau, hf, n_max)
+            rule = analysis_rule(alpha, (tau, tau), hf, n_max)
         vals = np.asarray(hf(rule.nodes))
     weighted = rule.weights * vals
     x = np.sqrt(tau) * rule.nodes

@@ -23,6 +23,7 @@ __all__ = [
     "QuadratureError",
     "build_rule",
     "build_finite_rule",
+    "truncation_point",
     "integrate",
 ]
 
@@ -77,7 +78,6 @@ class HalfLineRule:
 
     nodes: np.ndarray
     weights: np.ndarray
-    kind: str = "composite_legendre"
     upper_cut: float = 0.0
 
     def __post_init__(self):
@@ -89,8 +89,6 @@ class HalfLineRule:
             raise ValueError("nodes must be strictly increasing")
         if np.any(self.weights <= 0.0):
             raise ValueError("weights must be positive")
-        if self.kind not in ("composite_legendre", "exp_weighted", "mapped"):
-            raise ValueError(f"unknown rule kind {self.kind!r}")
         if self.upper_cut < self.nodes[-1]:
             raise ValueError("upper_cut must be >= the largest node")
 
@@ -98,7 +96,8 @@ class HalfLineRule:
         return len(self.nodes)
 
 
-def _upper_cut(policy: TruncationPolicy) -> float:
+def truncation_point(policy: TruncationPolicy) -> float:
+    """Upper cut U of the rules built from policy (without building one)."""
     # smallest integer U with envelope(U) below abs_tol; the ceil adds margin
     # and keeps rules at different scales from being exact rescalings of each
     # other, so cross-scale identities are genuine checks
@@ -110,63 +109,60 @@ def _upper_cut(policy: TruncationPolicy) -> float:
     return float(np.ceil(max(u, 1.0)))
 
 
-def _panel_edges(policy: TruncationPolicy, upper: float) -> np.ndarray:
-    edges = upper * 2.0 ** (-np.arange(_ZERO_LEVELS, -1, -1.0))
-    edges = np.concatenate([[0.0], edges])
-    out = [0.0]
-    for a, b in zip(edges[:-1], edges[1:]):
-        width = b - a
-        # resolve the decay envelope: local log-derivative is rate^2*u for a
-        # gaussian, rate otherwise
-        if policy.decay_hint == "gaussian":
-            local = policy.rate**2 * b
-        else:
-            local = policy.rate
-        cap = _PHASE_PER_PANEL / local
-        if policy.freq_bound > 0.0:
-            cap = min(cap, np.pi / (2.0 * policy.freq_bound))
-        k = max(1, int(np.ceil(width / cap)))
-        out.extend(np.linspace(a, b, k + 1)[1:])
-    return np.asarray(out)
+def _edges(lo: float, hi: float, cap: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
+    """Panel edges on [lo, hi].  From lo == 0 the interval is first cut into
+    geometric octaves toward 0; each piece is then split evenly into the
+    fewest panels no wider than cap(upper end of the piece)."""
+    if lo == 0.0:
+        base = np.concatenate([[0.0], hi * 2.0 ** (-np.arange(_ZERO_LEVELS, -1, -1.0))])
+    else:
+        base = np.array([lo, hi])
+    counts = np.maximum(1, np.ceil(np.diff(base) / cap(base[1:])).astype(int))
+    return np.concatenate([base[:1]] + [np.linspace(a, b, k + 1)[1:]
+                                        for a, b, k in zip(base[:-1], base[1:], counts)])
 
 
-def _panel_nodes(a: float, b: float, points: int,
-                 endpoint_exponent: float = 0.0) -> tuple[np.ndarray, np.ndarray]:
-    if endpoint_exponent != 0.0:
-        # Gauss-Jacobi panel absorbing the u^gamma factor exactly; weights are
-        # folded back so the rule applies to the plain integrand
-        t, w = roots_jacobi(points, 0.0, endpoint_exponent)
-        u = 0.5 * (b - a) * (t + 1.0) + a
-        scale = (0.5 * (b - a)) ** (endpoint_exponent + 1.0)
-        return u, scale * w * ((t + 1.0) * 0.5 * (b - a)) ** (-endpoint_exponent)
+def _assemble(edges: np.ndarray, points: int, upper: float,
+              endpoint_exponent: float = 0.0) -> HalfLineRule:
+    """Map one Gauss-Legendre node set onto every panel at once."""
+    a, b = edges[:-1, None], edges[1:, None]
+    half = 0.5 * (b - a)
     x, w = leggauss(points)
-    return 0.5 * (b - a) * x + 0.5 * (a + b), 0.5 * (b - a) * w
-
-
-def _assemble(edges: np.ndarray, points: int, kind: str, upper: float,
-              endpoint_exponent: float = 0.0, max_panels: int | None = None) -> HalfLineRule:
-    n_panels = len(edges) - 1
-    if max_panels is not None and n_panels > max_panels:
-        raise QuadratureError(
-            f"rule needs {n_panels} panels but the policy allows {max_panels}; "
-            "loosen abs_tol or raise max_panels")
-    nodes, weights = [], []
-    for i, (a, b) in enumerate(zip(edges[:-1], edges[1:])):
-        gamma = endpoint_exponent if (i == 0 and edges[0] == 0.0) else 0.0
-        u, w = _panel_nodes(a, b, points, gamma)
-        nodes.append(u)
-        weights.append(w)
-    return HalfLineRule(np.concatenate(nodes), np.concatenate(weights), kind, upper)
+    nodes, weights = half * x + 0.5 * (a + b), half * w
+    if endpoint_exponent != 0.0 and edges[0] == 0.0:
+        # Gauss-Jacobi first panel (0, edges[1]) absorbing the u^gamma factor
+        # exactly; weights are folded back so the rule applies to the plain
+        # integrand
+        t, wj = roots_jacobi(points, 0.0, endpoint_exponent)
+        h = half[0, 0]  # a scalar: numpy's array power can round differently
+        nodes[0] = h * (t + 1.0)
+        weights[0] = h ** (endpoint_exponent + 1.0) * wj * nodes[0] ** (-endpoint_exponent)
+    return HalfLineRule(nodes.ravel(), weights.ravel(), upper)
 
 
 def build_rule(policy: TruncationPolicy, points_per_panel: int = 8) -> HalfLineRule:
     """Composite Gauss-Legendre rule on (0, U) honoring a truncation policy."""
     if points_per_panel < 4:
         raise ValueError("points_per_panel must be >= 4")
-    upper = _upper_cut(policy)
-    edges = _panel_edges(policy, upper)
-    return _assemble(edges, points_per_panel, "composite_legendre", upper,
-                     policy.endpoint_exponent, policy.max_panels)
+    upper = truncation_point(policy)
+
+    def cap(top):
+        # resolve the decay envelope: local log-derivative is rate^2*u for a
+        # gaussian, rate otherwise; and the oscillation, if any
+        local = policy.rate**2 * top if policy.decay_hint == "gaussian" else policy.rate
+        width = _PHASE_PER_PANEL / local
+        if policy.freq_bound > 0.0:
+            width = np.minimum(width, np.pi / (2.0 * policy.freq_bound))
+        return width
+
+    edges = _edges(0.0, upper, cap)
+    if len(edges) - 1 > policy.max_panels:
+        raise QuadratureError(
+            f"rule needs {len(edges) - 1} panels but the policy allows "
+            f"max_panels={policy.max_panels} (decay_hint={policy.decay_hint!r}, "
+            f"rate={policy.rate}, freq_bound={policy.freq_bound}, "
+            f"abs_tol={policy.abs_tol}); loosen abs_tol or raise max_panels")
+    return _assemble(edges, points_per_panel, upper, policy.endpoint_exponent)
 
 
 def build_finite_rule(a: float, b: float, max_width: float,
@@ -181,17 +177,8 @@ def build_finite_rule(a: float, b: float, max_width: float,
         raise ValueError("need 0 <= a < b")
     if max_width <= 0.0:
         raise ValueError("max_width must be > 0")
-    if a == 0.0:
-        first = b * 2.0 ** (-np.arange(_ZERO_LEVELS, -1, -1.0))
-        base = np.concatenate([[0.0], first])
-    else:
-        base = np.array([a, b])
-    edges = [base[0]]
-    for lo, hi in zip(base[:-1], base[1:]):
-        k = max(1, int(np.ceil((hi - lo) / max_width)))
-        edges.extend(np.linspace(lo, hi, k + 1)[1:])
-    return _assemble(np.asarray(edges), points_per_panel, "composite_legendre",
-                     b, endpoint_exponent)
+    return _assemble(_edges(a, b, lambda top: max_width), points_per_panel, b,
+                     endpoint_exponent)
 
 
 def integrate(f: Callable[[np.ndarray], np.ndarray] | np.ndarray,

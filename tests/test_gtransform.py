@@ -277,8 +277,7 @@ class TestFunctionalCalculus:
                           np.ones((4, len(rule.nodes))))
         with pytest.raises(OverflowError):
             with np.errstate(over="ignore"):
-                gtransform.apply_multiplier(sd, Multiplier(lambda y: np.exp(8.0 * y),
-                                                           bounded=False))
+                gtransform.apply_multiplier(sd, Multiplier(lambda y: np.exp(8.0 * y)))
 
 
 class TestValidation:

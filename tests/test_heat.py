@@ -8,7 +8,7 @@ from grushin import heat
 from grushin.functions import bump_plane
 from grushin.gtransform import TypePair
 from grushin.heat import HeatParams
-from grushin.quadrature import build_finite_rule
+from grushin.quadrature import QuadratureError, build_finite_rule
 
 
 class TestKernelBasics:
@@ -36,6 +36,13 @@ class TestKernelBasics:
         hp = HeatParams(40.0, TypePair(-0.5, 0.3))
         val = heat.heat_kernel(hp, 1.0, 1.0, 1.0, 1.0)
         assert np.isfinite(val)
+
+    def test_panel_cap_error_names_the_policy(self):
+        hp = HeatParams(1e-4, TypePair(0.3, 0.45))
+        with pytest.raises(QuadratureError) as excinfo:
+            heat.heat_kernel(hp, 1, 1, 1, 1)
+        for field in ("decay_hint=", "rate=", "freq_bound=", "abs_tol=", "max_panels="):
+            assert field in str(excinfo.value)
 
     def test_negative_alpha_small_time(self):
         hp = HeatParams(0.05, TypePair(-0.9, -0.9))

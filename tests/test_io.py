@@ -71,6 +71,20 @@ class TestGridFiles:
             gio.read_grid(path)
 
 
+    def test_every_row_coordinate_checked(self, tmp_path):
+        r = np.linspace(0.5, 2.5, 9)
+        s = np.linspace(1.0, 4.0, 13)
+        path = tmp_path / "g.csv"
+        gio.write_grid(path, GridFunction2D(r, s, np.outer(r, s)))
+        lines = path.read_text().splitlines()
+        row = 4 + 30  # data row 30, past the first row and column
+        value = lines[row].split(",")[2]
+        lines[row] = f"9.0,7.0,{value}"
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(gio.FileFormatError, match=f":{row + 1}:"):
+            gio.read_grid(path)
+
+
 class TestSpectralFiles:
     def test_round_trip_preserves_norm_exactly(self, spectral, tmp_path):
         from grushin.gtransform import plancherel_norm
@@ -118,3 +132,11 @@ class TestSpectralFiles:
         path.write_text("\n".join(lines) + "\n")
         with pytest.raises(gio.NonFiniteEntryError):
             gio.read_spectral(path)
+
+    def test_complex_values_rejected_before_writing(self, spectral, tmp_path):
+        path = tmp_path / "sd.csv"
+        sd = SpectralData(spectral.alpha, spectral.beta, spectral.tau_grid,
+                          spectral.tau_weights, spectral.values * (1.0 + 1.0j))
+        with pytest.raises(gio.FileFormatError, match="values.*complex128"):
+            gio.write_spectral(path, sd)
+        assert not path.exists()

@@ -2,10 +2,14 @@
 
 import numpy as np
 import pytest
-from scipy.special import gammaln
+from numpy.polynomial.legendre import leggauss
+from scipy.special import gammaln, roots_jacobi
 
+from grushin.hankel import HalfLineFunction
+from grushin.laguerre import analysis_rule
 from grushin.quadrature import (HalfLineRule, QuadratureError, TruncationPolicy,
-                                build_finite_rule, build_rule, integrate)
+                                build_finite_rule, build_rule, integrate,
+                                truncation_point)
 
 
 class TestBuildRule:
@@ -144,3 +148,83 @@ class TestRuleValidation:
             build_finite_rule(2.0, 1.0, 0.1)
         with pytest.raises(ValueError):
             build_finite_rule(0.0, 1.0, -0.1)
+
+
+# Reference construction: separate edge loops for the two builders and one
+# Gauss node set computed per panel.  The library must reproduce it exactly.
+def _reference_panel(a, b, points, gamma):
+    if gamma != 0.0:
+        t, w = roots_jacobi(points, 0.0, gamma)
+        u = 0.5 * (b - a) * (t + 1.0) + a
+        scale = (0.5 * (b - a)) ** (gamma + 1.0)
+        return u, scale * w * ((t + 1.0) * 0.5 * (b - a)) ** (-gamma)
+    x, w = leggauss(points)
+    return 0.5 * (b - a) * x + 0.5 * (a + b), 0.5 * (b - a) * w
+
+
+def _reference_assemble(edges, points, gamma):
+    nodes, weights = [], []
+    for i, (a, b) in enumerate(zip(edges[:-1], edges[1:])):
+        u, w = _reference_panel(a, b, points, gamma if (i == 0 and edges[0] == 0.0) else 0.0)
+        nodes.append(u)
+        weights.append(w)
+    return np.concatenate(nodes), np.concatenate(weights)
+
+
+def _reference_rule(policy, points=8):
+    upper = truncation_point(policy)
+    base = np.concatenate([[0.0], upper * 2.0 ** (-np.arange(20, -1, -1.0))])
+    edges = [0.0]
+    for a, b in zip(base[:-1], base[1:]):
+        local = policy.rate**2 * b if policy.decay_hint == "gaussian" else policy.rate
+        cap = 3.5 / local
+        if policy.freq_bound > 0.0:
+            cap = min(cap, np.pi / (2.0 * policy.freq_bound))
+        k = max(1, int(np.ceil((b - a) / cap)))
+        edges.extend(np.linspace(a, b, k + 1)[1:])
+    return _reference_assemble(np.asarray(edges), points, policy.endpoint_exponent)
+
+
+def _reference_finite_rule(a, b, max_width, points=8, gamma=0.0):
+    if a == 0.0:
+        base = np.concatenate([[0.0], b * 2.0 ** (-np.arange(20, -1, -1.0))])
+    else:
+        base = np.array([a, b])
+    edges = [base[0]]
+    for lo, hi in zip(base[:-1], base[1:]):
+        k = max(1, int(np.ceil((hi - lo) / max_width)))
+        edges.extend(np.linspace(lo, hi, k + 1)[1:])
+    return _reference_assemble(np.asarray(edges), points, gamma)
+
+
+class TestAgainstReference:
+    @pytest.mark.parametrize("policy", [
+        TruncationPolicy(decay_hint="gaussian", rate=np.sqrt(2.0)),
+        TruncationPolicy(decay_hint="exponential", rate=0.7, abs_tol=1e-14),
+        TruncationPolicy(decay_hint="algebraic_oscillatory", rate=1.3, freq_bound=9.0),
+        TruncationPolicy(decay_hint="gaussian", rate=0.4, freq_bound=2.5,
+                         endpoint_exponent=-0.8),
+        TruncationPolicy(decay_hint="exponential", rate=np.sqrt(2.0), endpoint_exponent=1.5),
+    ])
+    def test_build_rule_bitwise(self, policy):
+        rule = build_rule(policy)
+        nodes, weights = _reference_rule(policy)
+        assert np.array_equal(rule.nodes, nodes)
+        assert np.array_equal(rule.weights, weights)
+
+    @pytest.mark.parametrize("args", [(0.3, 7.1, 0.13, 8, 0.0), (0.05, 3.5, 0.02, 5, 1.2),
+                                      (0.0, 12.0, 12.0 / 32, 8, -0.6)])
+    def test_build_finite_rule_bitwise(self, args):
+        a, b, width, points, gamma = args
+        rule = build_finite_rule(a, b, width, points, endpoint_exponent=gamma)
+        nodes, weights = _reference_finite_rule(a, b, width, points, gamma)
+        assert np.array_equal(rule.nodes, nodes)
+        assert np.array_equal(rule.weights, weights)
+
+
+def test_r_rule_turning_point_cap():
+    # at tau = 4 the basis functions up to n = 20 die out by r ~ 4.5, far
+    # inside the cut 75 of a slowly decaying gaussian profile
+    prof = HalfLineFunction(lambda r: np.exp(-(0.1 * r) ** 2 / 2), decay="gaussian", rate=0.1)
+    assert truncation_point(TruncationPolicy(decay_hint="gaussian", rate=0.1)) == 75.0
+    assert analysis_rule(0.3, (4.0, 4.0), prof, 21).upper_cut == 11.0
