@@ -24,6 +24,7 @@ from typing import Callable, Optional, Tuple
 import numpy as np
 from scipy.special import jv
 
+from ._util import parallel_map
 from .hankel import (HalfLineFunction, as_half_line_function, hankel_liouville,
                      rule_for_function)
 from .laguerre import analysis_rule
@@ -47,6 +48,9 @@ __all__ = [
 ]
 
 DEFAULT_N_MAX = 96
+# doubles per column block of a Laguerre table: the recurrence's few working
+# arrays stay cache-resident, and its memory is bounded per block
+_LAGUERRE_BLOCK = 32768
 
 
 @dataclass(frozen=True)
@@ -193,9 +197,32 @@ def _plane_setup(tp: TypePair, f, n_max: int, tau_rule, r_rule, s_rule):
     return tau_rule, r_rule.weights, fvals, hankel, x
 
 
-def _laguerre_rows(alpha, x, n_max, contract) -> np.ndarray:
-    """Rows contract(l_n^a(x)) for n < n_max."""
-    return np.array([contract(q) for q in laguerre_fn_seq(alpha, x, n_max)])
+def _laguerre_blocks(alpha, x, n_max, per_block, block=None) -> np.ndarray:
+    """per_block(cols, seq) over contiguous column blocks of the table x,
+    joined along the last axis; seq yields l_n^a(x[:, cols]) for n < n_max.
+
+    A block holds about `block` doubles (default _LAGUERRE_BLOCK).  Blocks
+    run on up to thread_count() workers.  Columns are independent and the
+    recurrence acts elementwise, so every yielded value, and any contraction
+    that sums down the columns, does not depend on the block size or the
+    thread count."""
+    block = _LAGUERRE_BLOCK if block is None else block
+    # even blocks of at least two columns: on a one-column block numpy's
+    # axis-0 sums turn pairwise and the contractions would change bits
+    width = max(2, block // max(x.shape[0], 1))
+    n_blocks = max(1, x.shape[1] // width)
+    edges = [x.shape[1] * i // n_blocks for i in range(n_blocks + 1)]
+    blocks = [slice(lo, hi) for lo, hi in zip(edges[:-1], edges[1:])]
+    parts = parallel_map(
+        lambda cols: per_block(cols, laguerre_fn_seq(alpha, x[:, cols], n_max)), blocks)
+    return np.concatenate(parts, axis=-1)
+
+
+def _laguerre_rows(alpha, x, n_max, contract, block=None) -> np.ndarray:
+    """Rows contract(l_n^a(x[:, cols]), cols) for n < n_max, as (n_max, K)."""
+    return _laguerre_blocks(alpha, x, n_max,
+                            lambda cols, seq: np.array([contract(q, cols) for q in seq]),
+                            block)
 
 
 def g_forward(tp: TypePair, f, n_max: int = DEFAULT_N_MAX,
@@ -209,7 +236,8 @@ def g_forward(tp: TypePair, f, n_max: int = DEFAULT_N_MAX,
     """
     tau_rule, rw, fvals, hankel, x = _plane_setup(tp, f, n_max, tau_rule, r_rule, s_rule)
     weighted = rw[:, None] * (fvals @ hankel)                  # (nr, K)
-    values = _laguerre_rows(tp.alpha, x, n_max, lambda q: np.sum(weighted * q, axis=0))
+    values = _laguerre_rows(tp.alpha, x, n_max,
+                            lambda q, c: np.sum(weighted[:, c] * q, axis=0))
     values *= tau_rule.nodes[None, :] ** 0.25
     return SpectralData(tp.alpha, tp.beta, tau_rule.nodes, tau_rule.weights, values)
 
@@ -223,7 +251,7 @@ def g_forward_separated(tp: TypePair, f1, f2, n_max: int = DEFAULT_N_MAX,
     tau_rule, r_rule, x = _forward_setup(tp, n_max, tau_rule, f1)
     h2 = np.asarray(hankel_liouville(tp.beta, f2, tau_rule.nodes))
     weighted = r_rule.weights * np.asarray(f1(r_rule.nodes))
-    values = _laguerre_rows(tp.alpha, x, n_max, lambda q: weighted @ q)
+    values = _laguerre_rows(tp.alpha, x, n_max, lambda q, c: weighted @ q)
     values = values * (tau_rule.nodes[None, :] ** 0.25 * h2[None, :])
     return SpectralData(tp.alpha, tp.beta, tau_rule.nodes, tau_rule.weights, values)
 
@@ -237,9 +265,12 @@ def g_forward_hat(tp: TypePair, f, n_max: int = DEFAULT_N_MAX,
     tau_rule, rw, fvals, hankel, x = _plane_setup(tp, f, n_max, tau_rule, r_rule, s_rule)
     weighted_f = rw[:, None] * fvals                           # (nr, ns)
     # Laguerre analysis of every s-slice at each tau, then the Hankel
-    # contraction evaluated on the diagonal tau
+    # contraction evaluated on the diagonal tau.  The table is one block:
+    # each block's product streams all of weighted_f, which costs more than
+    # a cache-resident recurrence saves.
     values = _laguerre_rows(tp.alpha, x, n_max,
-                            lambda q: np.sum((weighted_f.T @ q) * hankel, axis=0))
+                            lambda q, c: np.sum((weighted_f.T @ q) * hankel[:, c], axis=0),
+                            block=x.size)
     values *= tau_rule.nodes[None, :] ** 0.25
     return SpectralData(tp.alpha, tp.beta, tau_rule.nodes, tau_rule.weights, values)
 
@@ -247,10 +278,15 @@ def g_forward_hat(tp: TypePair, f, n_max: int = DEFAULT_N_MAX,
 def _synthesize_columns(sd: SpectralData, rs: np.ndarray) -> np.ndarray:
     """sum_n values[n, k] l_{n,tau_k}(r_j) as a (K, len(rs)) matrix."""
     x = np.sqrt(sd.tau_grid)[:, None] * rs[None, :]
-    out = np.zeros((len(sd.tau_grid), len(rs)), dtype=sd.values.dtype)
-    for n, q in enumerate(laguerre_fn_seq(sd.alpha, x, sd.n_max)):
-        out += sd.values[n][:, None] * q
-    return out * sd.tau_grid[:, None] ** 0.25
+
+    def synthesize(cols, seq):
+        out = np.zeros((len(sd.tau_grid), cols.stop - cols.start), dtype=sd.values.dtype)
+        for n, q in enumerate(seq):
+            out += sd.values[n][:, None] * q
+        return out
+
+    return _laguerre_blocks(sd.alpha, x, sd.n_max, synthesize) \
+        * sd.tau_grid[:, None] ** 0.25
 
 
 def g_inverse_grid(sd: SpectralData, rs, ss) -> np.ndarray:

@@ -19,14 +19,13 @@ K_t = t^(-3/2) K_1((r/sqrt t, s/t), (u/sqrt t, v/t)).
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 from scipy.special import gammaln, iv, ive, jv
 
-from ._util import thread_count
+from ._util import parallel_map
 from .gtransform import Multiplier, TypePair, as_plane_function, functional_calculus
 from .quadrature import (HalfLineRule, TruncationPolicy, build_finite_rule, build_rule,
                          truncation_point)
@@ -271,7 +270,8 @@ def _kernel_route(hp, fvals, urule, vrule, pts, trule):
 
     out = np.empty(len(pts))
 
-    def run_group(r, idxs):
+    def run_group(item):
+        r, idxs = item
         core = _kernel_core(hp, tau[:, None], r, un[None, :]) \
             * np.sqrt(un)[None, :] * uw[None, :]               # (K, nu)
         mixed = core @ fvals                                   # (K, nv)
@@ -282,16 +282,7 @@ def _kernel_route(hp, fvals, urule, vrule, pts, trule):
     groups: dict[float, list[int]] = {}
     for idx, (r, _) in enumerate(pts):
         groups.setdefault(float(r), []).append(idx)
-    group_items = [(r, np.asarray(idxs)) for r, idxs in groups.items()]
-    workers = thread_count()
-    if workers > 1 and len(group_items) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            futures = [pool.submit(run_group, r, idxs) for r, idxs in group_items]
-            for fut in futures:
-                fut.result()
-    else:
-        for r, idxs in group_items:
-            run_group(r, idxs)
+    parallel_map(run_group, [(r, np.asarray(idxs)) for r, idxs in groups.items()])
     return out
 
 

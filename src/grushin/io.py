@@ -6,7 +6,8 @@ digits, which round-trips double precision exactly.
 
 Grid file:    header alpha, beta, nr, ns; rows r,s,value (r-major, every r,s checked).
 Spectral file: header alpha, beta, n_max, n_tau, tau_grid, tau_weights
-               (grids comma-separated inside the value); rows n,tau_index,value (real).
+               (grids comma-separated inside the value); rows n,tau_index,value
+               (real, each pair once).
 """
 
 from __future__ import annotations
@@ -71,6 +72,11 @@ def _parse_header(lines, path):
     return header, body_start
 
 
+def _body_rows(lines, body):
+    """Non-blank data rows with their 1-based line numbers in the file."""
+    return [(i + 1, ln) for i, ln in enumerate(lines[body:], start=body) if ln.strip()]
+
+
 def _header_float(header, key, path):
     if key not in header:
         raise HeaderError(f"{path}: missing header field {key!r}")
@@ -126,29 +132,29 @@ def read_grid(path):
     _check_types(alpha, beta, path)
     nr = _header_int(header, "nr", path)
     ns = _header_int(header, "ns", path)
-    rows = [ln for ln in lines[body:] if ln.strip()]
+    rows = _body_rows(lines, body)
     if len(rows) != nr * ns:
         raise RowCountError(f"{path}: expected {nr * ns} rows, found {len(rows)}")
     data = np.empty((nr * ns, 3))
-    for k, row in enumerate(rows):
+    for k, (line_no, row) in enumerate(rows):
         parts = row.split(",")
         if len(parts) != 3:
             raise FileFormatError(
-                f"{path}:{body + k + 1}: expected 3 fields, found {len(parts)}")
+                f"{path}:{line_no}: expected 3 fields, found {len(parts)}")
         try:
             data[k] = [float(p) for p in parts]
         except ValueError:
-            raise FileFormatError(f"{path}:{body + k + 1}: non-numeric field")
+            raise FileFormatError(f"{path}:{line_no}: non-numeric field")
         if not np.all(np.isfinite(data[k])):
             raise NonFiniteEntryError(
-                f"{path}:{body + k + 1}: non-finite entry in row {k}")
+                f"{path}:{line_no}: non-finite entry in row {k}")
     r_nodes = data[::ns, 0]
     s_nodes = data[:ns, 1]
     bad = (data[:, 0] != np.repeat(r_nodes, ns)) | (data[:, 1] != np.tile(s_nodes, nr))
     if np.any(bad):
         k = int(np.argmax(bad))
         raise FileFormatError(
-            f"{path}:{body + k + 1}: coordinates ({data[k, 0]!r}, {data[k, 1]!r}) are "
+            f"{path}:{rows[k][0]}: coordinates ({data[k, 0]!r}, {data[k, 1]!r}) are "
             f"not the r-major grid point ({r_nodes[k // ns]!r}, {s_nodes[k % ns]!r})")
     values = data[:, 2].reshape(nr, ns)
     return GridFunction2D(r_nodes, s_nodes, values), alpha, beta
@@ -185,25 +191,32 @@ def read_spectral(path) -> SpectralData:
     tau_weights = _header_array(header, "tau_weights", path)
     if len(tau_grid) != n_tau or len(tau_weights) != n_tau:
         raise HeaderError(f"{path}: tau grid/weights do not match n_tau={n_tau}")
-    rows = [ln for ln in lines[body:] if ln.strip()]
+    rows = _body_rows(lines, body)
     if len(rows) != n_max * n_tau:
         raise RowCountError(
             f"{path}: expected {n_max * n_tau} rows, found {len(rows)}")
     values = np.empty((n_max, n_tau))
-    for k, row in enumerate(rows):
+    # line on which each (n, tau_index) pair was read, 0 while unseen; with
+    # the row count right, a repeated pair means another one is missing
+    seen_on = np.zeros((n_max, n_tau), dtype=int)
+    for k, (line_no, row) in enumerate(rows):
         parts = row.split(",")
         if len(parts) != 3:
             raise FileFormatError(
-                f"{path}:{body + k + 1}: expected 3 fields, found {len(parts)}")
+                f"{path}:{line_no}: expected 3 fields, found {len(parts)}")
         try:
             n, idx, val = int(parts[0]), int(parts[1]), float(parts[2])
         except ValueError:
-            raise FileFormatError(f"{path}:{body + k + 1}: non-numeric field")
+            raise FileFormatError(f"{path}:{line_no}: non-numeric field")
         if not (0 <= n < n_max and 0 <= idx < n_tau):
             raise FileFormatError(
-                f"{path}:{body + k + 1}: index ({n}, {idx}) out of range")
+                f"{path}:{line_no}: index ({n}, {idx}) out of range")
+        if seen_on[n, idx]:
+            raise FileFormatError(
+                f"{path}:{line_no}: pair ({n}, {idx}) repeats line {seen_on[n, idx]}")
         if not np.isfinite(val):
             raise NonFiniteEntryError(
-                f"{path}:{body + k + 1}: non-finite entry in row {k}")
+                f"{path}:{line_no}: non-finite entry in row {k}")
+        seen_on[n, idx] = line_no
         values[n, idx] = val
     return SpectralData(alpha, beta, tau_grid, tau_weights, values)

@@ -197,19 +197,30 @@ def laguerre_fn_seq(alpha, x, n_max) -> Iterator[np.ndarray]:
     g0 = 0.5 * np.log(2.0) - 0.5 * sp.gammaln(alpha + 1.0) - 0.5 * x2 \
         + (alpha + 0.5) * np.log(x)
     off = np.where(g0 < -600.0, g0 + 300.0, 0.0)
+    scale = np.exp(off)
+    # three rotating buffers; the in-place steps keep the operation order of
+    # ((2n + a + 1 - x^2) cur - c_dn prev) / c_up, so every value is unchanged
     prev = np.zeros_like(x2)
-    cur = np.exp(g0 - off)
+    cur = np.asarray(np.exp(g0 - off))  # an array even for a scalar x
+    del g0  # the generator's frame would hold it through every order
+    nxt = np.empty_like(x2)
     rescale = 300.0 * np.log(10.0)
     for n in range(int(n_max)):
-        yield cur * np.exp(off)
+        yield cur * scale
         c_up = np.sqrt((n + 1.0) * (n + alpha + 1.0))
         c_dn = np.sqrt(n * (n + alpha)) if n > 0 else 0.0
-        prev, cur = cur, ((2 * n + alpha + 1.0 - x2) * cur - c_dn * prev) / c_up
-        if np.abs(cur).max(initial=0.0) > 1e150:
+        np.subtract(2 * n + alpha + 1.0, x2, out=nxt)
+        nxt *= cur
+        prev *= c_dn
+        nxt -= prev
+        nxt /= c_up
+        prev, cur, nxt = cur, nxt, prev
+        if max(cur.max(initial=0.0), -cur.min(initial=0.0)) > 1e150:
             big = np.abs(cur) > 1e150
-            prev = np.where(big, prev * 1e-300, prev)
-            cur = np.where(big, cur * 1e-300, cur)
-            off = np.where(big, off + rescale, off)
+            np.multiply(prev, 1e-300, out=prev, where=big)
+            np.multiply(cur, 1e-300, out=cur, where=big)
+            np.add(off, rescale, out=off, where=big)
+            scale = np.exp(off)
 
 
 def laguerre_fn(idx: LaguerreIndex, r):

@@ -153,3 +153,21 @@ def test_thread_env_var_validation(monkeypatch):
     monkeypatch.setenv("GRUSHIN_THREADS", "many")
     with pytest.raises(ValueError):
         thread_count()
+
+
+def test_parallel_map_keeps_item_order(monkeypatch):
+    import threading
+
+    from grushin._util import parallel_map
+    for threads in ("1", "4"):
+        monkeypatch.setenv("GRUSHIN_THREADS", threads)
+        seen = []
+        lock = threading.Lock()
+
+        def square(i):
+            with lock:
+                seen.append(i)
+            return i * i
+
+        assert parallel_map(square, range(200)) == [i * i for i in range(200)]
+        assert sorted(seen) == list(range(200))

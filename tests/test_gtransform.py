@@ -121,6 +121,34 @@ class TestInverse:
         assert np.allclose(grid, scattered, rtol=1e-12)
 
 
+class TestLaguerreBlocks:
+    """Column blocks and worker threads leave every bit of the result alone."""
+
+    def test_independent_of_block_size_and_threads(self, monkeypatch):
+        tp = TypePair(0.3, -0.4)
+        f = packet_plane()
+        rs = np.linspace(0.4, 3.5, 7)
+        ss = np.linspace(0.5, 4.5, 5)
+        pts = np.stack([np.linspace(0.5, 3.0, 9), np.linspace(4.0, 0.7, 9)], axis=-1)
+
+        def run():
+            sd = gtransform.g_forward(tp, f, n_max=20)
+            return (sd.values, gtransform.g_inverse(sd, pts),
+                    gtransform.g_inverse_grid(sd, rs, ss))
+
+        # the whole table as one block, on one thread
+        monkeypatch.setattr(gtransform, "_LAGUERRE_BLOCK", 10**12)
+        monkeypatch.setenv("GRUSHIN_THREADS", "1")
+        want = run()
+        # two columns per block, then a few columns per block
+        for block in (1, 5000):
+            monkeypatch.setattr(gtransform, "_LAGUERRE_BLOCK", block)
+            for threads in ("1", "4"):
+                monkeypatch.setenv("GRUSHIN_THREADS", threads)
+                for got, ref in zip(run(), want):
+                    assert np.array_equal(got, ref), (block, threads)
+
+
 def _truncated_spectral_fixture(tp, tau_rule):
     """Smooth compactly supported data on the discretized spectrum.
 

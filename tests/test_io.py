@@ -70,6 +70,28 @@ class TestGridFiles:
         with pytest.raises(gio.FileFormatError, match="3 fields"):
             gio.read_grid(path)
 
+    def test_blank_line_keeps_file_line_numbers(self, grid, tmp_path):
+        path = tmp_path / "g.csv"
+        gio.write_grid(path, grid)
+        lines = path.read_text().splitlines()
+        lines.insert(6, "")
+        r, s, _ = lines[9].split(",")
+        lines[9] = f"{r},{s},nan"  # file line 10, after one blank body line
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(gio.NonFiniteEntryError, match=":10:"):
+            gio.read_grid(path)
+
+    def test_blank_line_keeps_coordinate_line_number(self, grid, tmp_path):
+        path = tmp_path / "g.csv"
+        gio.write_grid(path, grid)
+        lines = path.read_text().splitlines()
+        lines.insert(5, "")
+        lines.insert(8, "   ")
+        value = lines[12].split(",")[2]
+        lines[12] = f"9.0,7.0,{value}"
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(gio.FileFormatError, match=":13:"):
+            gio.read_grid(path)
 
     def test_every_row_coordinate_checked(self, tmp_path):
         r = np.linspace(0.5, 2.5, 9)
@@ -131,6 +153,33 @@ class TestSpectralFiles:
         lines[10] = f"{n},{k},inf"
         path.write_text("\n".join(lines) + "\n")
         with pytest.raises(gio.NonFiniteEntryError):
+            gio.read_spectral(path)
+
+    def test_repeated_pair_rejected(self, spectral, tmp_path):
+        path = tmp_path / "sd.csv"
+        values = spectral.values.copy()
+        values[0, 1] = 2.0
+        gio.write_spectral(path, SpectralData(spectral.alpha, spectral.beta,
+                                              spectral.tau_grid, spectral.tau_weights,
+                                              values))
+        lines = path.read_text().splitlines()
+        first = next(i for i, ln in enumerate(lines) if not ln.startswith("#"))
+        lines[first + 1] = lines[first]  # pair (0, 0) twice, (0, 1) missing
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(gio.FileFormatError,
+                           match=rf":{first + 2}: pair \(0, 0\) repeats line {first + 1}"):
+            gio.read_spectral(path)
+
+    def test_blank_line_keeps_file_line_numbers(self, spectral, tmp_path):
+        path = tmp_path / "sd.csv"
+        gio.write_spectral(path, spectral)
+        lines = path.read_text().splitlines()
+        first = next(i for i, ln in enumerate(lines) if not ln.startswith("#"))
+        lines.insert(first + 2, "")
+        n, k, _ = lines[first + 4].split(",")
+        lines[first + 4] = f"{n},{k},nan"
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(gio.NonFiniteEntryError, match=f":{first + 5}:"):
             gio.read_spectral(path)
 
     def test_complex_values_rejected_before_writing(self, spectral, tmp_path):

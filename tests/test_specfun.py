@@ -10,6 +10,7 @@ import math
 import mpmath
 import numpy as np
 import pytest
+from scipy import special as sp
 from scipy.special import eval_genlaguerre
 
 from grushin import specfun
@@ -206,6 +207,63 @@ class TestLaguerreFn:
     def test_rejects_nonpositive_argument(self):
         with pytest.raises(ValueError):
             specfun.laguerre_fn(specfun.LaguerreIndex(0, 0.0, 1.0), 0.0)
+
+
+def laguerre_fn_seq_reference(alpha, x, n_max):
+    """The allocating form of specfun.laguerre_fn_seq: new arrays at every
+    order and the scale factor exp(off) recomputed for every yield."""
+    x = np.asarray(x, dtype=float)
+    x2 = x * x
+    g0 = 0.5 * np.log(2.0) - 0.5 * sp.gammaln(alpha + 1.0) - 0.5 * x2 \
+        + (alpha + 0.5) * np.log(x)
+    off = np.where(g0 < -600.0, g0 + 300.0, 0.0)
+    prev = np.zeros_like(x2)
+    cur = np.exp(g0 - off)
+    rescale = 300.0 * np.log(10.0)
+    for n in range(int(n_max)):
+        yield cur * np.exp(off)
+        c_up = np.sqrt((n + 1.0) * (n + alpha + 1.0))
+        c_dn = np.sqrt(n * (n + alpha)) if n > 0 else 0.0
+        prev, cur = cur, ((2 * n + alpha + 1.0 - x2) * cur - c_dn * prev) / c_up
+        if np.abs(cur).max(initial=0.0) > 1e150:
+            big = np.abs(cur) > 1e150
+            prev = np.where(big, prev * 1e-300, prev)
+            cur = np.where(big, cur * 1e-300, cur)
+            off = np.where(big, off + rescale, off)
+
+
+class TestLaguerreSeqMatchesReference:
+    """The in-place recurrence yields exactly the reference's values."""
+
+    @staticmethod
+    def assert_same_sequence(alpha, x, n_max):
+        got = list(specfun.laguerre_fn_seq(alpha, x, n_max))
+        want = list(laguerre_fn_seq_reference(alpha, x, n_max))
+        assert len(got) == len(want) == n_max
+        for n, (g, w) in enumerate(zip(got, want)):
+            assert np.array_equal(g, w), f"order {n} differs"
+
+    def test_table_with_deep_start(self):
+        # an (nr, K) table like the forward transform's, reaching g0 < -600
+        r = np.linspace(0.05, 40.0, 61)
+        tau = np.linspace(0.1, 1.6, 9)
+        x = np.sqrt(tau)[None, :] * r[:, None]
+        g0 = 0.5 * np.log(2.0) - 0.5 * sp.gammaln(1.5) - 0.5 * x * x + np.log(x)
+        assert np.any(g0 < -600.0)
+        self.assert_same_sequence(0.5, x, 300)
+
+    def test_deep_rescale(self):
+        self.assert_same_sequence(0.0, np.array([55.0]), 900)
+
+    def test_negative_alpha(self):
+        self.assert_same_sequence(-0.9, np.linspace(0.01, 9.0, 40).reshape(8, 5), 120)
+
+    def test_retained_yields_are_not_aliased(self):
+        x = np.linspace(0.1, 30.0, 24).reshape(4, 6)
+        kept = list(specfun.laguerre_fn_seq(0.3, x, 400))
+        want = list(laguerre_fn_seq_reference(0.3, x, 400))
+        assert all(np.array_equal(k, w) for k, w in zip(kept, want))
+        assert len({id(k) for k in kept}) == len(kept)
 
 
 class TestLogGamma:
