@@ -46,17 +46,17 @@ _REQUIRED = {
 def _read_config(path):
     values = {}
     try:
-        text = open(path).read()
+        lines = gio.read_lines(path)
     except OSError as exc:
         raise UsageError(f"cannot read config file: {exc}")
-    for i, line in enumerate(text.splitlines()):
+    for i, line in enumerate(lines):
         line = line.strip()
         if not line or line.startswith("#"):
             continue
-        if "=" not in line:
+        key_val = gio.split_entry(line)
+        if key_val is None:
             raise UsageError(f"{path}:{i + 1}: expected key=value, got {line!r}")
-        key, _, val = line.partition("=")
-        values[key.strip().replace("-", "_")] = val.strip()
+        values[key_val[0].replace("-", "_")] = key_val[1]
     return values
 
 
@@ -92,32 +92,6 @@ def _plane_from_grid(path):
     return PlaneFunction(fn=fn, support=support), alpha, beta
 
 
-def _read_points(path):
-    pts = []
-    try:
-        lines = open(path).read().splitlines()
-    except OSError as exc:
-        raise UsageError(f"cannot read points file: {exc}")
-    for i, line in enumerate(lines):
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        parts = line.split(",")
-        if len(parts) != 2:
-            raise UsageError(f"{path}:{i + 1}: expected r,s")
-        pts.append([float(parts[0]), float(parts[1])])
-    if not pts:
-        raise UsageError(f"{path}: no points found")
-    return np.asarray(pts)
-
-
-def _write_points_csv(path, pts, values):
-    with open(path, "w") as fh:
-        fh.write(f"# count={len(values)}\n")
-        for (r, s), v in zip(pts, values):
-            fh.write(f"{r:.16e},{s:.16e},{v:.16e}\n")
-
-
 def _cmd_gtransform(args):
     f, _, _ = _plane_from_grid(args.input)
     sd = g_forward(TypePair(args.alpha, args.beta), f, n_max=args.nmax)
@@ -127,9 +101,8 @@ def _cmd_gtransform(args):
 
 def _cmd_igtransform(args):
     sd = gio.read_spectral(args.input)
-    pts = _read_points(args.points)
-    values = np.atleast_1d(g_inverse(sd, pts))
-    _write_points_csv(args.output, pts, values)
+    pts = gio.read_points(args.points)
+    gio.write_points(args.output, pts, g_inverse(sd, pts))
     return 0
 
 
@@ -144,10 +117,9 @@ def _cmd_heat_kernel(args):
 
 def _cmd_heat_apply(args):
     f, _, _ = _plane_from_grid(args.input)
-    pts = _read_points(args.points)
+    pts = gio.read_points(args.points)
     hp = HeatParams(args.t, TypePair(args.alpha, args.beta))
-    values = np.atleast_1d(heat_apply(hp, f, pts, route=args.route))
-    _write_points_csv(args.output, pts, values)
+    gio.write_points(args.output, pts, heat_apply(hp, f, pts, route=args.route))
     return 0
 
 
@@ -167,12 +139,7 @@ def _parse_grid_spec(spec):
 def _cmd_profiles(args):
     xs = _parse_grid_spec(args.grid)
     vals = diagonal_profile(args.kind, TypePair(args.alpha, args.beta), xs)
-    with open(args.output, "w") as fh:
-        fh.write(f"# kind={args.kind}\n")
-        fh.write(f"# alpha={args.alpha:.16e}\n")
-        fh.write(f"# beta={args.beta:.16e}\n")
-        for x, v in zip(xs, vals):
-            fh.write(f"{x:.16e},{v:.16e}\n")
+    gio.write_profile(args.output, args.kind, args.alpha, args.beta, xs, vals)
     return 0
 
 

@@ -1,13 +1,14 @@
-"""Plain-text persistence for grid functions and spectral data.
+"""Plain-text persistence for grid functions, spectral data and point values.
 
-Both formats are `#`-prefixed key=value header lines followed by one CSV
-record per row.  Floats are written as e-notation with 17 significant
-digits, which round-trips double precision exactly.
+Every file is optional `#`-prefixed key=value header lines, then one CSV
+record per non-blank row, read by `_read_records` and `_parse_records` and
+written by `_write_records`.  Floats are written as e-notation with 17
+significant digits, which round-trips double precision exactly.
 
-Grid file:    header alpha, beta, nr, ns; rows r,s,value (r-major, every r,s checked).
-Spectral file: header alpha, beta, n_max, n_tau, tau_grid, tau_weights
-               (grids comma-separated inside the value); rows n,tau_index,value
-               (real, each pair once).
+Grid file:     header alpha, beta, nr, ns; rows r,s,value (r-major, every r,s checked).
+Spectral file: header alpha, beta, n_max, n_tau, tau_grid, tau_weights (grids
+               comma-separated); rows n,tau_index,value (real, each pair once).
+Points file:   rows r,s (finite, > 0).  Outputs: rows r,s,value or x,value.
 """
 
 from __future__ import annotations
@@ -27,6 +28,9 @@ __all__ = [
     "write_grid",
     "read_spectral",
     "write_spectral",
+    "read_points",
+    "write_points",
+    "write_profile",
 ]
 
 
@@ -50,31 +54,79 @@ class ParameterError(FileFormatError):
     """Header parameters outside their admissible range."""
 
 
-def _fmt(x: float) -> str:
-    return f"{x:.16e}"
+_GRID = np.dtype([("r", float), ("s", float), ("value", float)])
+_SPECTRAL = np.dtype([("n", np.int64), ("tau_index", np.int64), ("value", float)])
+_POINTS = np.dtype([("r", float), ("s", float)])
+_fmt = "{:.16e}".format
 
 
-def _parse_header(lines, path):
+def read_lines(path):
+    """The lines of a text file: the one place the package reads a file."""
+    with open(path) as fh:
+        return fh.read().splitlines()
+
+
+def split_entry(entry):
+    """Stripped (key, value) of a header or --config `key=value` line; None without '='."""
+    key, sep, val = entry.partition("=")
+    return (key.strip(), val.strip()) if sep else None
+
+
+def _read_records(path):
+    """The header dict, the non-blank body rows and the file line of each."""
+    lines = read_lines(path)
+    body = next((i for i, ln in enumerate(lines) if not ln.startswith("#")), len(lines))
     header = {}
-    body_start = 0
-    for i, line in enumerate(lines):
-        if not line.startswith("#"):
-            body_start = i
-            break
-        body_start = i + 1
-        entry = line[1:].strip()
-        if not entry:
-            continue
-        if "=" not in entry:
+    for i, line in enumerate(lines[:body]):
+        key_val = split_entry(line[1:])
+        if key_val:
+            header[key_val[0]] = key_val[1]
+        elif line[1:].strip():
             raise HeaderError(f"{path}:{i + 1}: header line without '=': {line!r}")
-        key, _, val = entry.partition("=")
-        header[key.strip()] = val.strip()
-    return header, body_start
+    line_nos = [i for i, ln in enumerate(lines[body:], body + 1) if ln.strip()]
+    return header, [lines[i - 1] for i in line_nos], np.array(line_nos, dtype=int)
 
 
-def _body_rows(lines, body):
-    """Non-blank data rows with their 1-based line numbers in the file."""
-    return [(i + 1, ln) for i, ln in enumerate(lines[body:], start=body) if ln.strip()]
+def _parse_records(path, rows, line_nos, dtype, nrows):
+    """Parse `nrows` rows into the structured `dtype` with one numpy call; only if
+    that fails, a per-row loop names the first bad row (or parses "1_0" as Python does)."""
+    if len(rows) != nrows:
+        raise RowCountError(f"{path}: expected {nrows} rows, found {len(rows)}")
+    try:
+        return (np.loadtxt(rows, dtype, delimiter=",", comments=None, ndmin=1)
+                if rows else np.empty(0, dtype))
+    except ValueError:
+        pass
+    types = [dtype[name].type for name in dtype.names]
+    parsed = []
+    for line_no, row in zip(line_nos, rows):
+        parts = row.split(",")
+        if len(parts) != len(types):
+            raise FileFormatError(
+                f"{path}:{line_no}: expected {len(types)} fields, found {len(parts)}")
+        try:
+            parsed.append(tuple(t(p) for t, p in zip(types, parts)))
+        except (ValueError, OverflowError):
+            raise FileFormatError(f"{path}:{line_no}: non-numeric field")
+    return np.array(parsed, dtype)
+
+
+def _check_rows(path, line_nos, bad, error=NonFiniteEntryError,
+                message=lambda k: f"non-finite entry in row {k}"):
+    """Raise error(message(k)) citing the file line of the first row k where
+    `bad` holds; by default the error of a row holding NaN or infinity."""
+    if np.any(bad):
+        k = int(np.argmax(bad))
+        raise error(f"{path}:{line_nos[k]}: {message(k)}")
+
+
+def _write_records(path, header, columns, formats=None):
+    """Write `# key=value` header lines, then one CSV record per row of `columns`,
+    field j formatted by formats[j] (default: 17 significant digits)."""
+    record = ",".join(formats or ["{:.16e}"] * len(columns)) + "\n"
+    with open(path, "w") as fh:
+        fh.writelines(f"# {key}={val}\n" for key, val in header.items())
+        fh.writelines(map(record.format, *(np.asarray(c).tolist() for c in columns)))
 
 
 def _header_float(header, key, path):
@@ -103,60 +155,38 @@ def _header_array(header, key, path):
         raise HeaderError(f"{path}: header field {key!r} holds a non-numeric entry")
 
 
-def _check_types(alpha, beta, path):
+def _header_types(header, path):
+    alpha = _header_float(header, "alpha", path)
+    beta = _header_float(header, "beta", path)
     if alpha <= -1.0 or beta <= -1.0:
         raise ParameterError(
             f"{path}: type parameters must be > -1, got alpha={alpha}, beta={beta}")
+    return alpha, beta
 
 
 def write_grid(path, grid: GridFunction2D, alpha: float = 0.0,
                beta: float = 0.0) -> None:
     """Write r,s,value records (r-major) with the grid shape in the header."""
-    with open(path, "w") as fh:
-        fh.write(f"# alpha={_fmt(alpha)}\n")
-        fh.write(f"# beta={_fmt(beta)}\n")
-        fh.write(f"# nr={len(grid.r_nodes)}\n")
-        fh.write(f"# ns={len(grid.s_nodes)}\n")
-        for i, r in enumerate(grid.r_nodes):
-            for j, s in enumerate(grid.s_nodes):
-                fh.write(f"{_fmt(r)},{_fmt(s)},{_fmt(grid.values[i, j])}\n")
+    nr, ns = len(grid.r_nodes), len(grid.s_nodes)
+    _write_records(path, {"alpha": _fmt(alpha), "beta": _fmt(beta), "nr": nr, "ns": ns},
+                   [np.repeat(grid.r_nodes, ns), np.tile(grid.s_nodes, nr),
+                    grid.values.ravel()])
 
 
 def read_grid(path):
     """Read a grid file; returns (GridFunction2D, alpha, beta)."""
-    with open(path) as fh:
-        lines = fh.read().splitlines()
-    header, body = _parse_header(lines, path)
-    alpha = _header_float(header, "alpha", path)
-    beta = _header_float(header, "beta", path)
-    _check_types(alpha, beta, path)
+    header, rows, line_nos = _read_records(path)
+    alpha, beta = _header_types(header, path)
     nr = _header_int(header, "nr", path)
     ns = _header_int(header, "ns", path)
-    rows = _body_rows(lines, body)
-    if len(rows) != nr * ns:
-        raise RowCountError(f"{path}: expected {nr * ns} rows, found {len(rows)}")
-    data = np.empty((nr * ns, 3))
-    for k, (line_no, row) in enumerate(rows):
-        parts = row.split(",")
-        if len(parts) != 3:
-            raise FileFormatError(
-                f"{path}:{line_no}: expected 3 fields, found {len(parts)}")
-        try:
-            data[k] = [float(p) for p in parts]
-        except ValueError:
-            raise FileFormatError(f"{path}:{line_no}: non-numeric field")
-        if not np.all(np.isfinite(data[k])):
-            raise NonFiniteEntryError(
-                f"{path}:{line_no}: non-finite entry in row {k}")
-    r_nodes = data[::ns, 0]
-    s_nodes = data[:ns, 1]
-    bad = (data[:, 0] != np.repeat(r_nodes, ns)) | (data[:, 1] != np.tile(s_nodes, nr))
-    if np.any(bad):
-        k = int(np.argmax(bad))
-        raise FileFormatError(
-            f"{path}:{rows[k][0]}: coordinates ({data[k, 0]!r}, {data[k, 1]!r}) are "
-            f"not the r-major grid point ({r_nodes[k // ns]!r}, {s_nodes[k % ns]!r})")
-    values = data[:, 2].reshape(nr, ns)
+    data = _parse_records(path, rows, line_nos, _GRID, nr * ns)
+    _check_rows(path, line_nos, ~np.isfinite(data.view((float, 3))).all(axis=1))
+    r_nodes, s_nodes = data["r"][::ns], data["s"][:ns]
+    bad = (data["r"] != np.repeat(r_nodes, ns)) | (data["s"] != np.tile(s_nodes, nr))
+    _check_rows(path, line_nos, bad, FileFormatError, lambda k: (
+        f"coordinates ({data['r'][k]!r}, {data['s'][k]!r}) are not the r-major grid "
+        f"point ({r_nodes[k // ns]!r}, {s_nodes[k % ns]!r})"))
+    values = data["value"].reshape(nr, ns)
     return GridFunction2D(r_nodes, s_nodes, values), alpha, beta
 
 
@@ -166,57 +196,59 @@ def write_spectral(path, sd: SpectralData) -> None:
     if np.iscomplexobj(sd.values):
         raise FileFormatError(f"{path}: spectral files hold real values only; "
                               f"values has dtype {sd.values.dtype}")
-    with open(path, "w") as fh:
-        fh.write(f"# alpha={_fmt(sd.alpha)}\n")
-        fh.write(f"# beta={_fmt(sd.beta)}\n")
-        fh.write(f"# n_max={sd.n_max}\n")
-        fh.write(f"# n_tau={len(sd.tau_grid)}\n")
-        fh.write("# tau_grid=" + ",".join(_fmt(t) for t in sd.tau_grid) + "\n")
-        fh.write("# tau_weights=" + ",".join(_fmt(w) for w in sd.tau_weights) + "\n")
-        for n in range(sd.n_max):
-            for k in range(len(sd.tau_grid)):
-                fh.write(f"{n},{k},{_fmt(sd.values[n, k])}\n")
+    n_tau = len(sd.tau_grid)
+    header = {"alpha": _fmt(sd.alpha), "beta": _fmt(sd.beta), "n_max": sd.n_max,
+              "n_tau": n_tau, "tau_grid": ",".join(map(_fmt, sd.tau_grid)),
+              "tau_weights": ",".join(map(_fmt, sd.tau_weights))}
+    n, k = np.divmod(np.arange(sd.n_max * n_tau), n_tau)  # n-major order
+    _write_records(path, header, [n, k, sd.values.ravel()], ["{}", "{}", "{:.16e}"])
 
 
 def read_spectral(path) -> SpectralData:
-    with open(path) as fh:
-        lines = fh.read().splitlines()
-    header, body = _parse_header(lines, path)
-    alpha = _header_float(header, "alpha", path)
-    beta = _header_float(header, "beta", path)
-    _check_types(alpha, beta, path)
+    header, rows, line_nos = _read_records(path)
+    alpha, beta = _header_types(header, path)
     n_max = _header_int(header, "n_max", path)
     n_tau = _header_int(header, "n_tau", path)
     tau_grid = _header_array(header, "tau_grid", path)
     tau_weights = _header_array(header, "tau_weights", path)
     if len(tau_grid) != n_tau or len(tau_weights) != n_tau:
         raise HeaderError(f"{path}: tau grid/weights do not match n_tau={n_tau}")
-    rows = _body_rows(lines, body)
-    if len(rows) != n_max * n_tau:
-        raise RowCountError(
-            f"{path}: expected {n_max * n_tau} rows, found {len(rows)}")
+    data = _parse_records(path, rows, line_nos, _SPECTRAL, n_max * n_tau)
+    n, idx = data["n"], data["tau_index"]
+    _check_rows(path, line_nos, ~((0 <= n) & (n < n_max) & (0 <= idx) & (idx < n_tau)),
+                FileFormatError, lambda k: f"index ({n[k]}, {idx[k]}) out of range")
+    # row on which each row's pair first appears; with the row count right, a
+    # repeated pair means another one is missing
+    _, first, pair = np.unique(n * n_tau + idx, return_index=True, return_inverse=True)
+    first = first[pair]
+    _check_rows(path, line_nos, first < np.arange(len(n)), FileFormatError,
+                lambda k: f"pair ({n[k]}, {idx[k]}) repeats line {line_nos[first[k]]}")
+    _check_rows(path, line_nos, ~np.isfinite(data["value"]))
     values = np.empty((n_max, n_tau))
-    # line on which each (n, tau_index) pair was read, 0 while unseen; with
-    # the row count right, a repeated pair means another one is missing
-    seen_on = np.zeros((n_max, n_tau), dtype=int)
-    for k, (line_no, row) in enumerate(rows):
-        parts = row.split(",")
-        if len(parts) != 3:
-            raise FileFormatError(
-                f"{path}:{line_no}: expected 3 fields, found {len(parts)}")
-        try:
-            n, idx, val = int(parts[0]), int(parts[1]), float(parts[2])
-        except ValueError:
-            raise FileFormatError(f"{path}:{line_no}: non-numeric field")
-        if not (0 <= n < n_max and 0 <= idx < n_tau):
-            raise FileFormatError(
-                f"{path}:{line_no}: index ({n}, {idx}) out of range")
-        if seen_on[n, idx]:
-            raise FileFormatError(
-                f"{path}:{line_no}: pair ({n}, {idx}) repeats line {seen_on[n, idx]}")
-        if not np.isfinite(val):
-            raise NonFiniteEntryError(
-                f"{path}:{line_no}: non-finite entry in row {k}")
-        seen_on[n, idx] = line_no
-        values[n, idx] = val
+    values[data["n"], data["tau_index"]] = data["value"]
     return SpectralData(alpha, beta, tau_grid, tau_weights, values)
+
+
+def read_points(path):
+    """Read r,s rows of points in the open quarter plane; returns an (m, 2) array."""
+    _, rows, line_nos = _read_records(path)
+    if not rows:
+        raise RowCountError(f"{path}: no points found")
+    pts = _parse_records(path, rows, line_nos, _POINTS, len(rows)).view((float, 2))
+    for j, name in enumerate(_POINTS.names):
+        _check_rows(path, line_nos, ~(np.isfinite(pts[:, j]) & (pts[:, j] > 0.0)),
+                    FileFormatError,
+                    lambda k: f"coordinate {name}={pts[k, j]} is not finite and > 0")
+    return pts
+
+
+def write_points(path, pts, values) -> None:
+    """Write r,s,value records, one per point, with the count in the header."""
+    values = np.atleast_1d(values)
+    _write_records(path, {"count": len(values)}, [pts[:, 0], pts[:, 1], values])
+
+
+def write_profile(path, kind, alpha, beta, xs, values) -> None:
+    """Write x,value records of a diagonal kernel profile."""
+    _write_records(path, {"kind": kind, "alpha": _fmt(alpha), "beta": _fmt(beta)},
+                   [xs, values])

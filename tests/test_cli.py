@@ -1,5 +1,8 @@
 """End-to-end command-line tests through main(argv)."""
 
+import gc
+import warnings
+
 import numpy as np
 import pytest
 
@@ -7,6 +10,7 @@ from grushin import io as gio
 from grushin.cli import main
 from grushin.diffop import GridFunction2D
 from grushin.functions import wave_packet
+from grushin.gtransform import SpectralData, default_tau_rule
 from grushin.heat import heat_kernel_half
 
 
@@ -21,6 +25,15 @@ def packet_grid_file(tmp_path):
     path = tmp_path / "f.csv"
     gio.write_grid(path, grid, alpha=0.4, beta=0.25)
     return path, grid
+
+
+@pytest.fixture
+def spectral_file(tmp_path):
+    rule = default_tau_rule(upper=4.0, panels=4)
+    values = np.random.default_rng(3).standard_normal((4, len(rule.nodes)))
+    path = tmp_path / "F.csv"
+    gio.write_spectral(path, SpectralData(0.5, 0.25, rule.nodes, rule.weights, values))
+    return path
 
 
 def test_heat_kernel_prints_closed_form(capsys):
@@ -171,3 +184,50 @@ def test_parallel_map_keeps_item_order(monkeypatch):
 
         assert parallel_map(square, range(200)) == [i * i for i in range(200)]
         assert sorted(seen) == list(range(200))
+
+
+def test_every_file_is_closed(tmp_path, capsys, spectral_file):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("t=0.5\nalpha=-0.5\nbeta=-0.5\n")
+    ppath = tmp_path / "pts.csv"
+    ppath.write_text("1.0,2.0\n1.5,0.5\n")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", ResourceWarning)
+        assert main(["heat-kernel", "--point", "1,1,1,1", "--config", str(cfg)]) == 0
+        assert main(["igtransform", "--input", str(spectral_file), "--points", str(ppath),
+                     "--output", str(tmp_path / "g.csv")]) == 0
+        gc.collect()
+    assert [str(w.message) for w in caught if issubclass(w.category, ResourceWarning)] == []
+
+
+# each of these points files used to run to exit 0 writing nan, or fail with
+# a message that named neither the file nor the line
+BAD_POINTS = [("nan,1.0", "r=nan"), ("1.0,-2.0", "s=-2.0"), ("0,1.0", "r=0.0"),
+              ("1.0,abc", "non-numeric field")]
+
+
+@pytest.mark.parametrize("row, named", BAD_POINTS)
+def test_igtransform_rejects_points_outside_open_quarter_plane(
+        tmp_path, capsys, spectral_file, row, named):
+    ppath = tmp_path / "pts.csv"
+    ppath.write_text(f"1.0,2.0\n{row}\n")
+    opath = tmp_path / "g.csv"
+    code = main(["igtransform", "--input", str(spectral_file), "--points", str(ppath),
+                 "--output", str(opath)])
+    err = capsys.readouterr().err
+    assert code == 2 and f"{ppath}:2: " in err and named in err
+    assert not opath.exists()
+
+
+@pytest.mark.parametrize("route", ["kernel", "spectral"])
+@pytest.mark.parametrize("row, named", BAD_POINTS[:2])
+def test_heat_apply_rejects_points_outside_open_quarter_plane(
+        tmp_path, capsys, packet_grid_file, route, row, named):
+    fpath, _ = packet_grid_file
+    ppath = tmp_path / "pts.csv"
+    ppath.write_text(f"{row}\n")
+    code = main(["heat-apply", "--t", "0.5", "--alpha", "0.4", "--beta", "0.25",
+                 "--input", str(fpath), "--points", str(ppath), "--route", route,
+                 "--output", str(tmp_path / "out.csv")])
+    err = capsys.readouterr().err
+    assert code == 2 and f"{ppath}:1: " in err and named in err
