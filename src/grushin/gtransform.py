@@ -22,14 +22,13 @@ from dataclasses import dataclass
 from typing import Callable, Optional, Tuple
 
 import numpy as np
-from scipy.special import jv
 
 from ._util import parallel_map
 from .hankel import (HalfLineFunction, as_half_line_function, hankel_liouville,
                      rule_for_function)
 from .laguerre import analysis_rule
 from .quadrature import HalfLineRule, build_finite_rule
-from .specfun import laguerre_eigenvalue, laguerre_fn_seq
+from .specfun import bessel_j_table, laguerre_eigenvalue, laguerre_fn_seq
 
 __all__ = [
     "TypePair",
@@ -164,7 +163,7 @@ def default_tau_rule(upper: float = 12.0, panels: int = 32,
 def _liouville_kernel(beta, taus, pts):
     """(tau s)^(1/2) J_beta(tau s) as a (len(pts), len(taus)) matrix."""
     x = taus[None, :] * pts[:, None]
-    return np.sqrt(x) * jv(beta, x)
+    return np.sqrt(x) * bessel_j_table(beta, x)
 
 
 def _forward_setup(tp: TypePair, n_max: int, tau_rule, r_prof: HalfLineFunction,
@@ -299,15 +298,15 @@ def g_inverse_grid(sd: SpectralData, rs, ss) -> np.ndarray:
 
 
 def g_inverse(sd: SpectralData, points):
-    """Inverse transform at scattered points [(r_1, s_1), ...]:
-    synthesis over n at each grid tau, then the Hankel integral in tau."""
+    """Inverse transform at scattered points [(r_1, s_1), ...], one value per
+    point as an (m,) array: synthesis over n at each grid tau, then the
+    Hankel integral in tau."""
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     if pts.shape[1] != 2:
         raise ValueError("points must have shape (m, 2)")
     synth = _synthesize_columns(sd, pts[:, 0])                 # (K, m)
     kern = _liouville_kernel(sd.beta, sd.tau_grid, pts[:, 1])  # (m, K)
-    out = np.sum(kern.T * synth * sd.tau_weights[:, None], axis=0)
-    return out if out.size > 1 else out[0]
+    return np.sum(kern.T * synth * sd.tau_weights[:, None], axis=0)
 
 
 def plancherel_norm(sd: SpectralData) -> float:

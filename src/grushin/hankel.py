@@ -19,8 +19,7 @@ from typing import Callable, Optional, Tuple
 import numpy as np
 
 from .quadrature import HalfLineRule, TruncationPolicy, build_finite_rule, build_rule
-from .specfun import bessel_j_normalized, _order_value
-from scipy.special import jv
+from .specfun import bessel_j_normalized, bessel_j_table, _order_value
 
 __all__ = [
     "HalfLineFunction",
@@ -130,7 +129,7 @@ def hankel_liouville(beta, f, taus, rule: Optional[HalfLineRule] = None):
         raise ValueError("tau must be > 0 for the Liouville form")
     weighted = rule.weights * vals
     out = _kernel_apply(taus, rule, weighted,
-                        lambda t, u: np.sqrt(t * u) * jv(beta, t * u))
+                        lambda t, u: np.sqrt(t * u) * bessel_j_table(beta, t * u))
     return out if out.size > 1 else out[0]
 
 

@@ -23,13 +23,13 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.special import gammaln, iv, ive, jv
+from scipy.special import gammaln, iv, ive
 
 from ._util import parallel_map
 from .gtransform import Multiplier, TypePair, as_plane_function, functional_calculus
 from .quadrature import (HalfLineRule, TruncationPolicy, build_finite_rule, build_rule,
                          truncation_point)
-from .specfun import bessel_i_normalized, bessel_j_normalized
+from .specfun import bessel_i_normalized, bessel_j_normalized, bessel_j_table
 
 __all__ = [
     "HeatParams",
@@ -107,7 +107,8 @@ def heat_kernel(hp: HeatParams, r, s, u, v,
     if rule is None:
         rule = kernel_tau_rule(hp, freq=max(s, v))
     tau = rule.nodes
-    integrand = jv(hp.beta, tau * s) * jv(hp.beta, tau * v) * _kernel_core(hp, tau, r, u)
+    integrand = bessel_j_table(hp.beta, tau * s) * bessel_j_table(hp.beta, tau * v) \
+        * _kernel_core(hp, tau, r, u)
     return float(np.sqrt(r * u * s * v) * np.dot(rule.weights, integrand))
 
 
@@ -209,7 +210,8 @@ def _points_array(points):
 def heat_apply(hp: HeatParams, f, points, route: str = "kernel",
                n_max: int = 96, tau_rule: Optional[HalfLineRule] = None,
                abs_tol: float = _KERNEL_TOL):
-    """Apply the heat semigroup to f at the given (r, s) points.
+    """Apply the heat semigroup to f at the given (r, s) points; one value
+    per point as an (m,) array.
 
     route "kernel" integrates the closed-form kernel against f over the
     quarter plane; route "spectral" damps the transform by e^(-t lam_n^a tau)
@@ -245,27 +247,26 @@ def heat_apply_grid(hp: HeatParams, fvals, urule: HalfLineRule,
                     vrule: HalfLineRule, points,
                     abs_tol: float = _KERNEL_TOL):
     """Kernel route for a function known by its values on the tensor of the
-    two rules (e.g. the output of a previous application)."""
+    two rules (e.g. the output of a previous application); an (m,) array."""
     fvals = np.asarray(fvals)
     if fvals.shape != (len(urule.nodes), len(vrule.nodes)):
         raise ValueError("fvals must be sampled on urule.nodes x vrule.nodes")
     pts = _points_array(points)
     trule = kernel_tau_rule(hp, freq=max(float(pts[:, 1].max()), 1.0),
                             abs_tol=abs_tol)
-    out = _kernel_route(hp, fvals, urule, vrule, pts, trule)
-    return out if out.size > 1 else out[0]
+    return _kernel_route(hp, fvals, urule, vrule, pts, trule)
 
 
 def _kernel_route(hp, fvals, urule, vrule, pts, trule):
     tau = trule.nodes
     un, uw = urule.nodes, urule.weights
     vn, vw = vrule.nodes, vrule.weights
-    j_v = jv(hp.beta, tau[:, None] * vn[None, :]) * np.sqrt(vn)[None, :]
+    j_v = bessel_j_table(hp.beta, tau[:, None] * vn[None, :]) * np.sqrt(vn)[None, :]
     weighted_jv = j_v * vw[None, :]                            # (K, nv)
 
     # the s kernel columns are shared by every r group
     s_unique, s_col = np.unique(pts[:, 1], return_inverse=True)
-    j_s = jv(hp.beta, tau[:, None] * s_unique[None, :]) \
+    j_s = bessel_j_table(hp.beta, tau[:, None] * s_unique[None, :]) \
         * np.sqrt(s_unique)[None, :] * trule.weights[:, None]  # (K, nsu)
 
     out = np.empty(len(pts))
@@ -316,9 +317,9 @@ def diagonal_profile(kind: str, tp: TypePair, x_grid) -> np.ndarray:
     if kind == "F1":
         base = np.exp(-tau * coth) * iv(tp.alpha, tau * inv) * tau * tau * inv
         for i, s in enumerate(x_grid):
-            out[i] = np.dot(rule.weights, jv(tp.beta, tau * s) ** 2 * base)
+            out[i] = np.dot(rule.weights, bessel_j_table(tp.beta, tau * s) ** 2 * base)
     else:
-        jbase = jv(tp.beta, tau) ** 2 * tau * tau * inv
+        jbase = bessel_j_table(tp.beta, tau) ** 2 * tau * tau * inv
         for i, r in enumerate(x_grid):
             arg = tau * r * r
             out[i] = np.dot(rule.weights,

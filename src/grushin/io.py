@@ -244,7 +244,6 @@ def read_points(path):
 
 def write_points(path, pts, values) -> None:
     """Write r,s,value records, one per point, with the count in the header."""
-    values = np.atleast_1d(values)
     _write_records(path, {"count": len(values)}, [pts[:, 0], pts[:, 1], values])
 
 

@@ -87,6 +87,33 @@ def test_heat_apply_routes_agree(tmp_path, packet_grid_file):
     assert np.max(np.abs(outs[0] - outs[1]) / np.abs(outs[0])) < 1e-3
 
 
+def _data_rows(path):
+    text = path.read_text()
+    assert "# count=1\n" in text
+    return sum(1 for ln in text.splitlines() if not ln.startswith("#"))
+
+
+@pytest.mark.parametrize("route", ["kernel", "spectral"])
+def test_one_point_heat_apply_writes_one_row(tmp_path, packet_grid_file, route):
+    fpath, _ = packet_grid_file
+    ppath = tmp_path / "pts.csv"
+    ppath.write_text("2.0,3.0\n")
+    opath = tmp_path / "out.csv"
+    assert main(["heat-apply", "--t", "0.5", "--alpha", "0.4", "--beta", "0.25",
+                 "--input", str(fpath), "--points", str(ppath), "--route", route,
+                 "--output", str(opath)]) == 0
+    assert _data_rows(opath) == 1
+
+
+def test_one_point_igtransform_writes_one_row(tmp_path, spectral_file):
+    ppath = tmp_path / "pts.csv"
+    ppath.write_text("1.0,2.0\n")
+    opath = tmp_path / "g.csv"
+    assert main(["igtransform", "--input", str(spectral_file), "--points", str(ppath),
+                 "--output", str(opath)]) == 0
+    assert _data_rows(opath) == 1
+
+
 def test_profiles_command(tmp_path):
     opath = tmp_path / "p.csv"
     assert main(["profiles", "--kind", "F1", "--alpha", "0.25", "--beta", "0.4",

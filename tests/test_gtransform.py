@@ -110,6 +110,14 @@ class TestInverse:
         assert np.all(out == 0.0)
         assert gtransform.plancherel_norm(sd) == 0.0
 
+    def test_one_point_gives_one_element_array(self):
+        sd = gtransform.g_forward(TypePair(0.3, 0.2), packet_plane(), n_max=16)
+        for pts in ([[1.0, 1.0]], [1.0, 1.0]):
+            out = gtransform.g_inverse(sd, pts)
+            assert isinstance(out, np.ndarray) and out.shape == (1,)
+        two = gtransform.g_inverse(sd, [[1.0, 1.0], [2.0, 0.5]])
+        assert out[0] == pytest.approx(two[0], rel=1e-12)
+
     def test_grid_and_scattered_agree(self):
         tp = TypePair(0.3, 0.2)
         sd = gtransform.g_forward(tp, packet_plane(), n_max=32)
@@ -275,6 +283,12 @@ class TestFunctionalCalculus:
                                              f, pts)
         want = f(pts[:, 0], pts[:, 1])
         assert np.max(np.abs(got - want)) / np.max(np.abs(want)) < 1e-3
+
+    def test_one_point_gives_one_element_array(self):
+        out = gtransform.functional_calculus(
+            TypePair(0.4, 0.25), Multiplier(lambda y: np.exp(-y)), packet_plane(),
+            [[1.8, 3.0]], n_max=16)
+        assert isinstance(out, np.ndarray) and out.shape == (1,)
 
     def test_resolvent_inverts_shifted_operator(self):
         # phi(y) = 1/(1+y); finite differences then verify (I + G')u = f

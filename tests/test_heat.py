@@ -171,6 +171,12 @@ class TestHeatApply:
         b = heat.heat_apply_grid(hp, fvals, urule, vrule, pts)
         assert np.allclose(a, b, rtol=1e-6)
 
+    @pytest.mark.parametrize("route", ["kernel", "spectral"])
+    def test_one_point_gives_one_element_array(self, route):
+        hp = HeatParams(0.5, TypePair(0.3, 0.2))
+        out = heat.heat_apply(hp, bump_plane(), [[1.5, 2.0]], route=route, n_max=16)
+        assert isinstance(out, np.ndarray) and out.shape == (1,)
+
     def test_thread_count_does_not_change_results(self, monkeypatch):
         hp = HeatParams(0.5, TypePair(0.3, 0.2))
         f = bump_plane()
