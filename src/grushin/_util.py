@@ -5,7 +5,23 @@ from __future__ import annotations
 import os
 from concurrent.futures import ThreadPoolExecutor
 
-__all__ = ["thread_count", "parallel_map"]
+__all__ = ["BLOCK", "column_blocks", "thread_count", "parallel_map"]
+
+# doubles per column block of every table (Laguerre, Bessel J, Hankel
+# kernel, diagonal profile): a block's working arrays stay cache-resident
+# and a table's memory is bounded per block
+BLOCK = 32768
+
+
+def column_blocks(rows, cols, min_width=1, block=None) -> list:
+    """Even contiguous slices covering the columns of a (rows, cols) table,
+    each about `block` doubles (default BLOCK) and at least min_width
+    columns wide; one slice when the table fits in a block."""
+    block = BLOCK if block is None else block
+    width = max(min_width, block // max(rows, 1))
+    n_blocks = max(1, cols // width)
+    edges = [cols * i // n_blocks for i in range(n_blocks + 1)]
+    return [slice(lo, hi) for lo, hi in zip(edges[:-1], edges[1:])]
 
 
 def thread_count() -> int:

@@ -23,12 +23,11 @@ from typing import Callable, Optional, Tuple
 
 import numpy as np
 
-from ._util import parallel_map
-from .hankel import (HalfLineFunction, as_half_line_function, hankel_liouville,
-                     rule_for_function)
-from .laguerre import analysis_rule
+from .hankel import (HalfLineFunction, _liouville_kernel, as_half_line_function,
+                     hankel_liouville, rule_for_function)
+from .laguerre import _laguerre_rows, _synthesize_columns, analysis_rule
 from .quadrature import HalfLineRule, build_finite_rule
-from .specfun import bessel_j_table, laguerre_eigenvalue, laguerre_fn_seq
+from .specfun import _order_value, laguerre_eigenvalue
 
 __all__ = [
     "TypePair",
@@ -47,9 +46,6 @@ __all__ = [
 ]
 
 DEFAULT_N_MAX = 96
-# doubles per column block of a Laguerre table: the recurrence's few working
-# arrays stay cache-resident, and its memory is bounded per block
-_LAGUERRE_BLOCK = 32768
 
 
 @dataclass(frozen=True)
@@ -60,10 +56,8 @@ class TypePair:
     beta: float
 
     def __post_init__(self):
-        for name in ("alpha", "beta"):
-            v = getattr(self, name)
-            if not np.isfinite(v) or v <= -1.0:
-                raise ValueError(f"{name} must be a finite real > -1, got {v}")
+        _order_value(self.alpha, "alpha")
+        _order_value(self.beta, "beta")
 
 
 @dataclass(frozen=True)
@@ -117,8 +111,8 @@ class SpectralData:
         object.__setattr__(self, "tau_grid", np.asarray(self.tau_grid, dtype=float))
         object.__setattr__(self, "tau_weights", np.asarray(self.tau_weights, dtype=float))
         object.__setattr__(self, "values", np.asarray(self.values))
-        if self.alpha <= -1.0 or self.beta <= -1.0:
-            raise ValueError("type parameters must be > -1")
+        _order_value(self.alpha, "alpha")
+        _order_value(self.beta, "beta")
         if self.tau_grid.ndim != 1 or np.any(np.diff(self.tau_grid) <= 0.0):
             raise ValueError("tau_grid must be strictly increasing")
         if np.any(self.tau_grid <= 0.0):
@@ -160,12 +154,6 @@ def default_tau_rule(upper: float = 12.0, panels: int = 32,
                              endpoint_exponent=endpoint_exponent)
 
 
-def _liouville_kernel(beta, taus, pts):
-    """(tau s)^(1/2) J_beta(tau s) as a (len(pts), len(taus)) matrix."""
-    x = taus[None, :] * pts[:, None]
-    return np.sqrt(x) * bessel_j_table(beta, x)
-
-
 def _forward_setup(tp: TypePair, n_max: int, tau_rule, r_prof: HalfLineFunction,
                    r_rule=None):
     """Set-up shared by the forward variants: the tau rule, the r-rule and the
@@ -185,43 +173,12 @@ def _plane_setup(tp: TypePair, f, n_max: int, tau_rule, r_rule, s_rule):
     tau_rule, r_rule, x = _forward_setup(tp, n_max, tau_rule, f.axis_profile(0), r_rule)
     tg = tau_rule.nodes
     if s_rule is None:
-        s_prof = f.axis_profile(1)
-        s_rule = rule_for_function(
-            HalfLineFunction(fn=s_prof.fn, support=s_prof.support, decay=s_prof.decay,
-                             rate=s_prof.rate, endpoint_exponent=tp.beta + 0.5),
-            freq=float(tg[-1]))
+        s_rule = rule_for_function(f.axis_profile(1), freq=float(tg[-1]),
+                                   extra_exponent=tp.beta + 0.5)
     rn, sn = r_rule.nodes, s_rule.nodes
     fvals = np.asarray(f(rn[:, None], sn[None, :]))
     hankel = s_rule.weights[:, None] * _liouville_kernel(tp.beta, tg, sn)
     return tau_rule, r_rule.weights, fvals, hankel, x
-
-
-def _laguerre_blocks(alpha, x, n_max, per_block, block=None) -> np.ndarray:
-    """per_block(cols, seq) over contiguous column blocks of the table x,
-    joined along the last axis; seq yields l_n^a(x[:, cols]) for n < n_max.
-
-    A block holds about `block` doubles (default _LAGUERRE_BLOCK).  Blocks
-    run on up to thread_count() workers.  Columns are independent and the
-    recurrence acts elementwise, so every yielded value, and any contraction
-    that sums down the columns, does not depend on the block size or the
-    thread count."""
-    block = _LAGUERRE_BLOCK if block is None else block
-    # even blocks of at least two columns: on a one-column block numpy's
-    # axis-0 sums turn pairwise and the contractions would change bits
-    width = max(2, block // max(x.shape[0], 1))
-    n_blocks = max(1, x.shape[1] // width)
-    edges = [x.shape[1] * i // n_blocks for i in range(n_blocks + 1)]
-    blocks = [slice(lo, hi) for lo, hi in zip(edges[:-1], edges[1:])]
-    parts = parallel_map(
-        lambda cols: per_block(cols, laguerre_fn_seq(alpha, x[:, cols], n_max)), blocks)
-    return np.concatenate(parts, axis=-1)
-
-
-def _laguerre_rows(alpha, x, n_max, contract, block=None) -> np.ndarray:
-    """Rows contract(l_n^a(x[:, cols]), cols) for n < n_max, as (n_max, K)."""
-    return _laguerre_blocks(alpha, x, n_max,
-                            lambda cols, seq: np.array([contract(q, cols) for q in seq]),
-                            block)
 
 
 def g_forward(tp: TypePair, f, n_max: int = DEFAULT_N_MAX,
@@ -248,7 +205,7 @@ def g_forward_separated(tp: TypePair, f1, f2, n_max: int = DEFAULT_N_MAX,
     f1, f2 = as_half_line_function(f1), as_half_line_function(f2)
     # one shared r-rule keyed to the tau range keeps the basis table reusable
     tau_rule, r_rule, x = _forward_setup(tp, n_max, tau_rule, f1)
-    h2 = np.asarray(hankel_liouville(tp.beta, f2, tau_rule.nodes))
+    h2 = hankel_liouville(tp.beta, f2, tau_rule.nodes)
     weighted = r_rule.weights * np.asarray(f1(r_rule.nodes))
     values = _laguerre_rows(tp.alpha, x, n_max, lambda q, c: weighted @ q)
     values = values * (tau_rule.nodes[None, :] ** 0.25 * h2[None, :])
@@ -274,25 +231,25 @@ def g_forward_hat(tp: TypePair, f, n_max: int = DEFAULT_N_MAX,
     return SpectralData(tp.alpha, tp.beta, tau_rule.nodes, tau_rule.weights, values)
 
 
-def _synthesize_columns(sd: SpectralData, rs: np.ndarray) -> np.ndarray:
-    """sum_n values[n, k] l_{n,tau_k}(r_j) as a (K, len(rs)) matrix."""
-    x = np.sqrt(sd.tau_grid)[:, None] * rs[None, :]
-
-    def synthesize(cols, seq):
-        out = np.zeros((len(sd.tau_grid), cols.stop - cols.start), dtype=sd.values.dtype)
-        for n, q in enumerate(seq):
-            out += sd.values[n][:, None] * q
-        return out
-
-    return _laguerre_blocks(sd.alpha, x, sd.n_max, synthesize) \
+def _synthesis(sd: SpectralData, rs) -> np.ndarray:
+    """sum_n values[n, k] l_{n,tau_k}^a(r_j) as a (K, len(rs)) matrix."""
+    return _synthesize_columns(sd.alpha, sd.tau_grid, sd.values, rs) \
         * sd.tau_grid[:, None] ** 0.25
+
+
+def _points_array(points) -> np.ndarray:
+    """Points [(r_1, s_1), ...] as an (m, 2) array."""
+    pts = np.atleast_2d(np.asarray(points, dtype=float))
+    if pts.shape[1] != 2:
+        raise ValueError("points must have shape (m, 2)")
+    return pts
 
 
 def g_inverse_grid(sd: SpectralData, rs, ss) -> np.ndarray:
     """Inverse transform evaluated on the tensor grid rs x ss."""
     rs = np.atleast_1d(np.asarray(rs, dtype=float))
     ss = np.atleast_1d(np.asarray(ss, dtype=float))
-    synth = _synthesize_columns(sd, rs)                        # (K, nr)
+    synth = _synthesis(sd, rs)                                 # (K, nr)
     kern = _liouville_kernel(sd.beta, sd.tau_grid, ss)         # (ns, K)
     return synth.T @ (sd.tau_weights[:, None] * kern.T)        # (nr, ns)
 
@@ -301,10 +258,8 @@ def g_inverse(sd: SpectralData, points):
     """Inverse transform at scattered points [(r_1, s_1), ...], one value per
     point as an (m,) array: synthesis over n at each grid tau, then the
     Hankel integral in tau."""
-    pts = np.atleast_2d(np.asarray(points, dtype=float))
-    if pts.shape[1] != 2:
-        raise ValueError("points must have shape (m, 2)")
-    synth = _synthesize_columns(sd, pts[:, 0])                 # (K, m)
+    pts = _points_array(points)
+    synth = _synthesis(sd, pts[:, 0])                          # (K, m)
     kern = _liouville_kernel(sd.beta, sd.tau_grid, pts[:, 1])  # (m, K)
     return np.sum(kern.T * synth * sd.tau_weights[:, None], axis=0)
 

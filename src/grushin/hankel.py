@@ -18,6 +18,7 @@ from typing import Callable, Optional, Tuple
 
 import numpy as np
 
+from ._util import column_blocks
 from .quadrature import HalfLineRule, TruncationPolicy, build_finite_rule, build_rule
 from .specfun import bessel_j_normalized, bessel_j_table, _order_value
 
@@ -33,9 +34,6 @@ __all__ = [
 # hankel quadrature resolves the J_beta(tau u) oscillation with panel width
 # <= pi/(4 tau_max); realized by passing 2*tau_max as the frequency bound
 _FREQ_FACTOR = 2.0
-
-# kernel matrices are built in blocks of at most this many entries
-_BLOCK = 4_000_000
 
 
 @dataclass(frozen=True)
@@ -98,39 +96,46 @@ def _values_and_rule(f, taus, rule, extra_exponent):
     return vals, rule, taus
 
 
+def _liouville_kernel(beta, taus, pts):
+    """(tau u)^(1/2) J_beta(tau u) as a (len(pts), len(taus)) matrix."""
+    x = taus[None, :] * pts[:, None]
+    return np.sqrt(x) * bessel_j_table(beta, x)
+
+
 def _kernel_apply(taus, rule, weighted_vals, kernel):
-    """sum_i kernel(tau_k, u_i) * weighted_vals_i, blocked over tau."""
+    """sum_i kernel(tau_k, u_i) * weighted_vals_i, blocked over tau;
+    kernel(tau_block, nodes) is the (len(tau_block), len(nodes)) matrix."""
     out = np.empty(len(taus), dtype=weighted_vals.dtype)
-    step = max(1, _BLOCK // max(1, len(rule.nodes)))
-    for lo in range(0, len(taus), step):
-        tk = taus[lo:lo + step]
-        out[lo:lo + step] = kernel(tk[:, None], rule.nodes[None, :]) @ weighted_vals
+    for cols in column_blocks(len(rule.nodes), len(taus)):
+        out[cols] = kernel(taus[cols], rule.nodes) @ weighted_vals
     return out
 
 
 def hankel_modified(alpha, f, taus, rule: Optional[HalfLineRule] = None):
-    """Modified-form transform of f at the points taus (taus >= 0 allowed)."""
+    """Modified-form transform of f at the points taus (taus >= 0 allowed),
+    as an array of the length of taus."""
     alpha = _order_value(alpha)
     vals, rule, taus = _values_and_rule(f, taus, rule, 2.0 * alpha + 1.0)
     if np.any(taus < 0.0):
         raise ValueError("tau must be >= 0")
     weighted = rule.weights * vals * rule.nodes ** (2.0 * alpha + 1.0)
-    out = _kernel_apply(taus, rule, weighted,
-                        lambda t, u: bessel_j_normalized(alpha, t * u))
-    return out if out.size > 1 else out[0]
+    return _kernel_apply(taus, rule, weighted,
+                         lambda t, u: bessel_j_normalized(alpha, t[:, None] * u[None, :]))
 
 
 def hankel_liouville(beta, f, taus, rule: Optional[HalfLineRule] = None):
-    """Liouville-form transform of f at the points taus (taus > 0)."""
+    """Liouville-form transform of f at the points taus (taus > 0), as an
+    array of the length of taus."""
     beta = _order_value(beta)
     # the kernel itself contributes u^(b+1/2) at the origin
     vals, rule, taus = _values_and_rule(f, taus, rule, min(beta + 0.5, 0.0))
     if np.any(taus <= 0.0):
         raise ValueError("tau must be > 0 for the Liouville form")
     weighted = rule.weights * vals
-    out = _kernel_apply(taus, rule, weighted,
-                        lambda t, u: np.sqrt(t * u) * bessel_j_table(beta, t * u))
-    return out if out.size > 1 else out[0]
+    # the kernel depends on tau u only: as (tau block x nodes) it is the
+    # (pts = tau, taus = u) table
+    return _kernel_apply(taus, rule, weighted,
+                         lambda t, u: _liouville_kernel(beta, u, t))
 
 
 # both forms are involutions on their L^2 spaces; the aliases let call sites

@@ -23,10 +23,11 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.special import gammaln, iv, ive
+from scipy.special import gammaln, ive
 
-from ._util import parallel_map
-from .gtransform import Multiplier, TypePair, as_plane_function, functional_calculus
+from ._util import column_blocks, parallel_map
+from .gtransform import (Multiplier, TypePair, _points_array, as_plane_function,
+                         functional_calculus)
 from .quadrature import (HalfLineRule, TruncationPolicy, build_finite_rule, build_rule,
                          truncation_point)
 from .specfun import bessel_i_normalized, bessel_j_normalized, bessel_j_table
@@ -200,13 +201,6 @@ def mehler_kernel(alpha, t, tau, r, u) -> float:
     return float(ive(alpha, x) * np.exp(expo) * _inv_sinh(y) * np.sqrt(tau * r * u))
 
 
-def _points_array(points):
-    pts = np.atleast_2d(np.asarray(points, dtype=float))
-    if pts.shape[1] != 2:
-        raise ValueError("points must have shape (m, 2)")
-    return pts
-
-
 def heat_apply(hp: HeatParams, f, points, route: str = "kernel",
                n_max: int = 96, tau_rule: Optional[HalfLineRule] = None,
                abs_tol: float = _KERNEL_TOL):
@@ -294,6 +288,8 @@ def diagonal_profile(kind: str, tp: TypePair, x_grid) -> np.ndarray:
     F2(r) = same with J_b(tau)^2, arguments tau r^2 in the exponential and I_a.
 
     As the argument tends to 0, F1 scales like s^(2b) and F2 like r^(2a).
+    Both are the kernel core at t = 1/2 (r = u = 1 for F1, r = u for F2)
+    times J_b^2, tabulated over blocks of grid points.
     """
     if kind not in ("F1", "F2"):
         raise ValueError("kind must be 'F1' or 'F2'")
@@ -302,26 +298,16 @@ def diagonal_profile(kind: str, tp: TypePair, x_grid) -> np.ndarray:
         raise ValueError("grid points must be > 0")
     # envelope: exp(-tau) from coth, tau^2/sinh ~ e^(-tau), and for a < 0 the
     # Bessel factor contributes growth e^(|a| tau) through its small argument
-    if kind == "F1":
-        rate = 2.0 + min(tp.alpha, 0.0)
-    else:
-        rate = 1.0 + min(tp.alpha, 0.0)
+    rate = (2.0 if kind == "F1" else 1.0) + min(tp.alpha, 0.0)
     freq = 2.0 * max(float(x_grid.max()), 1.0)
     policy = TruncationPolicy(abs_tol=1e-12, decay_hint="exponential",
                               rate=rate, freq_bound=freq)
     rule = build_rule(policy)
-    tau = rule.nodes
-    inv = _inv_sinh(tau)
-    coth = _coth(tau)
+    tau, hp = rule.nodes, HeatParams(0.5, tp)
     out = np.empty(len(x_grid))
-    if kind == "F1":
-        base = np.exp(-tau * coth) * iv(tp.alpha, tau * inv) * tau * tau * inv
-        for i, s in enumerate(x_grid):
-            out[i] = np.dot(rule.weights, bessel_j_table(tp.beta, tau * s) ** 2 * base)
-    else:
-        jbase = bessel_j_table(tp.beta, tau) ** 2 * tau * tau * inv
-        for i, r in enumerate(x_grid):
-            arg = tau * r * r
-            out[i] = np.dot(rule.weights,
-                            jbase * np.exp(-arg * coth) * iv(tp.alpha, arg * inv))
+    for cols in column_blocks(len(tau), len(x_grid)):
+        x = x_grid[cols, None]
+        s, r = (x, 1.0) if kind == "F1" else (1.0, x)
+        table = bessel_j_table(tp.beta, tau * s) ** 2 * _kernel_core(hp, tau, r, r)
+        out[cols] = table @ rule.weights
     return out

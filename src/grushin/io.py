@@ -158,6 +158,9 @@ def _header_array(header, key, path):
 def _header_types(header, path):
     alpha = _header_float(header, "alpha", path)
     beta = _header_float(header, "beta", path)
+    if not (np.isfinite(alpha) and np.isfinite(beta)):
+        raise ParameterError(
+            f"{path}: type parameters must be finite, got alpha={alpha}, beta={beta}")
     if alpha <= -1.0 or beta <= -1.0:
         raise ParameterError(
             f"{path}: type parameters must be > -1, got alpha={alpha}, beta={beta}")

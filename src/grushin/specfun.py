@@ -24,6 +24,8 @@ import numpy as np
 from scipy import special as sp
 from scipy.special import jv
 
+from ._util import column_blocks
+
 __all__ = [
     "Order",
     "LaguerreIndex",
@@ -48,8 +50,7 @@ class Order:
     nu: float
 
     def __post_init__(self):
-        if not np.isfinite(self.nu) or self.nu <= -1.0:
-            raise ValueError(f"order must be a finite real > -1, got {self.nu}")
+        _order_value(self.nu)
 
 
 @dataclass(frozen=True)
@@ -63,17 +64,22 @@ class LaguerreIndex:
     def __post_init__(self):
         if self.n < 0 or int(self.n) != self.n:
             raise ValueError(f"n must be a nonnegative integer, got {self.n}")
-        if self.alpha <= -1.0:
-            raise ValueError(f"alpha must be > -1, got {self.alpha}")
-        if self.tau <= 0.0:
-            raise ValueError(f"tau must be > 0, got {self.tau}")
+        _order_value(self.alpha, "alpha")
+        _tau_value(self.tau)
 
 
-def _order_value(nu) -> float:
+def _order_value(nu, name="order") -> float:
     nu = nu.nu if isinstance(nu, Order) else float(nu)
     if not np.isfinite(nu) or nu <= -1.0:
-        raise ValueError(f"order must be a finite real > -1, got {nu}")
+        raise ValueError(f"{name} must be a finite real > -1, got {nu}")
     return nu
+
+
+def _tau_value(tau) -> float:
+    tau = float(tau)
+    if not np.isfinite(tau) or tau <= 0.0:
+        raise ValueError(f"tau must be a finite real > 0, got {tau}")
+    return tau
 
 
 def log_gamma(x):
@@ -124,9 +130,6 @@ def bessel_j(nu, x):
 _HANKEL_CUT = 30.0
 _HANKEL_TOL = 2.0**-53
 _HANKEL_MAX_TERMS = 12
-# the table is evaluated in blocks of this many values so the branch
-# temporaries stay cache-resident
-_TABLE_BLOCK = 32768
 
 
 @lru_cache(maxsize=64)
@@ -213,16 +216,16 @@ def bessel_j_table(nu, x):
         fast_fn, cut = None, np.inf
     flat = x.ravel()
     out = np.empty_like(flat)
-    for lo in range(0, flat.size, _TABLE_BLOCK):
-        xb = flat[lo:lo + _TABLE_BLOCK]
-        ob = out[lo:lo + _TABLE_BLOCK]
+    # blocks keep the branch temporaries cache-resident
+    for cols in column_blocks(1, flat.size):
+        xb, ob = flat[cols], out[cols]
         # zero and non-finite arguments go to scipy
         fast = xb > cut
         fast &= xb < np.inf
-        if fast.all():
-            ob[:] = fast_fn(nu, xb)
-        elif not fast.any():
+        if not fast.any():
             ob[:] = jv(nu, xb)
+        elif fast.all():
+            ob[:] = fast_fn(nu, xb)
         else:
             ob[fast] = fast_fn(nu, xb[fast])
             slow = ~fast
@@ -248,42 +251,36 @@ def bessel_i_scaled(nu, x):
 _SMALL_ARG = 1e-6
 
 
-def _normalized_series(nu, x):
+def _normalized_series(nu, x, sign):
     # J_nu(x)/x^nu = 2^-nu/Gamma(nu+1) (1 - y/(nu+1) + y^2/(2(nu+1)(nu+2)) - ...),
-    # y = x^2/4; three terms leave a relative error ~ y^3/6 < 1e-40 for x < 1e-6
+    # y = x^2/4; three terms leave a relative error ~ y^3/6 < 1e-40 for x < 1e-6.
+    # sign = +1 gives the series of I_nu(x)/x^nu (all plus signs)
     y = 0.25 * x * x
     c0 = np.exp(-nu * np.log(2.0) - sp.gammaln(nu + 1.0))
-    return c0 * (1.0 - y / (nu + 1.0) + y * y / (2.0 * (nu + 1.0) * (nu + 2.0)))
+    return c0 * (1.0 + sign * y / (nu + 1.0) + y * y / (2.0 * (nu + 1.0) * (nu + 2.0)))
+
+
+def _normalized(nu, x, sign, bessel):
+    # bessel(nu, x)/x^nu past _SMALL_ARG, the series below it
+    nu = _order_value(nu)
+    x = np.asarray(x, dtype=float)
+    if np.any(x < 0.0):
+        raise ValueError("bessel argument must be >= 0")
+    small = x < _SMALL_ARG
+    xs = np.where(small, 1.0, x)
+    with np.errstate(invalid="ignore"):
+        out = np.where(small, _normalized_series(nu, x, sign), bessel(nu, xs) / xs**nu)
+    return float(out) if out.ndim == 0 else out
 
 
 def bessel_j_normalized(nu, x):
     """J_nu(x)/x^nu, extended by continuity to 2^-nu/Gamma(nu+1) at x = 0."""
-    nu = _order_value(nu)
-    x = np.asarray(x, dtype=float)
-    if np.any(x < 0.0):
-        raise ValueError("bessel argument must be >= 0")
-    small = x < _SMALL_ARG
-    xs = np.where(small, 1.0, x)
-    with np.errstate(invalid="ignore"):
-        out = np.where(small, _normalized_series(nu, x), bessel_j_table(nu, xs) / xs**nu)
-    return float(out) if out.ndim == 0 else out
+    return _normalized(nu, x, -1.0, bessel_j_table)
 
 
 def bessel_i_normalized(nu, x):
     """I_nu(x)/x^nu, extended by continuity to 2^-nu/Gamma(nu+1) at x = 0."""
-    nu = _order_value(nu)
-    x = np.asarray(x, dtype=float)
-    if np.any(x < 0.0):
-        raise ValueError("bessel argument must be >= 0")
-    small = x < _SMALL_ARG
-    xs = np.where(small, 1.0, x)
-    # same series as for J but with all plus signs
-    y = 0.25 * x * x
-    c0 = np.exp(-nu * np.log(2.0) - sp.gammaln(nu + 1.0))
-    series = c0 * (1.0 + y / (nu + 1.0) + y * y / (2.0 * (nu + 1.0) * (nu + 2.0)))
-    with np.errstate(invalid="ignore"):
-        out = np.where(small, series, sp.iv(nu, xs) / xs**nu)
-    return float(out) if out.ndim == 0 else out
+    return _normalized(nu, x, 1.0, sp.iv)
 
 
 def laguerre_poly(n, alpha, x):

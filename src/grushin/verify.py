@@ -123,8 +123,7 @@ def check_hankel_self_inverse(scale=1.0):
         trule = quadrature.build_finite_rule(0.0, 150.0, np.pi / (4.0 * 2.5))
         forward = hankel.hankel_liouville(beta, prof, trule.nodes)
         xrule = quadrature.build_finite_rule(0.05, 3.5, 0.02)
-        back = hankel.hankel_liouville_inverse(beta, np.asarray(forward),
-                                               xrule.nodes, rule=trule)
+        back = hankel.hankel_liouville_inverse(beta, forward, xrule.nodes, rule=trule)
         errs.append(_rel_l2(back, g(xrule.nodes), xrule.weights))
     return _result("hankel", "self-inverse on smooth bumps", max(errs), 1e-5 * scale, t0)
 
@@ -136,7 +135,7 @@ def check_hankel_unitarity(scale=1.0):
     errs = []
     for beta in (-0.5, 0.0, 0.7, 1.3):
         trule = quadrature.build_finite_rule(0.0, 150.0, np.pi / (4.0 * 2.0))
-        fw = np.asarray(hankel.hankel_liouville(beta, prof, trule.nodes))
+        fw = hankel.hankel_liouville(beta, prof, trule.nodes)
         urule = hankel.rule_for_function(prof, freq=0.0)
         n2_in = np.dot(urule.weights, g(urule.nodes) ** 2)
         n2_out = np.dot(trule.weights, fw**2)

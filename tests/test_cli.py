@@ -125,6 +125,18 @@ def test_profiles_command(tmp_path):
     assert abs(slope - 0.8) < 0.1
 
 
+def test_profiles_f2_past_the_iv_overflow_is_finite(tmp_path):
+    # F2 at r = 30 and 40 needs e^-x I_a(x) past x = 700, where I_a overflows
+    opath = tmp_path / "p.csv"
+    assert main(["profiles", "--kind", "F2", "--alpha", "0.0", "--beta", "0.0",
+                 "--grid", "lin:10:40:4", "--output", str(opath)]) == 0
+    text = opath.read_text()
+    assert "nan" not in text.lower()
+    rows = [ln for ln in text.splitlines() if not ln.startswith("#")]
+    vals = np.array([float(r.split(",")[1]) for r in rows])
+    assert len(vals) == 4 and np.all(vals > 0.0)
+
+
 def test_verify_suite_exit_codes():
     assert main(["verify", "--suite", "laguerre"]) == 0
     # an absurdly tightened tolerance must flip to failure (exit 1)

@@ -4,7 +4,7 @@ functional calculus."""
 import numpy as np
 import pytest
 
-from grushin import diffop, gtransform
+from grushin import _util, diffop, gtransform
 from grushin.functions import packet_plane, power_gaussian, smooth_bump
 from grushin.gtransform import (Multiplier, PlaneFunction, SpectralData,
                                 TypePair, default_tau_rule)
@@ -65,7 +65,7 @@ class TestForward:
         h2 = hankel_liouville(tp.beta, f2, [tau_star])
         col = sd.values[:, k_star]
         want = np.zeros(8)
-        want[2] = h2
+        want[2] = h2[0]
         # the reference value is computed with an independent rule
         assert np.max(np.abs(col - want)) < 1e-6
 
@@ -145,12 +145,12 @@ class TestLaguerreBlocks:
                     gtransform.g_inverse_grid(sd, rs, ss))
 
         # the whole table as one block, on one thread
-        monkeypatch.setattr(gtransform, "_LAGUERRE_BLOCK", 10**12)
+        monkeypatch.setattr(_util, "BLOCK", 10**12)
         monkeypatch.setenv("GRUSHIN_THREADS", "1")
         want = run()
         # two columns per block, then a few columns per block
         for block in (1, 5000):
-            monkeypatch.setattr(gtransform, "_LAGUERRE_BLOCK", block)
+            monkeypatch.setattr(_util, "BLOCK", block)
             for threads in ("1", "4"):
                 monkeypatch.setenv("GRUSHIN_THREADS", threads)
                 for got, ref in zip(run(), want):
@@ -328,6 +328,14 @@ class TestValidation:
             TypePair(-1.0, 0.0)
         with pytest.raises(ValueError):
             TypePair(0.0, -2.0)
+
+    @pytest.mark.parametrize("alpha, beta, named", [
+        (np.nan, 0.0, "alpha"), (0.0, np.nan, "beta"), (-1.0, 0.0, "alpha")])
+    def test_spectral_data_rejects_bad_type_parameters(self, alpha, beta, named):
+        rule = default_tau_rule()
+        with pytest.raises(ValueError, match=f"^{named} must be a finite real > -1"):
+            SpectralData(alpha, beta, rule.nodes, rule.weights,
+                         np.zeros((3, len(rule.nodes))))
 
     def test_spectral_data_invariants(self):
         rule = default_tau_rule()

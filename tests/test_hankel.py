@@ -87,6 +87,15 @@ class TestLiouvilleForm:
         got = hankel.hankel_liouville(0.4, prof, [1.0, 2.0])
         assert np.all(got == 0.0)
 
+    def test_one_tau_gives_a_one_element_array(self):
+        prof = hankel.HalfLineFunction(lambda u: np.exp(-u), decay="exponential")
+        for form in (hankel.hankel_liouville, hankel.hankel_modified):
+            got = form(0.5, prof, [1.5])
+            assert isinstance(got, np.ndarray) and got.shape == (1,)
+            rule = hankel.rule_for_function(prof, freq=2.0)
+            assert form(0.5, prof, [1.5], rule=rule)[0] == pytest.approx(
+                form(0.5, prof, [1.5, 2.0], rule=rule)[0], rel=1e-14)
+
     def test_sampled_values_require_rule(self):
         with pytest.raises(ValueError):
             hankel.hankel_liouville(0.5, np.ones(4), [1.0])

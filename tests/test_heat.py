@@ -1,14 +1,18 @@
 """Heat-kernel tests: stability of the closed form, weighted variant,
 origin limit, slice integrability, positivity probes."""
 
+import dataclasses
+
 import numpy as np
 import pytest
+from scipy.special import iv
 
-from grushin import heat
+from grushin import heat, quadrature
 from grushin.functions import bump_plane
 from grushin.gtransform import TypePair
 from grushin.heat import HeatParams
 from grushin.quadrature import QuadratureError, build_finite_rule
+from grushin.specfun import bessel_j_table
 
 
 class TestKernelBasics:
@@ -188,6 +192,34 @@ class TestHeatApply:
         assert np.array_equal(serial, threaded)
 
 
+def diagonal_profile_per_x_reference(kind, tp, x_grid):
+    """One tau quadrature per grid point with the unscaled I_a: the form
+    diagonal_profile had before it was tabulated on the kernel core.  Its
+    F2 turns NaN once I_a overflows (tau r^2 / sinh tau > 700, r > 26.5)."""
+    x_grid = np.atleast_1d(np.asarray(x_grid, dtype=float))
+    rate = (2.0 if kind == "F1" else 1.0) + min(tp.alpha, 0.0)
+    policy = quadrature.TruncationPolicy(abs_tol=1e-12, decay_hint="exponential",
+                                         rate=rate,
+                                         freq_bound=2.0 * max(float(x_grid.max()), 1.0))
+    rule = quadrature.build_rule(policy)
+    tau = rule.nodes
+    inv = heat._inv_sinh(tau)
+    coth = heat._coth(tau)
+    out = np.empty(len(x_grid))
+    with np.errstate(over="ignore", invalid="ignore"):
+        if kind == "F1":
+            base = np.exp(-tau * coth) * iv(tp.alpha, tau * inv) * tau * tau * inv
+            for i, s in enumerate(x_grid):
+                out[i] = np.dot(rule.weights, bessel_j_table(tp.beta, tau * s) ** 2 * base)
+        else:
+            jbase = bessel_j_table(tp.beta, tau) ** 2 * tau * tau * inv
+            for i, r in enumerate(x_grid):
+                arg = tau * r * r
+                out[i] = np.dot(rule.weights,
+                                jbase * np.exp(-arg * coth) * iv(tp.alpha, arg * inv))
+    return out
+
+
 class TestDiagonalProfiles:
     def test_kind_validation(self):
         with pytest.raises(ValueError):
@@ -200,6 +232,40 @@ class TestDiagonalProfiles:
         for kind in ("F1", "F2"):
             vals = heat.diagonal_profile(kind, TypePair(0.25, 0.25), xs)
             assert np.all(vals > 0.0)
+
+    @pytest.mark.parametrize("ab", [(0.25, 0.25), (-0.9, 0.5), (0.4, -0.9), (1.3, 0.7)])
+    @pytest.mark.parametrize("kind", ["F1", "F2"])
+    def test_matches_per_x_reference(self, kind, ab):
+        # wherever the reference is finite.  The kernel core pairs scipy's
+        # ive with exp(combined exponent); ive is accurate to about 6e-14
+        # relative at arguments near 15 for non-integer orders (mpmath),
+        # unscaled iv to about 1e-15, and the exponent rounds tau r u and
+        # tau (r^2 + u^2)/2 separately.  F2's Bessel argument is about r^2,
+        # so past r = 1 it may move by a few 1e-14 (measured <= 4.8e-14 up to
+        # r = 26.5); F1's argument stays below 1
+        tp = TypePair(*ab)
+        xs = np.logspace(-3, np.log10(20.0), 40)
+        want = diagonal_profile_per_x_reference(kind, tp, xs)
+        got = heat.diagonal_profile(kind, tp, xs)
+        rel = np.abs(got - want) / np.abs(want)
+        small = xs <= 1.0 if kind == "F2" else np.ones(len(xs), dtype=bool)
+        assert np.all(np.isfinite(want))
+        assert rel[small].max() < 1e-14
+        assert rel.max() < 1e-13
+
+    def test_large_r_is_finite_and_cut_stable(self, monkeypatch):
+        # the unscaled I_a overflows there and the old per-x form gave NaN
+        tp = TypePair(0.25, 0.25)
+        rs = np.array([30.0, 40.0])
+        assert np.all(np.isnan(diagonal_profile_per_x_reference("F2", tp, rs)))
+        got = heat.diagonal_profile("F2", tp, rs)
+        assert np.all(np.isfinite(got)) and np.all(got > 0.0)
+        # squaring abs_tol doubles the tau cut of the exponential envelope
+        build_rule = quadrature.build_rule
+        monkeypatch.setattr(heat, "build_rule", lambda policy: build_rule(
+            dataclasses.replace(policy, abs_tol=policy.abs_tol ** 2)))
+        doubled = heat.diagonal_profile("F2", tp, rs)
+        assert np.allclose(got, doubled, rtol=1e-11, atol=0.0)
 
 
 def test_mehler_kernel_probe():

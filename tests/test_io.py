@@ -134,6 +134,18 @@ class TestSpectralFiles:
         with pytest.raises(gio.ParameterError):
             gio.read_spectral(path)
 
+    @pytest.mark.parametrize("entry", ["# alpha=nan", "# alpha=inf", "# beta=-inf"])
+    def test_nonfinite_type_parameter_names_the_file(self, spectral, tmp_path, entry):
+        path = tmp_path / "sd.csv"
+        gio.write_spectral(path, spectral)
+        key = entry[2:].split("=")[0]
+        lines = [entry if ln.startswith(f"# {key}=") else ln
+                 for ln in path.read_text().splitlines()]
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(gio.ParameterError, match="type parameters must be finite") as err:
+            gio.read_spectral(path)
+        assert str(path) in str(err.value)
+
     def test_header_grid_length_mismatch(self, spectral, tmp_path):
         path = tmp_path / "sd.csv"
         gio.write_spectral(path, spectral)

@@ -8,7 +8,7 @@ from grushin import laguerre
 from grushin.functions import power_gaussian_profile, smooth_bump
 from grushin.hankel import HalfLineFunction
 from grushin.quadrature import build_finite_rule
-from grushin.specfun import LaguerreIndex, laguerre_fn
+from grushin.specfun import LaguerreIndex, laguerre_fn, laguerre_fn_seq
 
 
 class TestGaussianOracle:
@@ -90,6 +90,32 @@ class TestSynthesize:
         assert np.all(laguerre.laguerre_synthesize(coeffs, [1.0, 2.0]) == 0.0)
 
 
+class TestMatchesPerOrderLoop:
+    """Analysis and synthesis run on the blocked table path; their values are
+    those of a plain loop over the recurrence, bit for bit."""
+
+    def test_analyze(self):
+        alpha, tau = 0.4, 2.7
+        f = smooth_bump(1.5, 1.0)
+        rule = build_finite_rule(0.5, 2.5, 0.05)
+        weighted = rule.weights * f(rule.nodes)
+        want = np.array([np.dot(weighted, q) for q in
+                         laguerre_fn_seq(alpha, np.sqrt(tau) * rule.nodes, 30)])
+        got = laguerre.laguerre_analyze(alpha, tau, f, 30, rule=rule)
+        assert np.array_equal(got.values, want * tau**0.25)
+
+    def test_synthesize_keeps_the_shape(self):
+        coeffs = laguerre.LaguerreCoeffs(-0.3, 2.7, np.linspace(1.0, -0.5, 12))
+        rs = np.linspace(0.1, 5.0, 24).reshape(4, 6)
+        want = np.zeros(rs.shape)
+        for c, q in zip(coeffs.values, laguerre_fn_seq(-0.3, np.sqrt(2.7) * rs, 12)):
+            want += c * q
+        want = want * 2.7**0.25
+        assert np.array_equal(laguerre.laguerre_synthesize(coeffs, rs), want)
+        one = laguerre.laguerre_synthesize(coeffs, rs[1, 2])
+        assert isinstance(one, float) and one == want[1, 2]
+
+
 class TestValidation:
     def test_coeffs_validation(self):
         with pytest.raises(ValueError):
@@ -98,6 +124,15 @@ class TestValidation:
             laguerre.LaguerreCoeffs(0.0, 0.0, np.ones(3))
         with pytest.raises(ValueError):
             laguerre.LaguerreCoeffs(0.0, 1.0, np.array([1.0, np.nan]))
+
+    @pytest.mark.parametrize("alpha, tau", [(np.nan, 1.0), (0.0, np.nan), (0.0, np.inf)])
+    def test_coeffs_reject_nonfinite_parameters(self, alpha, tau):
+        with pytest.raises(ValueError, match="must be a finite real"):
+            laguerre.LaguerreCoeffs(alpha, tau, np.ones(3))
+
+    def test_analyze_rejects_nan_tau(self):
+        with pytest.raises(ValueError, match="^tau must be a finite real > 0"):
+            laguerre.laguerre_analyze(0.0, np.nan, lambda r: np.exp(-r * r), 4)
 
     def test_analyze_validation(self):
         with pytest.raises(ValueError):

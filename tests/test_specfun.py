@@ -192,6 +192,26 @@ def test_only_specfun_and_verify_bind_scipy_jv():
     assert offenders == []
 
 
+def test_only_util_defines_a_block_size_and_no_kernel_binds_scipy_iv():
+    # every table is split by _util.column_blocks on the one _util.BLOCK;
+    # the heat kernel pairs the scaled ive with exp, and verify keeps the
+    # unscaled iv as an oracle
+    import importlib
+    import pkgutil
+
+    import grushin
+    offenders = []
+    for info in pkgutil.iter_modules(grushin.__path__):
+        mod = importlib.import_module(f"grushin.{info.name}")
+        if info.name != "_util":
+            offenders += [f"{info.name}.{attr}" for attr in vars(mod)
+                          if attr.endswith("BLOCK")]
+        if info.name not in ("specfun", "verify"):
+            offenders += [f"{info.name}.{attr}" for attr, value in vars(mod).items()
+                          if value is sp.iv]
+    assert offenders == []
+
+
 class TestLaguerrePoly:
     def test_degree_zero_is_one(self):
         for alpha in (-0.9, 0.0, 2.5):
@@ -362,6 +382,19 @@ class TestValidation:
             specfun.LaguerreIndex(0, -1.5, 1.0)
         with pytest.raises(ValueError):
             specfun.LaguerreIndex(0, 0.0, 0.0)
+
+    @pytest.mark.parametrize("alpha, tau, named", [
+        (np.nan, 1.0, "alpha"), (np.inf, 1.0, "alpha"),
+        (0.0, np.nan, "tau"), (0.0, np.inf, "tau"), (0.0, -1.0, "tau")])
+    def test_laguerre_index_rejects_nonfinite(self, alpha, tau, named):
+        with pytest.raises(ValueError, match=f"^{named} must be a finite real"):
+            specfun.LaguerreIndex(0, alpha, tau)
+
+    def test_order_check_names_the_parameter(self):
+        with pytest.raises(ValueError, match="^beta must be a finite real > -1, got nan"):
+            specfun._order_value(np.nan, "beta")
+        with pytest.raises(ValueError, match="^order must be a finite real > -1"):
+            specfun.Order(np.nan)
 
     def test_orders_accept_order_objects(self):
         assert specfun.bessel_j(specfun.Order(0.5), 1.0) == specfun.bessel_j(0.5, 1.0)
