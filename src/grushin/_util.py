@@ -5,7 +5,9 @@ from __future__ import annotations
 import os
 from concurrent.futures import ThreadPoolExecutor
 
-__all__ = ["BLOCK", "column_blocks", "thread_count", "parallel_map"]
+import numpy as np
+
+__all__ = ["BLOCK", "column_blocks", "positive_value", "thread_count", "parallel_map"]
 
 # doubles per column block of every table (Laguerre, Bessel J, Hankel
 # kernel, diagonal profile): a block's working arrays stay cache-resident
@@ -13,15 +15,29 @@ __all__ = ["BLOCK", "column_blocks", "thread_count", "parallel_map"]
 BLOCK = 32768
 
 
-def column_blocks(rows, cols, min_width=1, block=None) -> list:
+def column_blocks(rows, cols, min_width=1) -> list:
     """Even contiguous slices covering the columns of a (rows, cols) table,
-    each about `block` doubles (default BLOCK) and at least min_width
-    columns wide; one slice when the table fits in a block."""
-    block = BLOCK if block is None else block
-    width = max(min_width, block // max(rows, 1))
+    each about BLOCK doubles and at least min_width columns wide; one slice
+    when the table fits in a block."""
+    width = max(min_width, BLOCK // max(rows, 1))
     n_blocks = max(1, cols // width)
     edges = [cols * i // n_blocks for i in range(n_blocks + 1)]
     return [slice(lo, hi) for lo, hi in zip(edges[:-1], edges[1:])]
+
+
+def positive_value(value, name):
+    """value as a float, or as a float array, after checking that it is
+    finite and > 0; for an array the message names the first bad index."""
+    arr = np.asarray(value, dtype=float)
+    bad = ~(np.isfinite(arr) & (arr > 0.0))
+    if arr.ndim == 0:
+        if bad:
+            raise ValueError(f"{name} must be a finite real > 0, got {float(arr)}")
+        return float(arr)
+    if bad.any():
+        i = int(np.flatnonzero(bad)[0])
+        raise ValueError(f"{name}[{i}] must be a finite real > 0, got {arr.flat[i]}")
+    return arr
 
 
 def thread_count() -> int:

@@ -18,6 +18,7 @@ from scipy.interpolate import RegularGridInterpolator
 from . import io as gio
 from .gtransform import PlaneFunction, TypePair, g_forward, g_inverse
 from .heat import HeatParams, diagonal_profile, heat_apply, heat_kernel
+from .quadrature import QuadratureError
 from .verify import SUITES, run_suite
 
 __all__ = ["main"]
@@ -33,14 +34,19 @@ _FLAG_TYPES = {"t": float, "alpha": float, "beta": float, "nmax": int,
                "suite": str}
 _FLAG_DEFAULTS = {"nmax": 96, "route": "kernel", "suite": "all",
                   "tol_scale": 1.0}
-_REQUIRED = {
-    "gtransform": ("alpha", "beta", "input", "output"),
-    "igtransform": ("input", "points", "output"),
-    "heat-kernel": ("t", "alpha", "beta", "point"),
-    "heat-apply": ("t", "alpha", "beta", "input", "points", "output"),
-    "profiles": ("kind", "alpha", "beta", "grid", "output"),
-    "verify": (),
+# command -> (its flags, help text); every flag without a default is required
+_COMMAND_FLAGS = {
+    "gtransform": (("alpha", "beta", "input", "nmax", "output"),
+                   "forward transform of a grid file"),
+    "igtransform": (("input", "points", "output"), "inverse transform at points"),
+    "heat-kernel": (("t", "alpha", "beta", "point"), "print one kernel value"),
+    "heat-apply": (("t", "alpha", "beta", "input", "points", "route", "output"),
+                   "apply the heat semigroup"),
+    "profiles": (("kind", "alpha", "beta", "grid", "output"), "diagonal kernel profiles"),
+    "verify": (("suite", "tol_scale"), "run the verification suites"),
 }
+_REQUIRED = {name: tuple(f for f in flags if f not in _FLAG_DEFAULTS)
+             for name, (flags, _) in _COMMAND_FLAGS.items()}
 
 
 def _read_config(path):
@@ -175,21 +181,7 @@ def _build_parser():
         description="Spectral transforms, heat kernels, and verification "
                     "suites for quarter-plane Grushin-type operators.")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    specs = {
-        "gtransform": (("alpha", "beta", "input", "nmax", "output"),
-                       "forward transform of a grid file"),
-        "igtransform": (("input", "points", "output"),
-                        "inverse transform at points"),
-        "heat-kernel": (("t", "alpha", "beta", "point"),
-                        "print one kernel value"),
-        "heat-apply": (("t", "alpha", "beta", "input", "points", "route",
-                        "output"), "apply the heat semigroup"),
-        "profiles": (("kind", "alpha", "beta", "grid", "output"),
-                     "diagonal kernel profiles"),
-        "verify": (("suite", "tol_scale"), "run the verification suites"),
-    }
-    for name, (flags, help_text) in specs.items():
+    for name, (flags, help_text) in _COMMAND_FLAGS.items():
         p = sub.add_parser(name, help=help_text)
         for flag in flags:
             kwargs = {"type": _FLAG_TYPES[flag], "default": None}
@@ -216,7 +208,7 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (ValueError, OSError, OverflowError) as exc:
+    except (ValueError, OSError, OverflowError, QuadratureError) as exc:
         # numeric/data failures carry their origin for diagnosis
         origin = type(exc).__module__
         prefix = f"{origin}.{type(exc).__name__}" if origin != "builtins" \

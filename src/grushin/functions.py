@@ -65,8 +65,7 @@ def power_gaussian(alpha: float, beta: float) -> PlaneFunction:
     a, b = float(alpha), float(beta)
     return PlaneFunction(
         fn=lambda r, s: r ** (a + 0.5) * s ** (b + 0.5)
-        * np.exp(-0.5 * (r * r + s * s)),
-        decay="gaussian", rate=1.0)
+        * np.exp(-0.5 * (r * r + s * s)))
 
 
 def _boxed(fr, fs, r_span, s_span) -> PlaneFunction:

@@ -23,11 +23,12 @@ from typing import Callable, Optional, Tuple
 
 import numpy as np
 
+from ._util import positive_value
 from .hankel import (HalfLineFunction, _liouville_kernel, as_half_line_function,
                      hankel_liouville, rule_for_function)
 from .laguerre import _laguerre_rows, _synthesize_columns, analysis_rule
 from .quadrature import HalfLineRule, build_finite_rule
-from .specfun import _order_value, laguerre_eigenvalue
+from .specfun import _order_value, laguerre_eigenvalue, laguerre_fn_seq
 
 __all__ = [
     "TypePair",
@@ -62,17 +63,15 @@ class TypePair:
 
 @dataclass(frozen=True)
 class PlaneFunction:
-    """Evaluable function on the open quarter plane with integration hints.
+    """Evaluable function on the open quarter plane.
 
     fn must broadcast over numpy arrays.  support, when given, is a box
-    ((r_lo, r_hi), (s_lo, s_hi)); otherwise the decay hint and rate govern
-    truncation in both variables.
+    ((r_lo, r_hi), (s_lo, s_hi)); otherwise f is truncated as a unit
+    gaussian in both variables.
     """
 
     fn: Callable[[np.ndarray, np.ndarray], np.ndarray]
     support: Optional[Tuple[Tuple[float, float], Tuple[float, float]]] = None
-    decay: str = "gaussian"
-    rate: float = 1.0
 
     def __call__(self, r, s):
         return self.fn(r, s)
@@ -81,8 +80,7 @@ class PlaneFunction:
         """Integration hints for one variable (the eval slot is a placeholder;
         rule construction never calls it)."""
         span = None if self.support is None else tuple(self.support[axis])
-        return HalfLineFunction(fn=lambda x: x, support=span,
-                                decay=self.decay, rate=self.rate)
+        return HalfLineFunction(fn=lambda x: x, support=span)
 
 
 def as_plane_function(f) -> PlaneFunction:
@@ -154,27 +152,24 @@ def default_tau_rule(upper: float = 12.0, panels: int = 32,
                              endpoint_exponent=endpoint_exponent)
 
 
-def _forward_setup(tp: TypePair, n_max: int, tau_rule, r_prof: HalfLineFunction,
-                   r_rule=None):
+def _forward_setup(tp: TypePair, n_max: int, tau_rule, r_prof: HalfLineFunction):
     """Set-up shared by the forward variants: the tau rule, the r-rule and the
     Laguerre arguments sqrt(tau) r on the (r-node, tau-node) tensor."""
     if tau_rule is None:
         tau_rule = default_tau_rule(endpoint_exponent=min(2.0 * tp.beta + 1.0, 0.0))
     tg = tau_rule.nodes
-    if r_rule is None:
-        r_rule = analysis_rule(tp.alpha, (tg[0], tg[-1]), r_prof, n_max)
+    r_rule = analysis_rule(tp.alpha, (tg[0], tg[-1]), r_prof, n_max)
     return tau_rule, r_rule, np.sqrt(tg)[None, :] * r_rule.nodes[:, None]
 
 
-def _plane_setup(tp: TypePair, f, n_max: int, tau_rule, r_rule, s_rule):
+def _plane_setup(tp: TypePair, f, n_max: int, tau_rule):
     """_forward_setup for a function on the plane, plus its samples on the
     (r, s) tensor rule and the s-weighted Hankel kernel (ns, K)."""
     f = as_plane_function(f)
-    tau_rule, r_rule, x = _forward_setup(tp, n_max, tau_rule, f.axis_profile(0), r_rule)
+    tau_rule, r_rule, x = _forward_setup(tp, n_max, tau_rule, f.axis_profile(0))
     tg = tau_rule.nodes
-    if s_rule is None:
-        s_rule = rule_for_function(f.axis_profile(1), freq=float(tg[-1]),
-                                   extra_exponent=tp.beta + 0.5)
+    s_rule = rule_for_function(f.axis_profile(1), freq=float(tg[-1]),
+                               extra_exponent=tp.beta + 0.5)
     rn, sn = r_rule.nodes, s_rule.nodes
     fvals = np.asarray(f(rn[:, None], sn[None, :]))
     hankel = s_rule.weights[:, None] * _liouville_kernel(tp.beta, tg, sn)
@@ -182,15 +177,13 @@ def _plane_setup(tp: TypePair, f, n_max: int, tau_rule, r_rule, s_rule):
 
 
 def g_forward(tp: TypePair, f, n_max: int = DEFAULT_N_MAX,
-              tau_rule: Optional[HalfLineRule] = None,
-              r_rule: Optional[HalfLineRule] = None,
-              s_rule: Optional[HalfLineRule] = None) -> SpectralData:
+              tau_rule: Optional[HalfLineRule] = None) -> SpectralData:
     """Forward transform: Hankel in s, then scaled Laguerre analysis in r.
 
     The inner transform is independent of n and is evaluated once on the
     (r-node, tau-node) tensor, then reused for every coefficient order.
     """
-    tau_rule, rw, fvals, hankel, x = _plane_setup(tp, f, n_max, tau_rule, r_rule, s_rule)
+    tau_rule, rw, fvals, hankel, x = _plane_setup(tp, f, n_max, tau_rule)
     weighted = rw[:, None] * (fvals @ hankel)                  # (nr, K)
     values = _laguerre_rows(tp.alpha, x, n_max,
                             lambda q, c: np.sum(weighted[:, c] * q, axis=0))
@@ -198,13 +191,12 @@ def g_forward(tp: TypePair, f, n_max: int = DEFAULT_N_MAX,
     return SpectralData(tp.alpha, tp.beta, tau_rule.nodes, tau_rule.weights, values)
 
 
-def g_forward_separated(tp: TypePair, f1, f2, n_max: int = DEFAULT_N_MAX,
-                        tau_rule: Optional[HalfLineRule] = None) -> SpectralData:
+def g_forward_separated(tp: TypePair, f1, f2, n_max: int = DEFAULT_N_MAX) -> SpectralData:
     """Forward transform of f(r, s) = f1(r) f2(s) as a product of 1-d
     transforms."""
     f1, f2 = as_half_line_function(f1), as_half_line_function(f2)
     # one shared r-rule keyed to the tau range keeps the basis table reusable
-    tau_rule, r_rule, x = _forward_setup(tp, n_max, tau_rule, f1)
+    tau_rule, r_rule, x = _forward_setup(tp, n_max, None, f1)
     h2 = hankel_liouville(tp.beta, f2, tau_rule.nodes)
     weighted = r_rule.weights * np.asarray(f1(r_rule.nodes))
     values = _laguerre_rows(tp.alpha, x, n_max, lambda q, c: weighted @ q)
@@ -213,20 +205,17 @@ def g_forward_separated(tp: TypePair, f1, f2, n_max: int = DEFAULT_N_MAX,
 
 
 def g_forward_hat(tp: TypePair, f, n_max: int = DEFAULT_N_MAX,
-                  tau_rule: Optional[HalfLineRule] = None,
-                  r_rule: Optional[HalfLineRule] = None,
-                  s_rule: Optional[HalfLineRule] = None) -> SpectralData:
+                  tau_rule: Optional[HalfLineRule] = None) -> SpectralData:
     """Order-exchanged transform: scaled Laguerre in r first, Hankel in s
     second.  Coincides with g_forward; the contraction order differs."""
-    tau_rule, rw, fvals, hankel, x = _plane_setup(tp, f, n_max, tau_rule, r_rule, s_rule)
+    tau_rule, rw, fvals, hankel, x = _plane_setup(tp, f, n_max, tau_rule)
     weighted_f = rw[:, None] * fvals                           # (nr, ns)
     # Laguerre analysis of every s-slice at each tau, then the Hankel
-    # contraction evaluated on the diagonal tau.  The table is one block:
-    # each block's product streams all of weighted_f, which costs more than
-    # a cache-resident recurrence saves.
-    values = _laguerre_rows(tp.alpha, x, n_max,
-                            lambda q, c: np.sum((weighted_f.T @ q) * hankel[:, c], axis=0),
-                            block=x.size)
+    # contraction evaluated on the diagonal tau.  The table runs unblocked:
+    # a block's product would stream all of weighted_f, which costs more
+    # than a cache-resident recurrence saves.
+    values = np.array([np.sum((weighted_f.T @ q) * hankel, axis=0)
+                       for q in laguerre_fn_seq(tp.alpha, x, n_max)])
     values *= tau_rule.nodes[None, :] ** 0.25
     return SpectralData(tp.alpha, tp.beta, tau_rule.nodes, tau_rule.weights, values)
 
@@ -238,17 +227,19 @@ def _synthesis(sd: SpectralData, rs) -> np.ndarray:
 
 
 def _points_array(points) -> np.ndarray:
-    """Points [(r_1, s_1), ...] as an (m, 2) array."""
+    """Points [(r_1, s_1), ...] in the open quarter plane as an (m, 2) array."""
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     if pts.shape[1] != 2:
         raise ValueError("points must have shape (m, 2)")
+    positive_value(pts[:, 0], "r")
+    positive_value(pts[:, 1], "s")
     return pts
 
 
 def g_inverse_grid(sd: SpectralData, rs, ss) -> np.ndarray:
     """Inverse transform evaluated on the tensor grid rs x ss."""
-    rs = np.atleast_1d(np.asarray(rs, dtype=float))
-    ss = np.atleast_1d(np.asarray(ss, dtype=float))
+    rs = positive_value(np.atleast_1d(rs), "rs")
+    ss = positive_value(np.atleast_1d(ss), "ss")
     synth = _synthesis(sd, rs)                                 # (K, nr)
     kern = _liouville_kernel(sd.beta, sd.tau_grid, ss)         # (ns, K)
     return synth.T @ (sd.tau_weights[:, None] * kern.T)        # (nr, ns)
@@ -283,10 +274,8 @@ def apply_multiplier(sd: SpectralData, phi) -> SpectralData:
                         scaled * sd.values)
 
 
-def functional_calculus(tp: TypePair, phi, f, points,
-                        n_max: int = DEFAULT_N_MAX,
-                        tau_rule: Optional[HalfLineRule] = None):
+def functional_calculus(tp: TypePair, phi, f, points, n_max: int = DEFAULT_N_MAX):
     """Evaluate Phi of the self-adjoint extension applied to f at points:
     forward transform, multiply by Phi(lam_n^a tau), inverse transform."""
-    sd = g_forward(tp, f, n_max=n_max, tau_rule=tau_rule)
+    sd = g_forward(tp, f, n_max=n_max)
     return g_inverse(apply_multiplier(sd, phi), points)

@@ -64,35 +64,38 @@ def as_half_line_function(f) -> HalfLineFunction:
 
 
 def rule_for_function(f: HalfLineFunction, freq: float = 0.0,
-                      abs_tol: float = 1e-12, points_per_panel: int = 8,
                       extra_exponent: float = 0.0) -> HalfLineRule:
     """Quadrature rule adequate for f against a kernel of frequency <= freq."""
     gamma = f.endpoint_exponent + extra_exponent
     if f.support is not None:
         a, b = f.support
         width = np.pi / (2.0 * _FREQ_FACTOR * freq) if freq > 0.0 else (b - a) / 8.0
-        return build_finite_rule(a, b, width, points_per_panel,
-                                 endpoint_exponent=gamma if a == 0.0 else 0.0)
-    policy = TruncationPolicy(abs_tol=abs_tol, decay_hint=f.decay, rate=f.rate,
-                              freq_bound=_FREQ_FACTOR * freq,
-                              endpoint_exponent=gamma)
-    return build_rule(policy, points_per_panel)
+        return build_finite_rule(a, b, width, endpoint_exponent=gamma if a == 0.0 else 0.0)
+    policy = TruncationPolicy(decay_hint=f.decay, rate=f.rate,
+                              freq_bound=_FREQ_FACTOR * freq, endpoint_exponent=gamma)
+    return build_rule(policy)
+
+
+def _sampled_values(f, rule, default_rule):
+    """(values, rule) for f on the nodes of rule: f is either an array
+    already sampled on an explicit rule, or a profile evaluated on rule
+    (default_rule(profile) when rule is None)."""
+    if isinstance(f, np.ndarray):
+        if rule is None:
+            raise ValueError("passing sampled values requires an explicit rule")
+        if f.shape != rule.nodes.shape:
+            raise ValueError("sampled values must match the rule nodes")
+        return f, rule
+    hf = as_half_line_function(f)
+    if rule is None:
+        rule = default_rule(hf)
+    return np.asarray(hf(rule.nodes)), rule
 
 
 def _values_and_rule(f, taus, rule, extra_exponent):
     taus = np.atleast_1d(np.asarray(taus, dtype=float))
-    if isinstance(f, np.ndarray):
-        if rule is None:
-            raise ValueError("passing sampled values requires an explicit rule")
-        vals = f
-        if vals.shape != rule.nodes.shape:
-            raise ValueError("sampled values must match the rule nodes")
-    else:
-        hf = as_half_line_function(f)
-        if rule is None:
-            rule = rule_for_function(hf, freq=float(taus.max(initial=0.0)),
-                                     extra_exponent=extra_exponent)
-        vals = np.asarray(hf(rule.nodes))
+    vals, rule = _sampled_values(f, rule, lambda hf: rule_for_function(
+        hf, freq=float(taus.max(initial=0.0)), extra_exponent=extra_exponent))
     return vals, rule, taus
 
 

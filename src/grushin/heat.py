@@ -25,7 +25,7 @@ from typing import Optional
 import numpy as np
 from scipy.special import gammaln, ive
 
-from ._util import column_blocks, parallel_map
+from ._util import column_blocks, parallel_map, positive_value
 from .gtransform import (Multiplier, TypePair, _points_array, as_plane_function,
                          functional_calculus)
 from .quadrature import (HalfLineRule, TruncationPolicy, build_finite_rule, build_rule,
@@ -56,8 +56,7 @@ class HeatParams:
     tp: TypePair
 
     def __post_init__(self):
-        if not np.isfinite(self.t) or self.t <= 0.0:
-            raise ValueError(f"t must be a finite real > 0, got {self.t}")
+        positive_value(self.t, "t")
 
     @property
     def alpha(self) -> float:
@@ -68,12 +67,12 @@ class HeatParams:
         return self.tp.beta
 
 
-def kernel_tau_rule(hp: HeatParams, freq: float, abs_tol: float = _KERNEL_TOL,
+def kernel_tau_rule(hp: HeatParams, freq: float,
                     endpoint_exponent: float = 0.0) -> HalfLineRule:
     """tau rule for the kernel integrals: oscillation at frequency <= freq
     under the exponential envelope of rate 2t(1 + min(alpha, 0))."""
     rate = 2.0 * hp.t * (1.0 + min(hp.alpha, 0.0))
-    policy = TruncationPolicy(abs_tol=abs_tol * 1e-4, decay_hint="exponential",
+    policy = TruncationPolicy(abs_tol=_KERNEL_TOL * 1e-4, decay_hint="exponential",
                               rate=rate, freq_bound=max(freq, 1e-6),
                               endpoint_exponent=endpoint_exponent)
     return build_rule(policy)
@@ -102,9 +101,7 @@ def _kernel_core(hp: HeatParams, tau, r, u):
 def heat_kernel(hp: HeatParams, r, s, u, v,
                 rule: Optional[HalfLineRule] = None) -> float:
     """Kernel value K_t((r,s),(u,v)) by tau quadrature."""
-    for name, val in (("r", r), ("s", s), ("u", u), ("v", v)):
-        if val <= 0.0:
-            raise ValueError(f"{name} must be > 0")
+    r, s, u, v = map(positive_value, (r, s, u, v), "rsuv")
     if rule is None:
         rule = kernel_tau_rule(hp, freq=max(s, v))
     tau = rule.nodes
@@ -113,8 +110,7 @@ def heat_kernel(hp: HeatParams, r, s, u, v,
     return float(np.sqrt(r * u * s * v) * np.dot(rule.weights, integrand))
 
 
-def heat_kernel_half(t: float, r, s, u, v, variant: str = "cosh",
-                     rule: Optional[HalfLineRule] = None) -> float:
+def heat_kernel_half(t: float, r, s, u, v, variant: str = "cosh") -> float:
     """Closed form of the kernel at type parameters (-1/2, -1/2).
 
     The half-integer identity I_{-1/2}(y) = sqrt(2/(pi y)) cosh(y) makes
@@ -123,9 +119,9 @@ def heat_kernel_half(t: float, r, s, u, v, variant: str = "cosh",
     """
     if variant not in ("cosh", "sinh"):
         raise ValueError("variant must be 'cosh' or 'sinh'")
+    r, s, u, v = map(positive_value, (r, s, u, v), "rsuv")
     hp = HeatParams(t, TypePair(-0.5, -0.5))
-    if rule is None:
-        rule = kernel_tau_rule(hp, freq=max(s, v))
+    rule = kernel_tau_rule(hp, freq=max(s, v))
     tau = rule.nodes
     y = 2.0 * t * tau
     x = tau * r * u * _inv_sinh(y)
@@ -142,23 +138,20 @@ def heat_kernel_weighted(hp: HeatParams, r, s, u, v,
     """Kernel against the weighted measure u^(2a+1) v^(2b+1) du dv:
     (ru)^(-a-1/2) (sv)^(-b-1/2) K_t, written with normalized Bessel kernels
     so that it extends continuously to u = v = 0."""
-    if u < 0.0 or v < 0.0:
-        raise ValueError("u, v must be >= 0")
+    if not (0.0 <= u < np.inf and 0.0 <= v < np.inf):
+        raise ValueError(f"u, v must be finite reals >= 0, got {u}, {v}")
     if (u == 0.0) != (v == 0.0):
         raise ValueError("only the joint limit u = v = 0 is defined")
     return _weighted_kernel(hp, r, s, u, v, rule)
 
 
-def kernel_at_origin(hp: HeatParams, r, s,
-                     rule: Optional[HalfLineRule] = None) -> float:
+def kernel_at_origin(hp: HeatParams, r, s) -> float:
     """Continuous extension of the weighted kernel at (u, v) = (0, 0)."""
-    return _weighted_kernel(hp, r, s, 0.0, 0.0, rule)
+    return _weighted_kernel(hp, r, s, 0.0, 0.0, None)
 
 
 def _weighted_kernel(hp, r, s, u, v, rule):
-    for name, val in (("r", r), ("s", s)):
-        if val <= 0.0:
-            raise ValueError(f"{name} must be > 0")
+    r, s = map(positive_value, (r, s), "rs")
     if rule is None:
         rule = kernel_tau_rule(hp, freq=max(s, v),
                                endpoint_exponent=min(2.0 * hp.beta + 1.0, 0.0))
@@ -201,9 +194,7 @@ def mehler_kernel(alpha, t, tau, r, u) -> float:
     return float(ive(alpha, x) * np.exp(expo) * _inv_sinh(y) * np.sqrt(tau * r * u))
 
 
-def heat_apply(hp: HeatParams, f, points, route: str = "kernel",
-               n_max: int = 96, tau_rule: Optional[HalfLineRule] = None,
-               abs_tol: float = _KERNEL_TOL):
+def heat_apply(hp: HeatParams, f, points, route: str = "kernel", n_max: int = 96):
     """Apply the heat semigroup to f at the given (r, s) points; one value
     per point as an (m,) array.
 
@@ -215,8 +206,7 @@ def heat_apply(hp: HeatParams, f, points, route: str = "kernel",
     pts = _points_array(points)
     if route == "spectral":
         phi = Multiplier(lambda y: np.exp(-hp.t * y))
-        return functional_calculus(hp.tp, phi, f, pts, n_max=n_max,
-                                   tau_rule=tau_rule)
+        return functional_calculus(hp.tp, phi, f, pts, n_max=n_max)
     if route != "kernel":
         raise ValueError("route must be 'kernel' or 'spectral'")
 
@@ -227,7 +217,7 @@ def heat_apply(hp: HeatParams, f, points, route: str = "kernel",
     urule = _profile_rule(f.axis_profile(0), min(0.15, 1.5 / np.sqrt(tau_half)))
     vrule = _profile_rule(f.axis_profile(1), min(0.15, np.pi / (2.0 * tau_half)))
     fvals = np.asarray(f(urule.nodes[:, None], vrule.nodes[None, :]))
-    return heat_apply_grid(hp, fvals, urule, vrule, pts, abs_tol)
+    return heat_apply_grid(hp, fvals, urule, vrule, pts)
 
 
 def _profile_rule(prof, width: float) -> HalfLineRule:
@@ -238,16 +228,14 @@ def _profile_rule(prof, width: float) -> HalfLineRule:
 
 
 def heat_apply_grid(hp: HeatParams, fvals, urule: HalfLineRule,
-                    vrule: HalfLineRule, points,
-                    abs_tol: float = _KERNEL_TOL):
+                    vrule: HalfLineRule, points):
     """Kernel route for a function known by its values on the tensor of the
     two rules (e.g. the output of a previous application); an (m,) array."""
     fvals = np.asarray(fvals)
     if fvals.shape != (len(urule.nodes), len(vrule.nodes)):
         raise ValueError("fvals must be sampled on urule.nodes x vrule.nodes")
     pts = _points_array(points)
-    trule = kernel_tau_rule(hp, freq=max(float(pts[:, 1].max()), 1.0),
-                            abs_tol=abs_tol)
+    trule = kernel_tau_rule(hp, freq=max(float(pts[:, 1].max()), 1.0))
     return _kernel_route(hp, fvals, urule, vrule, pts, trule)
 
 
@@ -293,9 +281,7 @@ def diagonal_profile(kind: str, tp: TypePair, x_grid) -> np.ndarray:
     """
     if kind not in ("F1", "F2"):
         raise ValueError("kind must be 'F1' or 'F2'")
-    x_grid = np.atleast_1d(np.asarray(x_grid, dtype=float))
-    if np.any(x_grid <= 0.0):
-        raise ValueError("grid points must be > 0")
+    x_grid = positive_value(np.atleast_1d(x_grid), "x_grid")
     # envelope: exp(-tau) from coth, tau^2/sinh ~ e^(-tau), and for a < 0 the
     # Bessel factor contributes growth e^(|a| tau) through its small argument
     rate = (2.0 if kind == "F1" else 1.0) + min(tp.alpha, 0.0)

@@ -18,10 +18,10 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import gammaln
 
-from ._util import column_blocks, parallel_map
-from .hankel import HalfLineFunction, as_half_line_function
+from ._util import column_blocks, parallel_map, positive_value
+from .hankel import HalfLineFunction, _sampled_values
 from .quadrature import HalfLineRule, TruncationPolicy, build_finite_rule, truncation_point
-from .specfun import _order_value, _tau_value, laguerre_eigenvalue, laguerre_fn_seq
+from .specfun import _order_value, laguerre_eigenvalue, laguerre_fn_seq
 
 __all__ = [
     "LaguerreCoeffs",
@@ -42,7 +42,7 @@ class LaguerreCoeffs:
     def __post_init__(self):
         object.__setattr__(self, "values", np.asarray(self.values))
         _order_value(self.alpha, "alpha")
-        _tau_value(self.tau)
+        positive_value(self.tau, "tau")
         if self.values.ndim != 1 or self.values.size < 1:
             raise ValueError("values must be a nonempty 1-d array")
         if not np.all(np.isfinite(self.values)):
@@ -72,28 +72,26 @@ def analysis_rule(alpha, taus, f: HalfLineFunction, n_max) -> HalfLineRule:
                              endpoint_exponent=f.endpoint_exponent + alpha + 0.5)
 
 
-def _laguerre_blocks(alpha, x, n_max, per_block, block=None) -> np.ndarray:
+def _laguerre_blocks(alpha, x, n_max, per_block) -> np.ndarray:
     """per_block(cols, seq) over contiguous column blocks of the table x,
     joined along the last axis; seq yields l_n^a(x[:, cols]) for n < n_max.
 
-    A block holds about `block` doubles (default _util.BLOCK).  Blocks run
-    on up to thread_count() workers.  Columns are independent and the
-    recurrence acts elementwise, so every yielded value, and any contraction
-    that sums down the columns, does not depend on the block size or the
-    thread count."""
+    A block holds about _util.BLOCK doubles.  Blocks run on up to
+    thread_count() workers.  Columns are independent and the recurrence acts
+    elementwise, so every yielded value, and any contraction that sums down
+    the columns, does not depend on the block size or the thread count."""
     # blocks of at least two columns: on a one-column block numpy's axis-0
     # sums turn pairwise and the contractions would change bits
-    blocks = column_blocks(x.shape[0], x.shape[1], min_width=2, block=block)
+    blocks = column_blocks(x.shape[0], x.shape[1], min_width=2)
     parts = parallel_map(
         lambda cols: per_block(cols, laguerre_fn_seq(alpha, x[:, cols], n_max)), blocks)
     return np.concatenate(parts, axis=-1)
 
 
-def _laguerre_rows(alpha, x, n_max, contract, block=None) -> np.ndarray:
+def _laguerre_rows(alpha, x, n_max, contract) -> np.ndarray:
     """Rows contract(l_n^a(x[:, cols]), cols) for n < n_max, as (n_max, K)."""
     return _laguerre_blocks(alpha, x, n_max,
-                            lambda cols, seq: np.array([contract(q, cols) for q in seq]),
-                            block)
+                            lambda cols, seq: np.array([contract(q, cols) for q in seq]))
 
 
 def _synthesize_columns(alpha, taus, values, rs) -> np.ndarray:
@@ -114,18 +112,11 @@ def laguerre_analyze(alpha, tau, f, n_max: int = 128,
                      rule: HalfLineRule | None = None) -> LaguerreCoeffs:
     """Coefficients <f, l_{n,tau}^a> for n < n_max, by quadrature."""
     alpha = _order_value(alpha)
-    tau = _tau_value(tau)
+    tau = positive_value(tau, "tau")
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
-    if isinstance(f, np.ndarray):
-        if rule is None:
-            raise ValueError("passing sampled values requires an explicit rule")
-        vals = f
-    else:
-        hf = as_half_line_function(f)
-        if rule is None:
-            rule = analysis_rule(alpha, (tau, tau), hf, n_max)
-        vals = np.asarray(hf(rule.nodes))
+    vals, rule = _sampled_values(f, rule,
+                                 lambda hf: analysis_rule(alpha, (tau, tau), hf, n_max))
     weighted = rule.weights * vals
     x = np.sqrt(tau) * rule.nodes[:, None]
     coeffs = _laguerre_rows(alpha, x, n_max, lambda q, cols: np.dot(weighted, q[:, 0]))
@@ -134,7 +125,7 @@ def laguerre_analyze(alpha, tau, f, n_max: int = 128,
 
 def laguerre_synthesize(coeffs: LaguerreCoeffs, rs):
     """Evaluate sum_n coeffs[n] l_{n,tau}^a at the points rs > 0."""
-    rs = np.asarray(rs, dtype=float)
+    rs = np.asarray(positive_value(rs, "rs"))
     out = _synthesize_columns(coeffs.alpha, np.array([coeffs.tau]),
                               coeffs.values[:, None], rs.ravel())
     out = out.reshape(rs.shape) * coeffs.tau**0.25

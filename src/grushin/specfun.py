@@ -24,7 +24,7 @@ import numpy as np
 from scipy import special as sp
 from scipy.special import jv
 
-from ._util import column_blocks
+from ._util import column_blocks, positive_value
 
 __all__ = [
     "Order",
@@ -65,7 +65,7 @@ class LaguerreIndex:
         if self.n < 0 or int(self.n) != self.n:
             raise ValueError(f"n must be a nonnegative integer, got {self.n}")
         _order_value(self.alpha, "alpha")
-        _tau_value(self.tau)
+        positive_value(self.tau, "tau")
 
 
 def _order_value(nu, name="order") -> float:
@@ -73,13 +73,6 @@ def _order_value(nu, name="order") -> float:
     if not np.isfinite(nu) or nu <= -1.0:
         raise ValueError(f"{name} must be a finite real > -1, got {nu}")
     return nu
-
-
-def _tau_value(tau) -> float:
-    tau = float(tau)
-    if not np.isfinite(tau) or tau <= 0.0:
-        raise ValueError(f"tau must be a finite real > 0, got {tau}")
-    return tau
 
 
 def log_gamma(x):

@@ -270,3 +270,42 @@ def test_heat_apply_rejects_points_outside_open_quarter_plane(
                  "--output", str(tmp_path / "out.csv")])
     err = capsys.readouterr().err
     assert code == 2 and f"{ppath}:1: " in err and named in err
+
+
+@pytest.mark.parametrize("point, named", [("nan,1,1,1", "r"), ("1,inf,1,1", "s")])
+def test_heat_kernel_rejects_nonfinite_point(capsys, point, named):
+    code = main(["heat-kernel", "--t", "0.5", "--alpha", "0.0", "--beta", "0.0",
+                 "--point", point])
+    out, err = capsys.readouterr()
+    assert code == 2 and out == ""
+    assert f"error [heat-kernel]: ValueError: {named} must be a finite real > 0" in err
+
+
+def test_profiles_rejects_nan_grid(tmp_path, capsys):
+    opath = tmp_path / "p.csv"
+    code = main(["profiles", "--kind", "F1", "--alpha", "0.0", "--beta", "0.0",
+                 "--grid", "lin:nan:1:3", "--output", str(opath)])
+    assert code == 2 and not opath.exists()
+    assert "x_grid[0] must be a finite real > 0, got nan" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["profiles", "--kind", "F2", "--alpha", "-0.9", "--beta", "0.5",
+     "--grid", "lin:10:40:4", "--output", "unused.csv"],
+    ["heat-kernel", "--t", "1e-4", "--alpha", "0.3", "--beta", "0.45",
+     "--point", "1,1,1,1"]])
+def test_rule_size_error_exits_2(tmp_path, capsys, monkeypatch, argv):
+    monkeypatch.chdir(tmp_path)
+    code = main(argv)
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith(
+        f"error [{argv[0]}]: grushin.quadrature.QuadratureError: rule needs ")
+    assert "Traceback" not in err and not (tmp_path / "unused.csv").exists()
+
+
+def test_missing_required_flags_are_named(capsys):
+    code = main(["heat-apply", "--t", "0.5", "--alpha", "0.0"])
+    assert code == 2
+    assert capsys.readouterr().err == (
+        "error: heat-apply: missing required flag(s): --beta, --input, --points, --output\n")

@@ -361,3 +361,24 @@ class TestValidation:
     def test_spectral_symbol(self):
         assert gtransform.spectral_symbol(0.5, 3, 2.0) \
             == laguerre_eigenvalue(0.5, 3) * 2.0
+
+
+@pytest.mark.parametrize("point, message", [
+    ([1.0, -1.0], r"^s\[0\] must be a finite real > 0, got -1.0"),
+    ([np.nan, 1.0], r"^r\[0\] must be a finite real > 0, got nan"),
+    ([1.0, np.inf], r"^s\[0\] must be a finite real > 0, got inf")])
+def test_inverse_rejects_points_outside_open_quarter_plane(point, message):
+    rule = default_tau_rule()
+    sd = SpectralData(0.0, 0.0, rule.nodes, rule.weights, np.ones((2, len(rule.nodes))))
+    with pytest.raises(ValueError, match=message):
+        gtransform.g_inverse(sd, [point])
+
+
+@pytest.mark.parametrize("rs, ss, message", [
+    ([np.nan, 1.0], [1.0], r"^rs\[0\] must be a finite real > 0, got nan"),
+    ([1.0], [1.0, -2.0], r"^ss\[1\] must be a finite real > 0, got -2.0")])
+def test_inverse_grid_rejects_points_outside_open_quarter_plane(rs, ss, message):
+    rule = default_tau_rule()
+    sd = SpectralData(0.0, 0.0, rule.nodes, rule.weights, np.ones((2, len(rule.nodes))))
+    with pytest.raises(ValueError, match=message):
+        gtransform.g_inverse_grid(sd, rs, ss)

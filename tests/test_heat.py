@@ -278,3 +278,51 @@ def test_mehler_kernel_probe():
         total += np.exp(-4 * t * tau * n) * q[0] * q[1]
     assert heat.mehler_kernel(alpha, t, tau, r, u) == pytest.approx(total,
                                                                     abs=1e-12)
+
+
+class TestCoordinateValidation:
+    """NaN, infinite or non-positive coordinates fail before any quadrature."""
+
+    @pytest.mark.parametrize("coords, named", [
+        ((np.nan, 1.0, 1.0, 1.0), "r"), ((1.0, np.inf, 1.0, 1.0), "s"),
+        ((1.0, 1.0, -1.0, 1.0), "u"), ((1.0, 1.0, 1.0, 0.0), "v")])
+    def test_heat_kernel(self, coords, named):
+        hp = HeatParams(0.5, TypePair(0.3, 0.45))
+        with pytest.raises(ValueError, match=f"^{named} must be a finite real > 0"):
+            heat.heat_kernel(hp, *coords)
+
+    @pytest.mark.parametrize("coords, named", [
+        ((-1.0, 1.0, 1.0, 1.0), "r"), ((1.0, 0.0, 1.0, 1.0), "s"),
+        ((1.0, 1.0, np.nan, 1.0), "u")])
+    def test_heat_kernel_half(self, coords, named):
+        with pytest.raises(ValueError, match=f"^{named} must be a finite real > 0"):
+            heat.heat_kernel_half(0.5, *coords)
+
+    @pytest.mark.parametrize("u, v", [(np.nan, 1.0), (1.0, np.nan), (np.inf, 1.0)])
+    def test_weighted_kernel_rejects_nonfinite_u_v(self, u, v):
+        hp = HeatParams(0.5, TypePair(0.3, 0.45))
+        with pytest.raises(ValueError, match="^u, v must be finite reals >= 0"):
+            heat.heat_kernel_weighted(hp, 1.0, 1.0, u, v)
+
+    def test_weighted_kernel_rejects_nan_r(self):
+        hp = HeatParams(0.5, TypePair(0.3, 0.45))
+        with pytest.raises(ValueError, match="^r must be a finite real > 0, got nan"):
+            heat.kernel_at_origin(hp, np.nan, 1.0)
+
+    @pytest.mark.parametrize("route", ["kernel", "spectral"])
+    def test_heat_apply_names_coordinate_and_index(self, route):
+        hp = HeatParams(0.5, TypePair(0.3, 0.2))
+        with pytest.raises(ValueError, match=r"^r\[1\] must be a finite real > 0, got -1.0"):
+            heat.heat_apply(hp, bump_plane(), [[1.5, 2.0], [-1.0, 1.0]], route=route)
+
+    def test_heat_apply_grid(self):
+        hp = HeatParams(0.5, TypePair(0.3, 0.2))
+        rule = build_finite_rule(0.5, 1.5, 0.5)
+        fvals = np.ones((len(rule.nodes), len(rule.nodes)))
+        with pytest.raises(ValueError, match=r"^s\[0\] must be a finite real > 0, got nan"):
+            heat.heat_apply_grid(hp, fvals, rule, rule, [[1.0, np.nan]])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, 0.0])
+    def test_diagonal_profile(self, bad):
+        with pytest.raises(ValueError, match=r"^x_grid\[1\] must be a finite real > 0"):
+            heat.diagonal_profile("F1", TypePair(0.3, 0.2), [0.5, bad, 1.0])

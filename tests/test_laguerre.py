@@ -147,3 +147,26 @@ class TestValidation:
             laguerre.gaussian_coefficient(0.0, -1, 1.0)
         with pytest.raises(ValueError):
             laguerre.gaussian_coefficient(0.0, 0, -1.0)
+
+
+@pytest.mark.parametrize("short_by", [1, None])
+def test_analyze_rejects_samples_off_the_rule(short_by):
+    # a 1-entry array used to broadcast into plausible coefficients, and one
+    # entry too few raised numpy's broadcast error naming no parameter
+    rule = laguerre.analysis_rule(0.0, (1.0, 1.0), power_gaussian_profile(0.0), 16)
+    size = 1 if short_by is None else len(rule.nodes) - short_by
+    with pytest.raises(ValueError, match="^sampled values must match the rule nodes$"):
+        laguerre.laguerre_analyze(0.0, 1.0, np.ones(size), 16, rule=rule)
+
+
+def test_analyze_of_samples_equals_analyze_of_profile():
+    prof = power_gaussian_profile(0.4)
+    rule = laguerre.analysis_rule(0.4, (1.3, 1.3), prof, 12)
+    sampled = laguerre.laguerre_analyze(0.4, 1.3, prof(rule.nodes), 12, rule=rule)
+    assert np.array_equal(sampled.values, laguerre.laguerre_analyze(0.4, 1.3, prof, 12).values)
+
+
+def test_synthesize_rejects_nan_point():
+    coeffs = laguerre.LaguerreCoeffs(0.0, 1.0, np.ones(3))
+    with pytest.raises(ValueError, match=r"^rs\[0\] must be a finite real > 0, got nan"):
+        laguerre.laguerre_synthesize(coeffs, [np.nan, 1.0])
