@@ -13,10 +13,12 @@ import argparse
 import sys
 
 import numpy as np
-from scipy.interpolate import RegularGridInterpolator
+# not called here: perfbench/layers.py patches this name to trace cli.interp
+from scipy.interpolate import RegularGridInterpolator  # noqa: F401
 
 from . import io as gio
-from .gtransform import PlaneFunction, TypePair, g_forward, g_inverse
+from .functions import grid_plane
+from .gtransform import TypePair, g_forward, g_inverse
 from .heat import HeatParams, diagonal_profile, heat_apply, heat_kernel
 from .quadrature import QuadratureError
 from .verify import SUITES, run_suite
@@ -89,13 +91,7 @@ def _merge_config(args):
 
 def _plane_from_grid(path):
     grid, alpha, beta = gio.read_grid(path)
-    interp = RegularGridInterpolator((grid.r_nodes, grid.s_nodes), grid.values,
-                                     method="cubic", bounds_error=False,
-                                     fill_value=0.0)
-    support = ((float(grid.r_nodes[0]), float(grid.r_nodes[-1])),
-               (float(grid.s_nodes[0]), float(grid.s_nodes[-1])))
-    fn = lambda r, s: interp(np.stack(np.broadcast_arrays(r, s), axis=-1))
-    return PlaneFunction(fn=fn, support=support), alpha, beta
+    return grid_plane(grid), alpha, beta
 
 
 def _cmd_gtransform(args):
@@ -137,7 +133,11 @@ def _parse_grid_spec(spec):
         lo, hi, count = float(parts[1]), float(parts[2]), int(parts[3])
     except ValueError:
         raise UsageError(f"--grid has non-numeric pieces: {spec!r}")
+    if count < 1:
+        raise UsageError(f"--grid count must be >= 1, got {count}")
     if parts[0] == "log":
+        if not (lo > 0.0 and hi > 0.0):
+            raise UsageError(f"--grid log bounds must be > 0, got lo={lo}, hi={hi}")
         return np.logspace(np.log10(lo), np.log10(hi), count)
     return np.linspace(lo, hi, count)
 

@@ -16,7 +16,9 @@ the small-tau region where a truncated expansion converges slowly.
 from __future__ import annotations
 
 import numpy as np
+from scipy.interpolate import make_interp_spline
 
+from .diffop import GridFunction2D
 from .gtransform import PlaneFunction
 from .hankel import HalfLineFunction
 
@@ -27,6 +29,7 @@ __all__ = [
     "power_gaussian",
     "packet_plane",
     "bump_plane",
+    "grid_plane",
 ]
 
 
@@ -91,3 +94,38 @@ def bump_plane(r_center=1.8, r_width=1.0, s_center=2.2, s_width=1.2) -> PlaneFun
     fs = smooth_bump(s_center, s_width)
     return _boxed(fr, fs, (r_center - r_width, r_center + r_width),
                   (s_center - s_width, s_center + s_width))
+
+
+def grid_plane(grid: GridFunction2D, support=None) -> PlaneFunction:
+    """The exact not-a-knot bicubic spline through a grid's values, zero off
+    the grid box.  support defaults to that box.
+
+    The spline is evaluated only on an outer product, r of shape (m, 1) and
+    s of shape (1, n), which is how every transform samples f: the r-spline,
+    fitted once, gives the rows at r, and a not-a-knot fit along s through
+    those rows gives the values at s.  Fitting separably solves the tensor
+    spline's equations exactly.
+    """
+    r_nodes, s_nodes = grid.r_nodes, grid.s_nodes
+    r_spline = make_interp_spline(r_nodes, grid.values, k=3, axis=0)
+
+    def fn(r, s):
+        r, s = np.asarray(r, dtype=float), np.asarray(s, dtype=float)
+        if r.ndim != 2 or r.shape[1] != 1 or s.ndim != 2 or s.shape[0] != 1:
+            raise ValueError("a grid plane is evaluated on an outer product: r "
+                             f"of shape (m, 1) and s of shape (1, n), got r "
+                             f"{r.shape} and s {s.shape}")
+        r, s = r[:, 0], s[0]
+        r_in = (r >= r_nodes[0]) & (r <= r_nodes[-1])
+        s_in = (s >= s_nodes[0]) & (s <= s_nodes[-1])
+        out = np.zeros((r.size, s.size))
+        if r_in.any() and s_in.any():
+            rows = r_spline(r[r_in])                           # (m_in, len(s_nodes))
+            out[np.ix_(r_in, s_in)] = make_interp_spline(
+                s_nodes, rows, k=3, axis=1)(s[s_in])
+        return out
+
+    if support is None:
+        support = ((float(r_nodes[0]), float(r_nodes[-1])),
+                   (float(s_nodes[0]), float(s_nodes[-1])))
+    return PlaneFunction(fn=fn, support=support)

@@ -65,9 +65,11 @@ class TypePair:
 class PlaneFunction:
     """Evaluable function on the open quarter plane.
 
-    fn must broadcast over numpy arrays.  support, when given, is a box
-    ((r_lo, r_hi), (s_lo, s_hi)); otherwise f is truncated as a unit
-    gaussian in both variables.
+    fn must broadcast over numpy arrays.  Every library caller evaluates it
+    on an outer product, r of shape (m, 1) and s of shape (1, n), and the
+    grid plane of a grid file (functions.grid_plane) accepts only that.
+    support, when given, is a box ((r_lo, r_hi), (s_lo, s_hi)); otherwise f
+    is truncated as a unit gaussian in both variables.
     """
 
     fn: Callable[[np.ndarray, np.ndarray], np.ndarray]

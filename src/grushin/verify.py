@@ -13,11 +13,10 @@ import time
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.interpolate import RegularGridInterpolator
 from scipy.special import gammaln, jv
 
 from . import diffop, gtransform, heat, hankel, laguerre, quadrature, specfun
-from .functions import (packet_plane, power_gaussian,
+from .functions import (grid_plane, packet_plane, power_gaussian,
                         power_gaussian_profile, smooth_bump, wave_packet)
 from .gtransform import TypePair
 
@@ -279,12 +278,8 @@ def check_intertwining(scale=1.0):
     phi = lambda r, s: fr(r) * fs(s)
     grid = diffop.grid_from_function(phi, (0.25, 4.0), (0.25, 4.0), h)
     gphi = diffop.apply_G_circ(tp.alpha, tp.beta, grid)
-    interp = RegularGridInterpolator((gphi.r_nodes, gphi.s_nodes), gphi.values,
-                                     method="cubic")
     box = ((0.8, 2.6), (1.1, 3.3))
-    gphi_fn = gtransform.PlaneFunction(
-        fn=lambda r, s: interp(np.stack(np.broadcast_arrays(r, s), axis=-1)),
-        support=box)
+    gphi_fn = grid_plane(gphi, support=box)
     phi_fn = gtransform.PlaneFunction(fn=phi, support=box)
     n_max = 64
     lhs = gtransform.g_forward(tp, gphi_fn, n_max=n_max)

@@ -10,8 +10,8 @@ from grushin import io as gio
 from grushin.cli import main
 from grushin.diffop import GridFunction2D
 from grushin.functions import wave_packet
-from grushin.gtransform import SpectralData, default_tau_rule
-from grushin.heat import heat_kernel_half
+from grushin.gtransform import PlaneFunction, SpectralData, TypePair, default_tau_rule
+from grushin.heat import HeatParams, heat_apply, heat_kernel_half
 
 
 @pytest.fixture
@@ -85,6 +85,29 @@ def test_heat_apply_routes_agree(tmp_path, packet_grid_file):
                 if not ln.startswith("#")]
         outs.append(np.array([float(r[2]) for r in rows]))
     assert np.max(np.abs(outs[0] - outs[1]) / np.abs(outs[0])) < 1e-3
+
+
+@pytest.mark.parametrize("route", ["kernel", "spectral"])
+def test_heat_apply_of_a_grid_file_matches_the_analytic_packet(
+        tmp_path, packet_grid_file, route):
+    # the grid file's spline stands in for the packet it samples: the heat
+    # flow of both agree to far below the interpolation error of a pointwise
+    # cubic (the packet is cut to the grid box in both)
+    fpath, grid = packet_grid_file
+    pts = np.array([[2.0, 3.0], [1.6, 2.6], [2.4, 3.7]])
+    ppath = tmp_path / "pts.csv"
+    ppath.write_text("".join(f"{r:.17g},{s:.17g}\n" for r, s in pts))
+    opath = tmp_path / "out.csv"
+    assert main(["heat-apply", "--t", "0.5", "--alpha", "0.4", "--beta", "0.25",
+                 "--input", str(fpath), "--points", str(ppath), "--route", route,
+                 "--output", str(opath)]) == 0
+    got = np.array([float(ln.split(",")[2]) for ln in opath.read_text().splitlines()
+                    if not ln.startswith("#")])
+    fr, fs = wave_packet(2.0, 0.6, 3.0), wave_packet(3.2, 0.9, 5.5)
+    box = ((grid.r_nodes[0], grid.r_nodes[-1]), (grid.s_nodes[0], grid.s_nodes[-1]))
+    packet = PlaneFunction(fn=lambda r, s: fr(r) * fs(s), support=box)
+    want = heat_apply(HeatParams(0.5, TypePair(0.4, 0.25)), packet, pts, route=route)
+    assert np.max(np.abs(got - want)) < 1e-7 * np.max(np.abs(want))
 
 
 def _data_rows(path):
@@ -194,6 +217,29 @@ def test_bad_grid_spec(tmp_path):
     code = main(["profiles", "--kind", "F1", "--alpha", "0.0", "--beta", "0.0",
                  "--grid", "weird:1:2:3", "--output", str(tmp_path / "x.csv")])
     assert code == 2
+
+
+@pytest.mark.parametrize("spec", ["lin:1:2:0", "log:1:2:0", "lin:1:2:-3"])
+def test_grid_count_below_one_is_usage_error(tmp_path, capsys, spec):
+    opath = tmp_path / "p.csv"
+    code = main(["profiles", "--kind", "F1", "--alpha", "0.3", "--beta", "0.2",
+                 "--grid", spec, "--output", str(opath)])
+    assert code == 2 and not opath.exists()
+    err = capsys.readouterr().err
+    assert err.startswith("error: --grid count must be >= 1, got ")
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("spec", ["log:0:1:5", "log:-1:1:5", "log:1e-3:0:5",
+                                  "log:nan:1:5"])
+def test_log_grid_bounds_must_be_positive(tmp_path, capsys, spec):
+    opath = tmp_path / "p.csv"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(["profiles", "--kind", "F1", "--alpha", "0.3", "--beta", "0.2",
+                     "--grid", spec, "--output", str(opath)])
+    assert code == 2 and not opath.exists()
+    assert capsys.readouterr().err.startswith("error: --grid log bounds must be > 0, got lo=")
 
 
 def test_thread_env_var_validation(monkeypatch):
