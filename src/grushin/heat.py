@@ -7,30 +7,31 @@ integral operator with kernel
         exp(-tau (r^2+u^2) / (2 tanh 2t tau))
         I_a(tau r u / sinh 2t tau) tau^2 / sinh(2t tau) d tau.
 
-The exponential and the modified Bessel factor are always evaluated as
-exp(combined exponent) * e^-x I_a(x); the combined exponent
-
-  -tau [(r^2+u^2) cosh(2t tau) - 2 r u] / (2 sinh 2t tau)
-
-is <= 0, so nothing overflows.  The kernel is symmetric under
-(r,s) <-> (u,v) and obeys the parabolic scaling
+The exponential and the modified Bessel factor are evaluated as
+exp(combined exponent) * I_a(x)/x^a with x = tau r u / sinh 2t tau.  The
+exponent takes x^a, sqrt(r u) and tau^2 / sinh 2t tau from logs, so neither
+e^x nor an underflowed r u is ever formed.  I_a(x)/x^a is its power series
+below x = 15; past it, scipy's e^-x I_a(x) with e^x moved into the
+exponent, where it meets the exponential in
+-tau [(r^2+u^2) cosh(2t tau) - 2 r u] / (2 sinh 2t tau) <= 0.
+The kernel is symmetric under (r,s) <-> (u,v) and obeys the parabolic scaling
 K_t = t^(-3/2) K_1((r/sqrt t, s/t), (u/sqrt t, v/t)).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.special import gammaln, ive
 
 from ._util import column_blocks, parallel_map, positive_value
 from .gtransform import (Multiplier, TypePair, _points_array, as_plane_function,
                          functional_calculus)
 from .quadrature import (HalfLineRule, TruncationPolicy, build_finite_rule, build_rule,
                          truncation_point)
-from .specfun import bessel_i_normalized, bessel_j_normalized, bessel_j_table
+from .specfun import bessel_i_normalized_exp, bessel_j_normalized, bessel_j_table
 
 __all__ = [
     "HeatParams",
@@ -88,14 +89,28 @@ def _coth(y):
     return np.where(y < 300.0, 1.0 / np.tanh(np.minimum(y, 300.0)), 1.0)
 
 
-def _kernel_core(hp: HeatParams, tau, r, u):
-    """exp(-tau(r^2+u^2)/(2 tanh y)) I_a(tau r u / sinh y) tau^2 / sinh y
-    for y = 2 t tau, via the scaled Bessel pairing.  Broadcasts over inputs."""
-    y = 2.0 * hp.t * tau
-    inv = _inv_sinh(y)
-    x = tau * r * u * inv
-    expo = -0.5 * tau * (r * r + u * u) * _coth(y) + x
-    return ive(hp.alpha, x) * np.exp(expo) * tau * tau * inv
+def _log_inv_sinh(y):
+    # log(1/sinh y) for y > 0, also where sinh overflows
+    return math.log(2.0) - y - np.log(-np.expm1(-2.0 * y))
+
+
+def _kernel_core(alpha, t, tau, r, u, log_scale):
+    """sqrt(r u) exp(-tau(r^2+u^2)/(2 tanh y)) I_a(x) exp(log_scale) / sinh y
+    for y = 2 t tau and x = tau r u / sinh y; the kernel's tau integrand
+    without its J_b factors at log_scale = log tau^2.  Broadcasts over tau,
+    r, u and log_scale.
+
+    x^a sqrt(r u) / sinh y is taken from log tau + log r + log u, so r u
+    below the double range keeps its power law; x itself only enters the
+    series of I_a(x)/x^a through x^2, where an underflow to 0 is exact."""
+    y = 2.0 * t * tau
+    log_inv = _log_inv_sinh(y)
+    log_ru = np.log(r) + np.log(u)
+    x = tau * np.exp(log_inv) * (r * u)
+    expo = -0.5 * tau * _coth(y) * (r * r + u * u) \
+        + (alpha * np.log(tau) + (alpha + 1.0) * log_inv + log_scale) \
+        + (alpha + 0.5) * log_ru
+    return bessel_i_normalized_exp(alpha, x, expo)
 
 
 def heat_kernel(hp: HeatParams, r, s, u, v,
@@ -106,8 +121,8 @@ def heat_kernel(hp: HeatParams, r, s, u, v,
         rule = kernel_tau_rule(hp, freq=max(s, v))
     tau = rule.nodes
     integrand = bessel_j_table(hp.beta, tau * s) * bessel_j_table(hp.beta, tau * v) \
-        * _kernel_core(hp, tau, r, u)
-    return float(np.sqrt(r * u * s * v) * np.dot(rule.weights, integrand))
+        * _kernel_core(hp.alpha, hp.t, tau, r, u, 2.0 * np.log(tau))
+    return float(np.sqrt(s * v) * np.dot(rule.weights, integrand))
 
 
 def heat_kernel_half(t: float, r, s, u, v, variant: str = "cosh") -> float:
@@ -158,28 +173,14 @@ def _weighted_kernel(hp, r, s, u, v, rule):
     tau = rule.nodes
     y = 2.0 * hp.t * tau
     inv = _inv_sinh(y)
-    head = bessel_j_normalized(hp.beta, tau * s)
-    if u == 0.0:
-        # the constant is the joint small-argument limit of I_a(x)/x^a ->
-        # 2^-a/Gamma(a+1) and J_b(y)/y^b -> 2^-b/Gamma(b+1); it is pinned
-        # down by agreement with the u, v > 0 branch as (u, v) -> 0
-        head = head * np.exp(-0.5 * tau * r * r * _coth(y))
-        const = 2.0 ** (-hp.alpha - hp.beta) \
-            * np.exp(-gammaln(hp.alpha + 1.0) - gammaln(hp.beta + 1.0))
-    else:
-        x = tau * r * u * inv
-        expo = -0.5 * tau * (r * r + u * u) * _coth(y)
-        small = x < 1.0
-        with np.errstate(over="ignore"):
-            i_part = np.where(
-                small,
-                bessel_i_normalized(hp.alpha, np.where(small, x, 1.0)) * np.exp(expo),
-                ive(hp.alpha, np.where(small, 1.0, x))
-                * np.where(small, 1.0, x) ** (-hp.alpha) * np.exp(expo + x))
-        head = head * bessel_j_normalized(hp.beta, tau * v) * i_part
-        const = 1.0
-    integrand = head * (tau * inv) ** (hp.alpha + 1.0) * tau ** (2.0 * hp.beta + 1.0)
-    return float(const * np.dot(rule.weights, integrand))
+    # at u = v = 0 the normalized Bessel factors take their limits
+    # 2^-b/Gamma(b+1) and 2^-a/Gamma(a+1)
+    expo = -0.5 * tau * (r * r + u * u) * _coth(y)
+    integrand = bessel_j_normalized(hp.beta, tau * s) \
+        * bessel_j_normalized(hp.beta, tau * v) \
+        * bessel_i_normalized_exp(hp.alpha, tau * r * u * inv, expo) \
+        * (tau * inv) ** (hp.alpha + 1.0) * tau ** (2.0 * hp.beta + 1.0)
+    return float(np.dot(rule.weights, integrand))
 
 
 def mehler_kernel(alpha, t, tau, r, u) -> float:
@@ -188,10 +189,8 @@ def mehler_kernel(alpha, t, tau, r, u) -> float:
         e^(2 t tau (a+1)) / sinh(2 t tau) * exp(-tau(r^2+u^2)/(2 tanh 2t tau))
         * sqrt(tau r u) * I_a(tau r u / sinh 2t tau).
     """
-    y = 2.0 * t * tau
-    x = tau * r * u * _inv_sinh(y)
-    expo = 2.0 * t * tau * (alpha + 1.0) - 0.5 * tau * (r * r + u * u) * _coth(y) + x
-    return float(ive(alpha, x) * np.exp(expo) * _inv_sinh(y) * np.sqrt(tau * r * u))
+    log_scale = 2.0 * t * tau * (alpha + 1.0) + 0.5 * np.log(tau)
+    return float(_kernel_core(alpha, t, tau, r, u, log_scale))
 
 
 def heat_apply(hp: HeatParams, f, points, route: str = "kernel", n_max: int = 96):
@@ -243,23 +242,38 @@ def _kernel_route(hp, fvals, urule, vrule, pts, trule):
     tau = trule.nodes
     un, uw = urule.nodes, urule.weights
     vn, vw = vrule.nodes, vrule.weights
-    j_v = bessel_j_table(hp.beta, tau[:, None] * vn[None, :]) * np.sqrt(vn)[None, :]
-    weighted_jv = j_v * vw[None, :]                            # (K, nv)
+
+    # the Hankel transform in s first, shared by every point:
+    # h(tau, u) = w_u sum_v w_v sqrt(v) J_b(tau v) f(u, v), in tau-row
+    # blocks of at least 64 rows, so that a block times f stays a matrix
+    # product even when n_v alone fills a block
+    h = np.empty((len(tau), len(un)))
+    weighted_v = np.sqrt(vn) * vw
+
+    def hankel_rows(rows):
+        jv_rows = bessel_j_table(hp.beta, tau[rows, None] * vn[None, :])
+        jv_rows *= weighted_v
+        h[rows] = jv_rows @ fvals.T
+
+    parallel_map(hankel_rows, column_blocks(len(vn), len(tau), min_width=64))
+    h *= uw
 
     # the s kernel columns are shared by every r group
     s_unique, s_col = np.unique(pts[:, 1], return_inverse=True)
     j_s = bessel_j_table(hp.beta, tau[:, None] * s_unique[None, :]) \
         * np.sqrt(s_unique)[None, :] * trule.weights[:, None]  # (K, nsu)
-
+    core_rows = column_blocks(len(un), len(tau))
     out = np.empty(len(pts))
 
     def run_group(item):
         r, idxs = item
-        core = _kernel_core(hp, tau[:, None], r, un[None, :]) \
-            * np.sqrt(un)[None, :] * uw[None, :]               # (K, nu)
-        mixed = core @ fvals                                   # (K, nv)
-        b = np.sum(mixed * weighted_jv, axis=1)                # (K,)
-        vals = np.sqrt(r) * (b @ j_s)                          # (nsu,)
+        b = np.empty(len(tau))
+        for rows in core_rows:
+            tau_rows = tau[rows, None]
+            core = _kernel_core(hp.alpha, hp.t, tau_rows, r, un[None, :],
+                                2.0 * np.log(tau_rows))
+            b[rows] = np.einsum("ij,ij->i", core, h[rows])
+        vals = b @ j_s                                         # (nsu,)
         out[idxs] = vals[s_col[idxs]]
 
     groups: dict[float, list[int]] = {}
@@ -289,11 +303,14 @@ def diagonal_profile(kind: str, tp: TypePair, x_grid) -> np.ndarray:
     policy = TruncationPolicy(abs_tol=1e-12, decay_hint="exponential",
                               rate=rate, freq_bound=freq)
     rule = build_rule(policy)
-    tau, hp = rule.nodes, HeatParams(0.5, tp)
+    tau = rule.nodes
+    log_tau2 = 2.0 * np.log(tau)
     out = np.empty(len(x_grid))
     for cols in column_blocks(len(tau), len(x_grid)):
         x = x_grid[cols, None]
         s, r = (x, 1.0) if kind == "F1" else (1.0, x)
-        table = bessel_j_table(tp.beta, tau * s) ** 2 * _kernel_core(hp, tau, r, r)
+        # the core carries sqrt(r u) = r, which F2 leaves out
+        table = bessel_j_table(tp.beta, tau * s) ** 2 \
+            * _kernel_core(tp.alpha, 0.5, tau, r, r, log_tau2 - np.log(r))
         out[cols] = table @ rule.weights
     return out

@@ -22,7 +22,7 @@ from typing import Iterator
 
 import numpy as np
 from scipy import special as sp
-from scipy.special import jv
+from scipy.special import ive, jv
 
 from ._util import column_blocks, positive_value
 
@@ -244,36 +244,106 @@ def bessel_i_scaled(nu, x):
 _SMALL_ARG = 1e-6
 
 
-def _normalized_series(nu, x, sign):
+def _j_normalized_series(nu, x):
     # J_nu(x)/x^nu = 2^-nu/Gamma(nu+1) (1 - y/(nu+1) + y^2/(2(nu+1)(nu+2)) - ...),
-    # y = x^2/4; three terms leave a relative error ~ y^3/6 < 1e-40 for x < 1e-6.
-    # sign = +1 gives the series of I_nu(x)/x^nu (all plus signs)
+    # y = x^2/4; three terms leave a relative error ~ y^3/6 < 1e-40 for x < 1e-6
     y = 0.25 * x * x
     c0 = np.exp(-nu * np.log(2.0) - sp.gammaln(nu + 1.0))
-    return c0 * (1.0 + sign * y / (nu + 1.0) + y * y / (2.0 * (nu + 1.0) * (nu + 2.0)))
+    return c0 * (1.0 - y / (nu + 1.0) + y * y / (2.0 * (nu + 1.0) * (nu + 2.0)))
 
 
-def _normalized(nu, x, sign, bessel):
-    # bessel(nu, x)/x^nu past _SMALL_ARG, the series below it
+def _normalized_args(nu, x):
     nu = _order_value(nu)
     x = np.asarray(x, dtype=float)
     if np.any(x < 0.0):
         raise ValueError("bessel argument must be >= 0")
-    small = x < _SMALL_ARG
-    xs = np.where(small, 1.0, x)
-    with np.errstate(invalid="ignore"):
-        out = np.where(small, _normalized_series(nu, x, sign), bessel(nu, xs) / xs**nu)
-    return float(out) if out.ndim == 0 else out
+    return nu, x
 
 
 def bessel_j_normalized(nu, x):
     """J_nu(x)/x^nu, extended by continuity to 2^-nu/Gamma(nu+1) at x = 0."""
-    return _normalized(nu, x, -1.0, bessel_j_table)
+    nu, x = _normalized_args(nu, x)
+    small = x < _SMALL_ARG
+    xs = np.where(small, 1.0, x)
+    out = np.where(small, _j_normalized_series(nu, x), bessel_j_table(nu, xs) / xs**nu)
+    return float(out) if out.ndim == 0 else out
 
 
 def bessel_i_normalized(nu, x):
     """I_nu(x)/x^nu, extended by continuity to 2^-nu/Gamma(nu+1) at x = 0."""
-    return _normalized(nu, x, 1.0, sp.iv)
+    nu, x = _normalized_args(nu, x)
+    out = bessel_i_normalized_exp(nu, x, 0.0)
+    return float(out) if out.ndim == 0 else out
+
+
+# I_nu(x)/x^nu is summed as its power series up to this argument and taken
+# from scipy's ive past it
+_I_SERIES_CUT = 15.0
+
+
+def _i_series_terms(nu, q):
+    """Least n for which the terms of sum_k q^k / (k! (nu+1)_k) from the
+    n-th on add up to at most 2^-53 of the first n.  Once the ratio
+    q/((n+1)(nu+n+1)) of successive terms is <= 1/2 (it falls with n), that
+    remainder is at most twice the n-th term.  n grows with q."""
+    n, term, total = 1, 1.0, 1.0
+    while True:
+        term *= q / (n * (nu + n))
+        if term <= 2.0**-54 * total and q <= 0.5 * (n + 1) * (nu + n + 1):
+            return n
+        total += term
+        n += 1
+
+
+@lru_cache(maxsize=64)
+def _i_series_coefficients(nu):
+    """1/(k! (nu+1)_k) for every k the series needs up to x = _I_SERIES_CUT."""
+    coef = [1.0]
+    for k in range(1, _i_series_terms(nu, 0.25 * _I_SERIES_CUT**2)):
+        coef.append(coef[-1] / (k * (nu + k)))
+    return tuple(coef)
+
+
+def _i_series(nu, x, log_factor):
+    # Horner's rule on the terms the largest x needs; every term is
+    # positive, so the sum has no cancellation
+    coef = _i_series_coefficients(nu)
+    q = 0.25 * x * x
+    # the count for the largest q, capped at the cut's (an x = -inf passes
+    # the mask) and at len(coef) (the count grows with q only up to rounding)
+    q_max = min(float(q.max(initial=0.0)), 0.25 * _I_SERIES_CUT**2)
+    n = min(_i_series_terms(nu, q_max), len(coef))
+    s = np.full_like(q, coef[n - 1])
+    for c in reversed(coef[:n - 1]):
+        s *= q
+        s += c
+    s *= np.exp(log_factor - nu * math.log(2.0) - math.lgamma(nu + 1.0))
+    return s
+
+
+def bessel_i_normalized_exp(nu, x, log_factor):
+    """I_nu(x)/x^nu * exp(log_factor) for x >= 0 and a real order nu > -1
+    (not validated here); x and log_factor broadcast together.
+
+    Up to x = _I_SERIES_CUT, the power series of I_nu(x)/x^nu, with its
+    prefactor 2^-nu/Gamma(nu+1) folded into exp(log_factor): no e^x is
+    formed, so nothing overflows, and x = 0 gives the limit.  The number of
+    terms follows from the largest x taken (at most 30 at the cut).  Past
+    the cut, scipy's ive(nu, x) exp(log_factor + x - nu log x).
+
+    A caller whose x may underflow passes it as it is and adds nu log x,
+    summed from finite logs, to log_factor: the series only needs x^2."""
+    x, log_factor = np.broadcast_arrays(np.asarray(x, dtype=float),
+                                        np.asarray(log_factor, dtype=float))
+    series = x <= _I_SERIES_CUT
+    if series.all():
+        return _i_series(nu, x, log_factor)
+    out = np.empty(x.shape)
+    big = ~series
+    out[big] = ive(nu, x[big]) * np.exp(log_factor[big] + x[big] - nu * np.log(x[big]))
+    if series.any():
+        out[series] = _i_series(nu, x[series], log_factor[series])
+    return out
 
 
 def laguerre_poly(n, alpha, x):

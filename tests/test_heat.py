@@ -54,6 +54,28 @@ class TestKernelBasics:
         assert np.isfinite(val) and val > 0.0
 
 
+class TestTinyCoordinates:
+    """K_t((e,1),(e,1)) ~ C e^(2a+1) as e -> 0, down to r u below the double
+    range; tolerance fixed before the code: 1e-12 relative."""
+
+    @pytest.mark.parametrize("ab", [(-0.5, -0.5), (0.3, 0.45), (0.4, -0.9),
+                                    (-0.9, 0.5), (0.0, 0.0)])
+    def test_power_law(self, ab):
+        hp = HeatParams(0.5, TypePair(*ab))
+        power = 2.0 * ab[0] + 1.0
+
+        def scaled(eps):
+            return heat.heat_kernel(hp, eps, 1.0, eps, 1.0) / eps**power
+
+        want = scaled(1e-8)
+        # every eps at which the true value is a normal double
+        epss = [eps for eps in (1e-60, 1e-120, 1e-160, 1e-170)
+                if abs(want) * eps**power > np.finfo(float).tiny]
+        assert len(epss) == 4
+        for eps in epss:
+            assert scaled(eps) == pytest.approx(want, rel=1e-12), eps
+
+
 class TestHalfIntegerKernel:
     def test_scaling_law_inherited(self):
         t = 0.7
@@ -190,6 +212,32 @@ class TestHeatApply:
         monkeypatch.setenv("GRUSHIN_THREADS", "4")
         threaded = heat.heat_apply(hp, f, pts, route="kernel")
         assert np.array_equal(serial, threaded)
+
+
+def test_kernel_route_memory_stays_below_one_tau_by_v_table(monkeypatch):
+    # the route contracts f with the J_b(tau v) columns in tau-row blocks,
+    # so no (K, n_v) table is ever formed (K tau nodes, n_v v nodes)
+    import tracemalloc
+
+    from grushin.functions import packet_plane
+    sizes = {}
+    route = heat._kernel_route
+
+    def recording_route(hp, fvals, urule, vrule, pts, trule):
+        sizes["K"], sizes["n_v"] = len(trule.nodes), len(vrule.nodes)
+        return route(hp, fvals, urule, vrule, pts, trule)
+
+    monkeypatch.setattr(heat, "_kernel_route", recording_route)
+    hp = HeatParams(0.3, TypePair(-0.5, 0.5))
+    tracemalloc.start()
+    try:
+        out = heat.heat_apply(hp, packet_plane(), [[1.5, 2.0], [2.5, 3.0]], route="kernel")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.all(np.isfinite(out))
+    assert (sizes["K"], sizes["n_v"]) == (1776, 2496)
+    assert peak < 8 * sizes["K"] * sizes["n_v"]
 
 
 def diagonal_profile_per_x_reference(kind, tp, x_grid):

@@ -123,6 +123,57 @@ class TestNormalizedKernels:
             assert np.allclose(got_j, want_j, rtol=1e-10)
 
 
+class TestBesselINormalizedExp:
+    """I_nu(x)/x^nu exp(log_factor): power series up to the cut, scipy's
+    ive past it.  Tolerances fixed before the code: 1e-14 relative against
+    mpmath below the cut; at nu = 3.5, below ive's own error there."""
+
+    ORDERS = (-0.9, -0.5, 0.0, 0.25, 0.4, 0.5, 0.9, 1.2)
+    X = np.geomspace(1e-8, specfun._I_SERIES_CUT, 150)
+
+    @staticmethod
+    def mp_normalized(nu, x):
+        return np.array([float(mpmath.besseli(nu, t) / t**nu) for t in map(mpmath.mpf, x)])
+
+    @pytest.mark.parametrize("nu", ORDERS)
+    def test_series_against_mpmath(self, nu):
+        want = self.mp_normalized(nu, self.X)
+        got = specfun.bessel_i_normalized_exp(nu, self.X, 0.0)
+        assert np.max(np.abs(got - want) / want) < 1e-14
+        # log_factor = nu log x gives I_nu(x) itself
+        want_i = np.array([float(mpmath.besseli(nu, t)) for t in map(mpmath.mpf, self.X)])
+        got_i = specfun.bessel_i_normalized_exp(nu, self.X, nu * np.log(self.X))
+        assert np.max(np.abs(got_i - want_i) / want_i) < 1e-14
+
+    def test_high_order_beats_scipy_ive(self):
+        nu = 3.5
+        got = specfun.bessel_i_normalized_exp(nu, self.X, 0.0)
+        want = self.mp_normalized(nu, self.X)
+        want_ive = np.array([float(mpmath.besseli(nu, t) * mpmath.exp(-t))
+                             for t in map(mpmath.mpf, self.X)])
+        err_ive = np.max(np.abs(sp.ive(nu, self.X) - want_ive) / want_ive)
+        assert np.max(np.abs(got - want) / want) < err_ive
+
+    @pytest.mark.parametrize("nu", (-0.9, 0.0, 0.4, 3.5))
+    def test_past_the_cut_is_scaled_ive(self, nu):
+        x = np.array([np.nextafter(specfun._I_SERIES_CUT, np.inf), 20.0, 90.0, 700.0])
+        log_factor = np.array([0.3, -25.0, -90.0, -690.0])
+        want = sp.ive(nu, x) * np.exp(log_factor + x - nu * np.log(x))
+        assert np.array_equal(specfun.bessel_i_normalized_exp(nu, x, log_factor), want)
+
+    @pytest.mark.parametrize("nu", ORDERS)
+    def test_large_argument_scaled_by_exp_minus_x_is_finite(self, nu):
+        x = 1e3
+        got = specfun.bessel_i_normalized_exp(nu, x, nu * np.log(x) - x)
+        assert np.isfinite(got) and got == pytest.approx(sp.ive(nu, x), rel=1e-13)
+
+    @pytest.mark.parametrize("nu", ORDERS)
+    def test_zero_gives_the_limit(self, nu):
+        const = 2.0**-nu / math.gamma(nu + 1.0)
+        got = specfun.bessel_i_normalized_exp(nu, np.array([0.0, 1e-200]), 0.5)
+        assert np.allclose(got, const * np.exp(0.5), rtol=1e-15, atol=0.0)
+
+
 class TestBesselJTable:
     ORDERS = (-0.9, -0.5, 0.0, 0.25, 0.45, 0.5, 1.3, 3.0, 5.0, 8.0, 12.0)
 

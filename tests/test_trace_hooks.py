@@ -46,6 +46,11 @@ def test_instrument_counts_each_layer_and_restores(monkeypatch):
         out = heat.heat_apply(hp, bump_plane(), [[1.5, 2.0], [2.0, 2.4]], route="kernel")
         assert out.shape == (2,) and np.all(np.isfinite(out))
         assert np.isfinite(heat.heat_kernel(hp, 1.0, 1.0, 1.0, 1.0))
+        # the Bessel arguments above stay in the I_a series; this one
+        # (tau r u / sinh 2t tau tends to r u / 2t = 90 as tau -> 0)
+        # reaches scipy's ive past the series cut
+        assert np.isfinite(heat.heat_kernel(HeatParams(0.05, TypePair(0.3, 0.2)),
+                                            3.0, 1.0, 3.0, 1.0))
         sd = gtransform.g_forward(TypePair(0.5, 0.5), power_gaussian(0.5, 0.5), n_max=4)
         assert sd.n_max == 4
     finally:
