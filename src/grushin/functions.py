@@ -68,7 +68,8 @@ def power_gaussian(alpha: float, beta: float) -> PlaneFunction:
     a, b = float(alpha), float(beta)
     return PlaneFunction(
         fn=lambda r, s: r ** (a + 0.5) * s ** (b + 0.5)
-        * np.exp(-0.5 * (r * r + s * s)))
+        * np.exp(-0.5 * (r * r + s * s)),
+        profiles=(power_gaussian_profile(a), power_gaussian_profile(b)))
 
 
 def _boxed(fr, fs, r_span, s_span) -> PlaneFunction:

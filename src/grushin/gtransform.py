@@ -25,7 +25,7 @@ import numpy as np
 
 from ._util import positive_value
 from .hankel import (HalfLineFunction, _liouville_kernel, as_half_line_function,
-                     hankel_liouville, rule_for_function)
+                     rule_for_function)
 from .laguerre import _laguerre_rows, _synthesize_columns, analysis_rule
 from .quadrature import HalfLineRule, build_finite_rule
 from .specfun import _order_value, laguerre_eigenvalue, laguerre_fn_seq
@@ -68,19 +68,30 @@ class PlaneFunction:
     fn must broadcast over numpy arrays.  Every library caller evaluates it
     on an outer product, r of shape (m, 1) and s of shape (1, n), and the
     grid plane of a grid file (functions.grid_plane) accepts only that.
-    support, when given, is a box ((r_lo, r_hi), (s_lo, s_hi)); otherwise f
-    is truncated as a unit gaussian in both variables.
+    support is a box ((r_lo, r_hi), (s_lo, s_hi)); profiles, a pair of
+    HalfLineFunction with the hints for f in r and in s (not both).  With
+    neither, f is truncated as a unit gaussian in both variables.
     """
 
     fn: Callable[[np.ndarray, np.ndarray], np.ndarray]
     support: Optional[Tuple[Tuple[float, float], Tuple[float, float]]] = None
+    profiles: Optional[Tuple[HalfLineFunction, HalfLineFunction]] = None
+
+    def __post_init__(self):
+        pair = self.profiles
+        if pair is not None and self.support is not None:
+            raise ValueError("give support or profiles, not both")
+        if pair is not None and not (isinstance(pair, tuple) and len(pair) == 2
+                                     and all(isinstance(p, HalfLineFunction) for p in pair)):
+            raise TypeError("profiles must be a pair (r, s) of HalfLineFunction")
 
     def __call__(self, r, s):
         return self.fn(r, s)
 
     def axis_profile(self, axis: int) -> HalfLineFunction:
-        """Integration hints for one variable (the eval slot is a placeholder;
-        rule construction never calls it)."""
+        """Integration hints for one variable (profiles[axis], else the support)."""
+        if self.profiles is not None:
+            return self.profiles[axis]
         span = None if self.support is None else tuple(self.support[axis])
         return HalfLineFunction(fn=lambda x: x, support=span)
 
@@ -154,28 +165,21 @@ def default_tau_rule(upper: float = 12.0, panels: int = 32,
                              endpoint_exponent=endpoint_exponent)
 
 
-def _forward_setup(tp: TypePair, n_max: int, tau_rule, r_prof: HalfLineFunction):
-    """Set-up shared by the forward variants: the tau rule, the r-rule and the
-    Laguerre arguments sqrt(tau) r on the (r-node, tau-node) tensor."""
+def _plane_setup(tp: TypePair, f, n_max: int, tau_rule):
+    """The tau rule, the r-rule weights, f on the (r, s) tensor rule, the
+    s-weighted Hankel kernel (ns, K) and the Laguerre arguments sqrt(tau) r
+    on the (r-node, tau-node) tensor."""
+    f = as_plane_function(f)
     if tau_rule is None:
         tau_rule = default_tau_rule(endpoint_exponent=min(2.0 * tp.beta + 1.0, 0.0))
     tg = tau_rule.nodes
-    r_rule = analysis_rule(tp.alpha, (tg[0], tg[-1]), r_prof, n_max)
-    return tau_rule, r_rule, np.sqrt(tg)[None, :] * r_rule.nodes[:, None]
-
-
-def _plane_setup(tp: TypePair, f, n_max: int, tau_rule):
-    """_forward_setup for a function on the plane, plus its samples on the
-    (r, s) tensor rule and the s-weighted Hankel kernel (ns, K)."""
-    f = as_plane_function(f)
-    tau_rule, r_rule, x = _forward_setup(tp, n_max, tau_rule, f.axis_profile(0))
-    tg = tau_rule.nodes
+    r_rule = analysis_rule(tp.alpha, (tg[0], tg[-1]), f.axis_profile(0), n_max)
     s_rule = rule_for_function(f.axis_profile(1), freq=float(tg[-1]),
                                extra_exponent=tp.beta + 0.5)
     rn, sn = r_rule.nodes, s_rule.nodes
     fvals = np.asarray(f(rn[:, None], sn[None, :]))
     hankel = s_rule.weights[:, None] * _liouville_kernel(tp.beta, tg, sn)
-    return tau_rule, r_rule.weights, fvals, hankel, x
+    return tau_rule, r_rule.weights, fvals, hankel, np.sqrt(tg)[None, :] * rn[:, None]
 
 
 def g_forward(tp: TypePair, f, n_max: int = DEFAULT_N_MAX,
@@ -194,16 +198,10 @@ def g_forward(tp: TypePair, f, n_max: int = DEFAULT_N_MAX,
 
 
 def g_forward_separated(tp: TypePair, f1, f2, n_max: int = DEFAULT_N_MAX) -> SpectralData:
-    """Forward transform of f(r, s) = f1(r) f2(s) as a product of 1-d
-    transforms."""
+    """Forward transform of f(r, s) = f1(r) f2(s): g_forward of the product,
+    on rules built from the hints of the two factors."""
     f1, f2 = as_half_line_function(f1), as_half_line_function(f2)
-    # one shared r-rule keyed to the tau range keeps the basis table reusable
-    tau_rule, r_rule, x = _forward_setup(tp, n_max, None, f1)
-    h2 = hankel_liouville(tp.beta, f2, tau_rule.nodes)
-    weighted = r_rule.weights * np.asarray(f1(r_rule.nodes))
-    values = _laguerre_rows(tp.alpha, x, n_max, lambda q, c: weighted @ q)
-    values = values * (tau_rule.nodes[None, :] ** 0.25 * h2[None, :])
-    return SpectralData(tp.alpha, tp.beta, tau_rule.nodes, tau_rule.weights, values)
+    return g_forward(tp, PlaneFunction(lambda r, s: f1(r) * f2(s), profiles=(f1, f2)), n_max)
 
 
 def g_forward_hat(tp: TypePair, f, n_max: int = DEFAULT_N_MAX,

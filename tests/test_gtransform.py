@@ -3,6 +3,7 @@ functional calculus."""
 
 import numpy as np
 import pytest
+from scipy.special import gammaln
 
 from grushin import _util, diffop, gtransform
 from grushin.functions import packet_plane, power_gaussian, smooth_bump
@@ -99,6 +100,49 @@ def test_plancherel_near_boundary_orders():
     want = np.sum(rr.weights[:, None] * ss.weights[None, :]
                   * f(rr.nodes[:, None], ss.nodes[None, :]) ** 2)
     assert abs(got - want) / want < 1e-4
+
+
+def test_plancherel_power_gaussian_at_negative_alpha():
+    """The declared profiles let both rules absorb r^(2a+1) and s^(2b+1)."""
+    a, b = -0.9, 0.5
+    sd = gtransform.g_forward(TypePair(a, b), power_gaussian(a, b), n_max=96)
+    want = 0.25 * np.exp(gammaln(a + 1.0) + gammaln(b + 1.0))
+    assert abs(gtransform.plancherel_norm(sd) ** 2 - want) / want < 1e-7
+
+
+class TestAxisProfiles:
+    F1 = HalfLineFunction(lambda r: r * np.exp(-r), decay="exponential",
+                          endpoint_exponent=1.0)
+    F2 = HalfLineFunction(lambda s: np.exp(-((s - 2.2) / 0.8) ** 2), support=(0.2, 4.2))
+
+    def plane(self, **kw):
+        return PlaneFunction(fn=lambda r, s: self.F1(r) * self.F2(s), **kw)
+
+    def test_axis_profile_returns_the_declared_profile(self):
+        f = self.plane(profiles=(self.F1, self.F2))
+        assert f.axis_profile(0) is self.F1 and f.axis_profile(1) is self.F2
+
+    def test_without_profiles_only_the_support_is_kept(self):
+        prof = self.plane(support=((0.1, 2.0), (0.3, 4.0))).axis_profile(1)
+        assert prof.support == (0.3, 4.0) and prof.endpoint_exponent == 0.0
+
+    def test_support_and_profiles_together_are_rejected(self):
+        with pytest.raises(ValueError, match="support.*profiles"):
+            self.plane(support=((0.1, 2.0), (0.3, 4.0)), profiles=(self.F1, self.F2))
+
+    @pytest.mark.parametrize("bad", [
+        "pair", [F1, F2], (F1,), (F1, F2, F2), (F1, lambda s: s)])
+    def test_bad_profiles_are_rejected(self, bad):
+        with pytest.raises(TypeError, match="profiles"):
+            self.plane(profiles=bad)
+
+    @pytest.mark.parametrize("alpha, beta", [(0.4, 0.6), (-0.9, 0.5)])
+    def test_separated_is_forward_of_the_product(self, alpha, beta):
+        tp = TypePair(alpha, beta)
+        sep = gtransform.g_forward_separated(tp, self.F1, self.F2, n_max=12)
+        full = gtransform.g_forward(tp, self.plane(profiles=(self.F1, self.F2)), n_max=12)
+        assert np.array_equal(sep.tau_grid, full.tau_grid)
+        assert np.array_equal(sep.values, full.values)
 
 
 class TestInverse:

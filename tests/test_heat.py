@@ -284,13 +284,13 @@ class TestDiagonalProfiles:
     @pytest.mark.parametrize("ab", [(0.25, 0.25), (-0.9, 0.5), (0.4, -0.9), (1.3, 0.7)])
     @pytest.mark.parametrize("kind", ["F1", "F2"])
     def test_matches_per_x_reference(self, kind, ab):
-        # wherever the reference is finite.  The kernel core pairs scipy's
-        # ive with exp(combined exponent); ive is accurate to about 6e-14
-        # relative at arguments near 15 for non-integer orders (mpmath),
-        # unscaled iv to about 1e-15, and the exponent rounds tau r u and
-        # tau (r^2 + u^2)/2 separately.  F2's Bessel argument is about r^2,
-        # so past r = 1 it may move by a few 1e-14 (measured <= 4.8e-14 up to
-        # r = 26.5); F1's argument stays below 1
+        # wherever the reference is finite.  Below x = 15 the kernel core
+        # sums the power series of I_a(x)/x^a with exp(combined exponent);
+        # past it, scipy's ive with exp.  The reference takes the unscaled
+        # iv, and the exponent rounds tau r u and tau (r^2 + u^2)/2
+        # separately.  F2's Bessel argument is about r^2, so past r = 1 it
+        # may move by a few 1e-14 (measured <= 3.9e-14 up to r = 20); F1's
+        # argument stays below 1
         tp = TypePair(*ab)
         xs = np.logspace(-3, np.log10(20.0), 40)
         want = diagonal_profile_per_x_reference(kind, tp, xs)

@@ -245,8 +245,8 @@ def test_only_specfun_and_verify_bind_scipy_jv():
 
 def test_only_util_defines_a_block_size_and_no_kernel_binds_scipy_iv():
     # every table is split by _util.column_blocks on the one _util.BLOCK;
-    # the heat kernel pairs the scaled ive with exp, and verify keeps the
-    # unscaled iv as an oracle
+    # below x = 15 the heat kernel sums the I_a(x)/x^a series, past it pairs
+    # the scaled ive with exp, and verify keeps the unscaled iv as an oracle
     import importlib
     import pkgutil
 
