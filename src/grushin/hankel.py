@@ -19,7 +19,8 @@ from typing import Callable, Optional, Tuple
 import numpy as np
 
 from ._util import column_blocks
-from .quadrature import HalfLineRule, TruncationPolicy, build_finite_rule, build_rule
+from .quadrature import (HalfLineRule, TruncationPolicy, build_finite_rule, build_rule,
+                         truncation_point)
 from .specfun import bessel_j_normalized, bessel_j_table, _order_value
 
 __all__ = [
@@ -28,6 +29,7 @@ __all__ = [
     "hankel_liouville",
     "hankel_modified_inverse",
     "hankel_liouville_inverse",
+    "profile_rule",
     "rule_for_function",
 ]
 
@@ -63,17 +65,27 @@ def as_half_line_function(f) -> HalfLineFunction:
     raise TypeError("expected a callable or HalfLineFunction")
 
 
+def profile_rule(f: HalfLineFunction, width: float, extra_exponent: float = 0.0,
+                 reach: float = np.inf) -> HalfLineRule:
+    """Rule of panel width <= width over f's support, else over (0, min(cut
+    of f's decay, reach)); from 0 it absorbs u^(f.endpoint_exponent +
+    extra_exponent), extra_exponent being the kernel's own power at 0."""
+    lo, hi = f.support or (0.0, min(truncation_point(
+        TruncationPolicy(decay_hint=f.decay, rate=f.rate)), reach))
+    gamma = f.endpoint_exponent + extra_exponent if lo == 0.0 else 0.0
+    return build_finite_rule(lo, hi, width, endpoint_exponent=gamma)
+
+
 def rule_for_function(f: HalfLineFunction, freq: float = 0.0,
                       extra_exponent: float = 0.0) -> HalfLineRule:
     """Quadrature rule adequate for f against a kernel of frequency <= freq."""
-    gamma = f.endpoint_exponent + extra_exponent
     if f.support is not None:
         a, b = f.support
         width = np.pi / (2.0 * _FREQ_FACTOR * freq) if freq > 0.0 else (b - a) / 8.0
-        return build_finite_rule(a, b, width, endpoint_exponent=gamma if a == 0.0 else 0.0)
-    policy = TruncationPolicy(decay_hint=f.decay, rate=f.rate,
-                              freq_bound=_FREQ_FACTOR * freq, endpoint_exponent=gamma)
-    return build_rule(policy)
+        return profile_rule(f, width, extra_exponent)
+    return build_rule(TruncationPolicy(
+        decay_hint=f.decay, rate=f.rate, freq_bound=_FREQ_FACTOR * freq,
+        endpoint_exponent=f.endpoint_exponent + extra_exponent))
 
 
 def _sampled_values(f, rule, default_rule):

@@ -29,8 +29,8 @@ import numpy as np
 from ._util import column_blocks, parallel_map, positive_value
 from .gtransform import (Multiplier, TypePair, _points_array, as_plane_function,
                          functional_calculus)
-from .quadrature import (HalfLineRule, TruncationPolicy, build_finite_rule, build_rule,
-                         truncation_point)
+from .hankel import profile_rule
+from .quadrature import HalfLineRule, TruncationPolicy, build_rule
 from .specfun import bessel_i_normalized_exp, bessel_j_normalized, bessel_j_table
 
 __all__ = [
@@ -68,14 +68,14 @@ class HeatParams:
         return self.tp.beta
 
 
-def kernel_tau_rule(hp: HeatParams, freq: float,
-                    endpoint_exponent: float = 0.0) -> HalfLineRule:
+def kernel_tau_rule(hp: HeatParams, freq: float) -> HalfLineRule:
     """tau rule for the kernel integrals: oscillation at frequency <= freq
-    under the exponential envelope of rate 2t(1 + min(alpha, 0))."""
+    under the exponential envelope of rate 2t(1 + min(alpha, 0)), absorbing
+    the integrand's factor tau^(2b+1) at tau -> 0 where it is singular."""
     rate = 2.0 * hp.t * (1.0 + min(hp.alpha, 0.0))
     policy = TruncationPolicy(abs_tol=_KERNEL_TOL * 1e-4, decay_hint="exponential",
                               rate=rate, freq_bound=max(freq, 1e-6),
-                              endpoint_exponent=endpoint_exponent)
+                              endpoint_exponent=min(2.0 * hp.beta + 1.0, 0.0))
     return build_rule(policy)
 
 
@@ -168,8 +168,7 @@ def kernel_at_origin(hp: HeatParams, r, s) -> float:
 def _weighted_kernel(hp, r, s, u, v, rule):
     r, s = map(positive_value, (r, s), "rs")
     if rule is None:
-        rule = kernel_tau_rule(hp, freq=max(s, v),
-                               endpoint_exponent=min(2.0 * hp.beta + 1.0, 0.0))
+        rule = kernel_tau_rule(hp, freq=max(s, v))
     tau = rule.nodes
     y = 2.0 * hp.t * tau
     inv = _inv_sinh(y)
@@ -210,20 +209,14 @@ def heat_apply(hp: HeatParams, f, points, route: str = "kernel", n_max: int = 96
         raise ValueError("route must be 'kernel' or 'spectral'")
 
     # the tau envelope drops below ~2e-8 past tau_half; the u and v rules only
-    # need to resolve gaussian width 1/sqrt(tau) and frequency tau up to there
+    # need to resolve gaussian width 1/sqrt(tau) and frequency tau up to there,
+    # and absorb the kernel's factors u^(a+1/2) and v^(b+1/2) at the origin
     rate = 2.0 * hp.t * (1.0 + min(hp.alpha, 0.0))
     tau_half = 18.0 / rate
-    urule = _profile_rule(f.axis_profile(0), min(0.15, 1.5 / np.sqrt(tau_half)))
-    vrule = _profile_rule(f.axis_profile(1), min(0.15, np.pi / (2.0 * tau_half)))
+    urule = profile_rule(f.axis_profile(0), min(0.15, 1.5 / np.sqrt(tau_half)), hp.alpha + 0.5)
+    vrule = profile_rule(f.axis_profile(1), min(0.15, np.pi / (2.0 * tau_half)), hp.beta + 0.5)
     fvals = np.asarray(f(urule.nodes[:, None], vrule.nodes[None, :]))
     return heat_apply_grid(hp, fvals, urule, vrule, pts)
-
-
-def _profile_rule(prof, width: float) -> HalfLineRule:
-    """Rule of panel width <= width over the support or the cut of prof."""
-    span = prof.support or (0.0, truncation_point(
-        TruncationPolicy(decay_hint=prof.decay, rate=prof.rate)))
-    return build_finite_rule(*span, width)
 
 
 def heat_apply_grid(hp: HeatParams, fvals, urule: HalfLineRule,
@@ -300,8 +293,9 @@ def diagonal_profile(kind: str, tp: TypePair, x_grid) -> np.ndarray:
     # Bessel factor contributes growth e^(|a| tau) through its small argument
     rate = (2.0 if kind == "F1" else 1.0) + min(tp.alpha, 0.0)
     freq = 2.0 * max(float(x_grid.max()), 1.0)
-    policy = TruncationPolicy(abs_tol=1e-12, decay_hint="exponential",
-                              rate=rate, freq_bound=freq)
+    # the integrand goes as tau^(2b+1) at tau -> 0, as in kernel_tau_rule
+    policy = TruncationPolicy(abs_tol=1e-12, decay_hint="exponential", rate=rate,
+                              freq_bound=freq, endpoint_exponent=min(2.0 * tp.beta + 1.0, 0.0))
     rule = build_rule(policy)
     tau = rule.nodes
     log_tau2 = 2.0 * np.log(tau)

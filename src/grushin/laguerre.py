@@ -19,8 +19,8 @@ import numpy as np
 from scipy.special import gammaln
 
 from ._util import column_blocks, parallel_map, positive_value
-from .hankel import HalfLineFunction, _sampled_values
-from .quadrature import HalfLineRule, TruncationPolicy, build_finite_rule, truncation_point
+from .hankel import HalfLineFunction, _sampled_values, profile_rule
+from .quadrature import HalfLineRule
 from .specfun import _order_value, laguerre_eigenvalue, laguerre_fn_seq
 
 __all__ = [
@@ -59,17 +59,10 @@ def analysis_rule(alpha, taus, f: HalfLineFunction, n_max) -> HalfLineRule:
     alpha = _order_value(alpha)
     lam = laguerre_eigenvalue(alpha, n_max - 1)
     tau_lo, tau_hi = taus
-    # pi over the highest local wavenumber sqrt(lam_N tau) of the basis
-    width = np.pi / np.sqrt(lam * tau_hi)
-    if f.support is not None:
-        a, b = f.support
-        gamma = (f.endpoint_exponent + alpha + 0.5) if a == 0.0 else 0.0
-        return build_finite_rule(a, b, width, endpoint_exponent=gamma)
-    # the basis functions die out past the classical turning point
-    cut = truncation_point(TruncationPolicy(decay_hint=f.decay, rate=f.rate))
-    upper = min(cut, np.ceil(np.sqrt(lam / tau_lo) + 6.0))
-    return build_finite_rule(0.0, float(upper), width,
-                             endpoint_exponent=f.endpoint_exponent + alpha + 0.5)
+    # pi over the highest local wavenumber sqrt(lam_N tau) of the basis; the
+    # basis functions die out past the classical turning point
+    return profile_rule(f, np.pi / np.sqrt(lam * tau_hi), alpha + 0.5,
+                        reach=np.ceil(np.sqrt(lam / tau_lo) + 6.0))
 
 
 def _laguerre_blocks(alpha, x, n_max, per_block) -> np.ndarray:

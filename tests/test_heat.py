@@ -106,6 +106,23 @@ class TestWeightedKernel:
                 * (s * v) ** (tp.beta + 0.5)
             assert abs(recon - plain) / abs(plain) < 1e-12
 
+    @pytest.mark.parametrize("ab, t", [((0.4, -0.9), 0.05), ((0.4, -0.9), 0.1),
+                                       ((0.4, -0.9), 0.5), ((0.3, -0.6), 0.5),
+                                       ((-0.5, -0.95), 0.5)])
+    def test_consistency_with_default_rules(self, ab, t):
+        # each call builds its own tau rule; the integrand carries
+        # tau^(2b+1) at tau -> 0, which both rules must absorb when b < -1/2.
+        # Tolerance fixed before the code: 1e-12 relative.  The points keep
+        # the tau sum free of heavy cancellation (sum |w_k g_k| <= 15 |sum|),
+        # so that rounding in the two integrands stays below it
+        tp = TypePair(*ab)
+        hp = HeatParams(t, tp)
+        for r, s, u, v in ((1.0, 1.0, 1.0, 1.0), (0.7, 1.3, 1.1, 0.6), (1.2, 0.8, 0.9, 1.5)):
+            plain = heat.heat_kernel(hp, r, s, u, v)
+            recon = heat.heat_kernel_weighted(hp, r, s, u, v) \
+                * (r * u) ** (tp.alpha + 0.5) * (s * v) ** (tp.beta + 0.5)
+            assert abs(recon - plain) / abs(plain) < 1e-12, (r, s, u, v)
+
     def test_weighted_homogeneity(self):
         # K_t = t^-(a+2b+3) K_1 at parabolically scaled arguments
         tp = TypePair(0.4, 0.7)
@@ -214,6 +231,19 @@ class TestHeatApply:
         assert np.array_equal(serial, threaded)
 
 
+def test_kernel_route_absorbs_the_endpoint_exponents():
+    # power_gaussian(-0.9, 0.5) carries u^(a+1/2) = u^-0.4 at u -> 0, and the
+    # kernel another u^(a+1/2); the u rule must absorb both.  Tolerance
+    # fixed before the code: 1e-6 of the largest value
+    from grushin.functions import power_gaussian
+    hp = HeatParams(0.5, TypePair(-0.9, 0.5))
+    f = power_gaussian(-0.9, 0.5)
+    pts = np.array([[0.5, 0.5], [1.0, 1.0], [1.5, 0.8], [0.8, 1.5]])
+    kern = heat.heat_apply(hp, f, pts, route="kernel")
+    spec = heat.heat_apply(hp, f, pts, route="spectral")
+    assert np.max(np.abs(kern - spec)) / np.max(np.abs(spec)) < 1e-6
+
+
 def test_kernel_route_memory_stays_below_one_tau_by_v_table(monkeypatch):
     # the route contracts f with the J_b(tau v) columns in tau-row blocks,
     # so no (K, n_v) table is ever formed (K tau nodes, n_v v nodes)
@@ -248,7 +278,8 @@ def diagonal_profile_per_x_reference(kind, tp, x_grid):
     rate = (2.0 if kind == "F1" else 1.0) + min(tp.alpha, 0.0)
     policy = quadrature.TruncationPolicy(abs_tol=1e-12, decay_hint="exponential",
                                          rate=rate,
-                                         freq_bound=2.0 * max(float(x_grid.max()), 1.0))
+                                         freq_bound=2.0 * max(float(x_grid.max()), 1.0),
+                                         endpoint_exponent=min(2.0 * tp.beta + 1.0, 0.0))
     rule = quadrature.build_rule(policy)
     tau = rule.nodes
     inv = heat._inv_sinh(tau)
@@ -300,6 +331,21 @@ class TestDiagonalProfiles:
         assert np.all(np.isfinite(want))
         assert rel[small].max() < 1e-14
         assert rel.max() < 1e-13
+
+    @pytest.mark.parametrize("ab", [(0.4, -0.9), (0.25, -0.4), (0.25, 0.25), (-0.9, 0.5)])
+    def test_sections_of_the_point_kernel(self, ab):
+        # s F1(s) = K_1/2((1,s),(1,s)) and r F2(r) = K_1/2((r,1),(r,1)), each
+        # side on its own tau rule.  Tolerance fixed before the code: 1e-8
+        # relative
+        tp = TypePair(*ab)
+        hp = HeatParams(0.5, tp)
+        xs = np.array([1e-3, 0.1, 1.0, 5.0])
+        f1 = xs * heat.diagonal_profile("F1", tp, xs)
+        f2 = xs * heat.diagonal_profile("F2", tp, xs)
+        k1 = np.array([heat.heat_kernel(hp, 1.0, x, 1.0, x) for x in xs])
+        k2 = np.array([heat.heat_kernel(hp, x, 1.0, x, 1.0) for x in xs])
+        assert np.max(np.abs(f1 - k1) / np.abs(k1)) < 1e-8
+        assert np.max(np.abs(f2 - k2) / np.abs(k2)) < 1e-8
 
     def test_large_r_is_finite_and_cut_stable(self, monkeypatch):
         # the unscaled I_a overflows there and the old per-x form gave NaN

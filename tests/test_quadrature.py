@@ -228,3 +228,20 @@ def test_r_rule_turning_point_cap():
     prof = HalfLineFunction(lambda r: np.exp(-(0.1 * r) ** 2 / 2), decay="gaussian", rate=0.1)
     assert truncation_point(TruncationPolicy(decay_hint="gaussian", rate=0.1)) == 75.0
     assert analysis_rule(0.3, (4.0, 4.0), prof, 21).upper_cut == 11.0
+
+
+def test_only_quadrature_and_hankel_bind_truncation_point():
+    # every profile's finite rule comes from hankel.profile_rule, so no
+    # other module truncates a profile on its own
+    import importlib
+    import pkgutil
+
+    import grushin
+    offenders = []
+    for info in pkgutil.iter_modules(grushin.__path__):
+        if info.name in ("quadrature", "hankel"):
+            continue
+        mod = importlib.import_module(f"grushin.{info.name}")
+        offenders += [f"{info.name}.{attr}" for attr, value in vars(mod).items()
+                      if value is truncation_point]
+    assert offenders == []
