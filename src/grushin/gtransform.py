@@ -263,8 +263,7 @@ def plancherel_norm(sd: SpectralData) -> float:
 def apply_multiplier(sd: SpectralData, phi) -> SpectralData:
     """Multiply the data by phi(lam_n^a tau_k) entrywise."""
     phi = phi if isinstance(phi, Multiplier) else Multiplier(phi)
-    lam = laguerre_eigenvalue(sd.alpha, np.arange(sd.n_max))
-    symbol = lam[:, None] * sd.tau_grid[None, :]
+    symbol = spectral_symbol(sd.alpha, np.arange(sd.n_max)[:, None], sd.tau_grid[None, :])
     scaled = np.asarray(phi(symbol))
     if not np.all(np.isfinite(scaled)):
         n_bad, k_bad = np.argwhere(~np.isfinite(scaled))[0]

@@ -71,12 +71,18 @@ class HeatParams:
 def kernel_tau_rule(hp: HeatParams, freq: float) -> HalfLineRule:
     """tau rule for the kernel integrals: oscillation at frequency <= freq
     under the exponential envelope of rate 2t(1 + min(alpha, 0)), absorbing
-    the integrand's factor tau^(2b+1) at tau -> 0 where it is singular."""
+    the integrand's factor tau^(2b+1) at tau -> 0 when b < 0."""
     rate = 2.0 * hp.t * (1.0 + min(hp.alpha, 0.0))
     policy = TruncationPolicy(abs_tol=_KERNEL_TOL * 1e-4, decay_hint="exponential",
                               rate=rate, freq_bound=max(freq, 1e-6),
-                              endpoint_exponent=min(2.0 * hp.beta + 1.0, 0.0))
+                              endpoint_exponent=_tau_exponent(hp.beta))
     return build_rule(policy)
+
+
+def _tau_exponent(beta):
+    # the tau integrand goes as tau^(2b+1) at 0, with an unbounded derivative
+    # when b < 0; for b >= 0 the first panel's h^(2b+2) underflows past b ~ 33
+    return 2.0 * beta + 1.0 if beta < 0.0 else 0.0
 
 
 def _inv_sinh(y):
@@ -293,9 +299,8 @@ def diagonal_profile(kind: str, tp: TypePair, x_grid) -> np.ndarray:
     # Bessel factor contributes growth e^(|a| tau) through its small argument
     rate = (2.0 if kind == "F1" else 1.0) + min(tp.alpha, 0.0)
     freq = 2.0 * max(float(x_grid.max()), 1.0)
-    # the integrand goes as tau^(2b+1) at tau -> 0, as in kernel_tau_rule
     policy = TruncationPolicy(abs_tol=1e-12, decay_hint="exponential", rate=rate,
-                              freq_bound=freq, endpoint_exponent=min(2.0 * tp.beta + 1.0, 0.0))
+                              freq_bound=freq, endpoint_exponent=_tau_exponent(tp.beta))
     rule = build_rule(policy)
     tau = rule.nodes
     log_tau2 = 2.0 * np.log(tau)

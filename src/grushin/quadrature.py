@@ -10,6 +10,7 @@ first panel.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Callable
 
@@ -122,18 +123,27 @@ def _edges(lo: float, hi: float, cap: Callable[[np.ndarray], np.ndarray]) -> np.
                                         for a, b, k in zip(base[:-1], base[1:], counts)])
 
 
+@functools.lru_cache(maxsize=64)
+def _unit_nodes(points: int, gamma: float):
+    """Read-only Gauss nodes and weights on [-1, 1] for the weight (1+x)^gamma:
+    Gauss-Legendre at gamma = 0, Gauss-Jacobi (0, gamma) otherwise."""
+    x, w = leggauss(points) if gamma == 0.0 else roots_jacobi(points, 0.0, gamma)
+    x.flags.writeable = w.flags.writeable = False
+    return x, w
+
+
 def _assemble(edges: np.ndarray, points: int, upper: float,
               endpoint_exponent: float = 0.0) -> HalfLineRule:
     """Map one Gauss-Legendre node set onto every panel at once."""
     a, b = edges[:-1, None], edges[1:, None]
     half = 0.5 * (b - a)
-    x, w = leggauss(points)
+    x, w = _unit_nodes(points, 0.0)
     nodes, weights = half * x + 0.5 * (a + b), half * w
     if endpoint_exponent != 0.0 and edges[0] == 0.0:
         # Gauss-Jacobi first panel (0, edges[1]) absorbing the u^gamma factor
         # exactly; weights are folded back so the rule applies to the plain
         # integrand
-        t, wj = roots_jacobi(points, 0.0, endpoint_exponent)
+        t, wj = _unit_nodes(points, endpoint_exponent)
         h = half[0, 0]  # a scalar: numpy's array power can round differently
         nodes[0] = h * (t + 1.0)
         weights[0] = h ** (endpoint_exponent + 1.0) * wj * nodes[0] ** (-endpoint_exponent)

@@ -3,20 +3,22 @@
 Each check reproduces one of the exact identities of the transform/kernel
 machinery at desk scale and reports pass/fail with a measured error.  The
 CLI `verify` subcommand prints one line per check; the test suite asserts
-them.  Tolerances are fixed here; a tol_scale other than 1 loosens or
-tightens all of them uniformly (diagnostic use only).
+them.  A check registers itself with its suite, criterion, printed name and
+tolerance on its decorator line; a tol_scale other than 1 loosens or
+tightens all tolerances uniformly (diagnostic use only).
 """
 
 from __future__ import annotations
 
+import functools
 import time
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln, jv
+from scipy.special import jv
 
 from . import diffop, gtransform, heat, hankel, laguerre, quadrature, specfun
-from .functions import (grid_plane, packet_plane, power_gaussian,
+from .functions import (bump_plane, grid_plane, packet_plane, power_gaussian,
                         power_gaussian_profile, smooth_bump, wave_packet)
 from .gtransform import TypePair
 
@@ -32,9 +34,38 @@ class CheckResult:
     seconds: float = 0.0
 
 
-def _result(criterion, name, err, tol, t0, extra=""):
-    note = f"max err {err:.3e} (tol {tol:.1e})" + (f"; {extra}" if extra else "")
-    return CheckResult(criterion, name, bool(err <= tol), note, time.time() - t0)
+# suite name -> its checks, in the order they are defined below
+SUITES: dict = {}
+
+
+def _in_suite(suite):
+    """Append a check, called as check(scale=1.0) -> CheckResult, to a suite."""
+    def register(check):
+        SUITES.setdefault(suite, []).append(check)
+        return check
+    return register
+
+
+def _check(suite, criterion, name, tol, budget=None):
+    """Register a check whose body takes no arguments and returns its error,
+    or (error, note).  It passes when error <= tol * scale and, given a
+    budget, when it finishes in less than budget seconds."""
+    def wrap(body):
+        @functools.wraps(body)
+        def check(scale=1.0):
+            t0 = time.time()
+            out = body()
+            err, note = out if isinstance(out, tuple) else (out, "")
+            seconds = time.time() - t0
+            detail = f"max err {err:.3e} (tol {tol * scale:.1e})" + (f"; {note}" if note else "")
+            passed = bool(err <= tol * scale)
+            if budget is not None and seconds >= budget:
+                passed = False
+                detail += f"; over the {budget:g} s budget"
+            return CheckResult(criterion, name, passed, detail, seconds)
+        check.criterion, check.title = criterion, name
+        return _in_suite(suite)(check)
+    return wrap
 
 
 def _rel_l2(got, want, weights=None):
@@ -44,17 +75,13 @@ def _rel_l2(got, want, weights=None):
     return num / den
 
 
-# ----------------------------------------------------------------------
-# specfun / hankel module invariants
-# ----------------------------------------------------------------------
-
-def check_half_integer_bessel(scale=1.0):
-    t0 = time.time()
+@_check("specfun", "specfun", "half-integer Bessel identities", tol=1e-10)
+def check_half_integer_bessel():
     y = np.linspace(0.1, 20.0, 120)
     # for I the difference is taken in exponentially scaled form: the plain
     # difference at y = 20 sits at I ~ 4e7 where doubles cannot express an
     # absolute 1e-10 agreement
-    err = max(
+    return max(
         np.max(np.abs(specfun.bessel_j(0.5, y) - np.sqrt(2 / (np.pi * y)) * np.sin(y))),
         np.max(np.abs(specfun.bessel_j(-0.5, y) - np.sqrt(2 / (np.pi * y)) * np.cos(y))),
         np.max(np.abs(specfun.bessel_i(0.5, y) - np.sqrt(2 / (np.pi * y)) * np.sinh(y))
@@ -62,24 +89,23 @@ def check_half_integer_bessel(scale=1.0):
         np.max(np.abs(specfun.bessel_i(-0.5, y) - np.sqrt(2 / (np.pi * y)) * np.cosh(y))
                * np.exp(-y)),
     )
-    return _result("specfun", "half-integer Bessel identities", err, 1e-10 * scale, t0)
 
 
-def check_small_argument_laws(scale=1.0):
-    t0 = time.time()
+@_check("specfun", "specfun", "small-argument power laws", tol=1e-4)
+def check_small_argument_laws():
     y = np.linspace(1e-6, 1e-3, 50)
     errs = []
     for nu in (-0.5, 0.3, 0.7, 1.2):
         cj = specfun.bessel_j(nu, y) / y**nu
         ci = specfun.bessel_i(nu, y) / y**nu
-        const = np.exp(-nu * np.log(2.0) - gammaln(nu + 1.0))
+        const = np.exp(-nu * np.log(2.0) - specfun.log_gamma(nu + 1.0))
         errs.append(np.max(np.abs(cj / const - 1.0)))
         errs.append(np.max(np.abs(ci / const - 1.0)))
-    return _result("specfun", "small-argument power laws", max(errs), 1e-4 * scale, t0)
+    return max(errs)
 
 
-def check_laguerre_orthonormality(scale=1.0):
-    t0 = time.time()
+@_check("specfun", "specfun", "basis Gram matrix = identity", tol=1e-8)
+def check_laguerre_orthonormality():
     errs = []
     for alpha, tau in ((-0.5, 1.0), (0.3, 1.7), (1.2, 0.4)):
         lam = specfun.laguerre_eigenvalue(alpha, 10)
@@ -90,31 +116,35 @@ def check_laguerre_orthonormality(scale=1.0):
         tab = np.array(list(specfun.laguerre_fn_seq(alpha, x, 11))) * tau**0.25
         gram = (tab * rule.weights) @ tab.T
         errs.append(np.max(np.abs(gram - np.eye(11))))
-    return _result("specfun", "basis Gram matrix = identity", max(errs), 1e-8 * scale, t0)
+    return max(errs)
 
 
-def check_laguerre_ode_residual(scale=1.0):
-    t0 = time.time()
+_H_SWEEP = (1.0 / 128, 1.0 / 256, 1.0 / 512)
+
+
+def _order_sweep(residuals):
+    """Measured order over the whole halving sweep, plus per-step ratios."""
+    steps = [float(np.log2(a / b)) for a, b in zip(residuals[:-1], residuals[1:])]
+    overall = float(np.log2(residuals[0] / residuals[-1]) / (len(residuals) - 1))
+    return overall, steps
+
+
+@_check("specfun", "specfun", "oscillator eigen-relation residual order", tol=0.1)
+def check_laguerre_ode_residual():
     alpha, tau, n = 0.3, 1.7, 2
-    orders = []
-    res_prev = None
-    for h in (1.0 / 128, 1.0 / 256, 1.0 / 512):
+    lam = gtransform.spectral_symbol(alpha, n, tau)
+    residuals = []
+    for h in _H_SWEEP:
         r = np.arange(0.25, 4.0 + 0.5 * h, h)
         vals = specfun.laguerre_fn(specfun.LaguerreIndex(n, alpha, tau), r)
         _, lv = diffop.apply_radial_operator(alpha, tau, r, vals)
-        lam = specfun.laguerre_eigenvalue(alpha, n) * tau
-        res = np.max(np.abs(lv - lam * vals[1:-1])) / np.max(np.abs(vals))
-        if res_prev is not None:
-            orders.append(np.log2(res_prev / res))
-        res_prev = res
-    err = 2.0 - min(orders)
-    return _result("specfun", "oscillator eigen-relation residual order",
-                   max(err, 0.0), 0.1 * scale, t0,
-                   extra=f"orders {['%.2f' % o for o in orders]}")
+        residuals.append(np.max(np.abs(lv - lam * vals[1:-1])) / np.max(np.abs(vals)))
+    steps = _order_sweep(residuals)[1]
+    return max(2.0 - min(steps), 0.0), f"orders {['%.2f' % o for o in steps]}"
 
 
-def check_hankel_self_inverse(scale=1.0):
-    t0 = time.time()
+@_check("hankel", "hankel", "self-inverse on smooth bumps", tol=1e-5)
+def check_hankel_self_inverse():
     g = smooth_bump(1.5, 1.0)
     prof = hankel.HalfLineFunction(g, support=(0.5, 2.5))
     errs = []
@@ -124,26 +154,26 @@ def check_hankel_self_inverse(scale=1.0):
         xrule = quadrature.build_finite_rule(0.05, 3.5, 0.02)
         back = hankel.hankel_liouville_inverse(beta, forward, xrule.nodes, rule=trule)
         errs.append(_rel_l2(back, g(xrule.nodes), xrule.weights))
-    return _result("hankel", "self-inverse on smooth bumps", max(errs), 1e-5 * scale, t0)
+    return max(errs)
 
 
-def check_hankel_unitarity(scale=1.0):
-    t0 = time.time()
+@_check("hankel", "hankel", "Plancherel identity", tol=1e-6)
+def check_hankel_unitarity():
     g = smooth_bump(1.5, 0.5)
     prof = hankel.HalfLineFunction(g, support=(1.0, 2.0))
     errs = []
     for beta in (-0.5, 0.0, 0.7, 1.3):
         trule = quadrature.build_finite_rule(0.0, 150.0, np.pi / (4.0 * 2.0))
         fw = hankel.hankel_liouville(beta, prof, trule.nodes)
-        urule = hankel.rule_for_function(prof, freq=0.0)
-        n2_in = np.dot(urule.weights, g(urule.nodes) ** 2)
-        n2_out = np.dot(trule.weights, fw**2)
+        n2_in = quadrature.integrate(lambda u: g(u) ** 2,
+                                     hankel.rule_for_function(prof, freq=0.0))
+        n2_out = quadrature.integrate(fw**2, trule)
         errs.append(abs(n2_out - n2_in) / n2_in)
-    return _result("hankel", "Plancherel identity", max(errs), 1e-6 * scale, t0)
+    return max(errs)
 
 
-def check_hankel_conjugation(scale=1.0):
-    t0 = time.time()
+@_check("hankel", "hankel", "Liouville = conjugated modified form", tol=1e-8)
+def check_hankel_conjugation():
     g = smooth_bump(1.5, 0.8)
     taus = np.array([0.3, 1.0, 2.7, 5.0])
     errs = []
@@ -158,16 +188,11 @@ def check_hankel_conjugation(scale=1.0):
             taus, rule=rule)
         conj = taus ** (alpha + 0.5) * np.asarray(inner)
         errs.append(np.max(np.abs(conj - lv)))
-    return _result("hankel", "Liouville = conjugated modified form",
-                   max(errs), 1e-8 * scale, t0)
+    return max(errs)
 
 
-# ----------------------------------------------------------------------
-# criterion 1: closed-form gaussian coefficients and Parseval sum
-# ----------------------------------------------------------------------
-
-def check_gaussian_coefficients(scale=1.0):
-    t0 = time.time()
+@_check("laguerre", "1", "gaussian coefficients match closed form", tol=1e-8, budget=10)
+def check_gaussian_coefficients():
     errs = []
     for alpha in (-0.5, 0.0, 0.5, 1.7):
         prof = power_gaussian_profile(alpha)
@@ -175,33 +200,24 @@ def check_gaussian_coefficients(scale=1.0):
             got = laguerre.laguerre_analyze(alpha, tau, prof, 21).values
             want = laguerre.gaussian_coefficient(alpha, np.arange(21), tau)
             errs.append(np.max(np.abs(got - want)))
-    out = _result("1", "gaussian coefficients match closed form",
-                  max(errs), 1e-8 * scale, t0)
-    if out.seconds >= 10.0:
-        out.passed = False
-        out.detail += "; over the 10 s budget"
-    return out
+    return max(errs)
 
 
-def check_gaussian_parseval(scale=1.0):
-    t0 = time.time()
+@_check("laguerre", "1", "truncated Parseval sum at N=200", tol=1e-6)
+def check_gaussian_parseval():
     errs = []
     for alpha in (-0.5, 0.0, 0.5, 1.7):
         prof = power_gaussian_profile(alpha)
         for tau in (0.3, 1.0, 2.5):
             coeffs = laguerre.laguerre_analyze(alpha, tau, prof, 200)
             total = float(np.sum(coeffs.values**2))
-            want = 0.5 * np.exp(gammaln(alpha + 1.0))
+            want = 0.5 * np.exp(specfun.log_gamma(alpha + 1.0))
             errs.append(abs(total - want))
-    return _result("1", "truncated Parseval sum at N=200", max(errs), 1e-6 * scale, t0)
+    return max(errs)
 
 
-# ----------------------------------------------------------------------
-# criterion 2: Plancherel for the separated gaussian
-# ----------------------------------------------------------------------
-
-def check_plancherel_gaussian(scale=1.0):
-    t0 = time.time()
+@_check("gtransform", "2", "squared norm = Gamma(a+1)Gamma(b+1)/4", tol=1e-5, budget=30)
+def check_plancherel_gaussian():
     errs = []
     for a in (0.0, 0.5):
         for b in (0.0, 0.5):
@@ -209,19 +225,10 @@ def check_plancherel_gaussian(scale=1.0):
             # above the tolerance; 256 brings it to ~2e-6
             sd = gtransform.g_forward(TypePair(a, b), power_gaussian(a, b), n_max=256)
             got = gtransform.plancherel_norm(sd) ** 2
-            want = 0.25 * np.exp(gammaln(a + 1.0) + gammaln(b + 1.0))
+            want = 0.25 * np.exp(specfun.log_gamma(a + 1.0) + specfun.log_gamma(b + 1.0))
             errs.append(abs(got - want) / want)
-    out = _result("2", "squared norm = Gamma(a+1)Gamma(b+1)/4",
-                  max(errs), 1e-5 * scale, t0)
-    if out.seconds >= 30.0:
-        out.passed = False
-        out.detail += "; over the 30 s budget"
-    return out
+    return max(errs)
 
-
-# ----------------------------------------------------------------------
-# criterion 3: forward/inverse round trips on fixed wave packets
-# ----------------------------------------------------------------------
 
 # s-side carriers and widths keep the tau-content of each packet well inside
 # the default grid (0, 12) and away from tau = 0, where a truncated expansion
@@ -233,8 +240,8 @@ ROUND_TRIP_PACKETS = (
 )
 
 
-def check_round_trips(scale=1.0):
-    t0 = time.time()
+@_check("gtransform", "3", "inverse(forward f) = f on wave packets", tol=1e-3)
+def check_round_trips():
     tp = TypePair(0.4, 0.25)
     errs = []
     for spec_kw in ROUND_TRIP_PACKETS:
@@ -246,58 +253,38 @@ def check_round_trips(scale=1.0):
         rec = gtransform.g_inverse_grid(sd, rr.nodes, ss.nodes)
         want = f(rr.nodes[:, None], ss.nodes[None, :])
         errs.append(_rel_l2(rec, want, rr.weights[:, None] * ss.weights[None, :]))
-    return _result("3", "inverse(forward f) = f on wave packets",
-                   max(errs), 1e-3 * scale, t0)
+    return max(errs)
 
 
-# ----------------------------------------------------------------------
-# criterion 4: order-exchanged transform coincides
-# ----------------------------------------------------------------------
-
-def check_hat_variant(scale=1.0):
-    t0 = time.time()
+@_check("gtransform", "4", "Hankel-first = Laguerre-first transform", tol=1e-5)
+def check_hat_variant():
     tp = TypePair(0.5, 0.5)
     f = power_gaussian(tp.alpha, tp.beta)
     tau_rule = gtransform.default_tau_rule(upper=10.0, panels=24)
     a = gtransform.g_forward(tp, f, n_max=48, tau_rule=tau_rule)
     b = gtransform.g_forward_hat(tp, f, n_max=48, tau_rule=tau_rule)
-    err = np.max(np.abs(a.values - b.values)) / np.max(np.abs(a.values))
-    return _result("4", "Hankel-first = Laguerre-first transform",
-                   err, 1e-5 * scale, t0)
+    return np.max(np.abs(a.values - b.values)) / np.max(np.abs(a.values))
 
 
-# ----------------------------------------------------------------------
-# criterion 5: the transform diagonalizes the differential operator
-# ----------------------------------------------------------------------
-
-def check_intertwining(scale=1.0):
-    t0 = time.time()
+@_check("gtransform", "5", "transform of applied operator = symbol * transform", tol=1e-3)
+def check_intertwining():
     tp = TypePair(0.6, 0.4)
-    h = 1.0 / 256
-    fr, fs = smooth_bump(1.7, 0.9), smooth_bump(2.2, 1.1)
-    phi = lambda r, s: fr(r) * fs(s)
-    grid = diffop.grid_from_function(phi, (0.25, 4.0), (0.25, 4.0), h)
+    phi = bump_plane(1.7, 0.9, 2.2, 1.1)
+    grid = diffop.grid_from_function(phi, (0.25, 4.0), (0.25, 4.0), 1.0 / 256)
     gphi = diffop.apply_G_circ(tp.alpha, tp.beta, grid)
     box = ((0.8, 2.6), (1.1, 3.3))
-    gphi_fn = grid_plane(gphi, support=box)
-    phi_fn = gtransform.PlaneFunction(fn=phi, support=box)
     n_max = 64
-    lhs = gtransform.g_forward(tp, gphi_fn, n_max=n_max)
-    rhs = gtransform.g_forward(tp, phi_fn, n_max=n_max)
-    lam = specfun.laguerre_eigenvalue(tp.alpha, np.arange(n_max))
-    scaled = lam[:, None] * rhs.tau_grid[None, :] * rhs.values
+    lhs = gtransform.g_forward(tp, grid_plane(gphi, support=box), n_max=n_max)
+    rhs = gtransform.g_forward(tp, gtransform.PlaneFunction(fn=phi.fn, support=box),
+                               n_max=n_max)
+    symbol = gtransform.spectral_symbol(tp.alpha, np.arange(n_max)[:, None],
+                                        rhs.tau_grid[None, :])
     w = rhs.tau_weights[None, :] * np.ones((n_max, 1))
-    err = _rel_l2(lhs.values, scaled, w)
-    return _result("5", "transform of applied operator = symbol * transform",
-                   err, 1e-3 * scale, t0)
+    return _rel_l2(lhs.values, symbol * rhs.values, w)
 
 
-# ----------------------------------------------------------------------
-# criterion 6: kernel symmetry and parabolic scaling
-# ----------------------------------------------------------------------
-
-def check_kernel_symmetry(scale=1.0):
-    t0 = time.time()
+@_check("heat", "6", "kernel symmetric in (r,s)<->(u,v)", tol=1e-12)
+def check_kernel_symmetry():
     tp = TypePair(0.3, 0.45)
     rng = np.random.default_rng(7)
     errs = []
@@ -309,11 +296,11 @@ def check_kernel_symmetry(scale=1.0):
             k1 = heat.heat_kernel(hp, r, s, u, v, rule=rule)
             k2 = heat.heat_kernel(hp, u, v, r, s, rule=rule)
             errs.append(abs(k1 - k2) / max(abs(k1), 1e-300))
-    return _result("6", "kernel symmetric in (r,s)<->(u,v)", max(errs), 1e-12 * scale, t0)
+    return max(errs)
 
 
-def check_kernel_scaling(scale=1.0):
-    t0 = time.time()
+@_check("heat", "6", "parabolic scaling K_t = t^-3/2 K_1(scaled)", tol=1e-6)
+def check_kernel_scaling():
     tp = TypePair(0.3, 0.45)
     rng = np.random.default_rng(11)
     errs = []
@@ -326,21 +313,16 @@ def check_kernel_scaling(scale=1.0):
             k_t = heat.heat_kernel(hp, r, s, u, v)
             k_1 = heat.heat_kernel(hp1, r / rt, s / t, u / rt, v / t)
             errs.append(abs(k_t - t**-1.5 * k_1) / abs(k_t))
-    return _result("6", "parabolic scaling K_t = t^-3/2 K_1(scaled)",
-                   max(errs), 1e-6 * scale, t0)
+    return max(errs)
 
-
-# ----------------------------------------------------------------------
-# criterion 7: truncated eigenfunction sum vs closed form
-# ----------------------------------------------------------------------
 
 MEHLER_PROBES = ((0.25, 0.8, 1.2, 0.9), (0.5, 1.5, 0.7, 1.8),
                  (1.0, 2.5, 1.1, 1.3), (0.4, 0.3, 2.0, 2.4),
                  (2.0, 1.0, 0.5, 0.6))
 
 
-def check_mehler_sum(scale=1.0):
-    t0 = time.time()
+@_check("heat", "7", "eigenfunction sum matches closed kernel factor", tol=1e-8)
+def check_mehler_sum():
     errs = []
     for alpha in (-0.5, 0.3, 1.2):
         for (t, tau, r, u) in MEHLER_PROBES:
@@ -351,13 +333,8 @@ def check_mehler_sum(scale=1.0):
                 total += np.exp(-4.0 * t * tau * n) * q[0] * q[1]
             want = heat.mehler_kernel(alpha, t, tau, r, u)
             errs.append(abs(total - want))
-    return _result("7", "eigenfunction sum matches closed kernel factor",
-                   max(errs), 1e-8 * scale, t0)
+    return max(errs)
 
-
-# ----------------------------------------------------------------------
-# criterion 8: kernel route vs spectral route
-# ----------------------------------------------------------------------
 
 ROUTE_BETAS = (-0.5, 0.0, 0.7)
 
@@ -395,8 +372,8 @@ def route_test_function():
                                     support=((r_lo, r_hi), (s_lo, s_hi)))
 
 
-def check_route_agreement(scale=1.0):
-    t0 = time.time()
+@_check("heat", "8", "kernel route = spectral route", tol=1e-3)
+def check_route_agreement():
     f = route_test_function()
     pts = np.array([[1.6, 2.4], [2.0, 3.0], [2.4, 3.6], [1.8, 2.2]])
     errs = []
@@ -406,15 +383,11 @@ def check_route_agreement(scale=1.0):
             kern = heat.heat_apply(hp, f, pts, route="kernel")
             spec = heat.heat_apply(hp, f, pts, route="spectral")
             errs.append(np.max(np.abs(kern - spec) / np.abs(kern)))
-    return _result("8", "kernel route = spectral route", max(errs), 1e-3 * scale, t0)
+    return max(errs)
 
 
-# ----------------------------------------------------------------------
-# criterion 9: semigroup property of the kernel route
-# ----------------------------------------------------------------------
-
-def check_semigroup(scale=1.0):
-    t0 = time.time()
+@_check("heat", "9", "semigroup composition", tol=1e-3)
+def check_semigroup():
     tp = TypePair(0.0, 0.5)
     t1 = t2 = 0.25
     f = packet_plane()
@@ -446,16 +419,11 @@ def check_semigroup(scale=1.0):
     vrule = quadrature.build_finite_rule(s_lo, s_hi, 0.05)
     norm_f = np.sqrt(np.sum(urule.weights[:, None] * vrule.weights[None, :]
                             * f(urule.nodes[:, None], vrule.nodes[None, :]) ** 2))
-    err = np.sqrt(np.sum(w * (composed - direct) ** 2)) / norm_f
-    return _result("9", "semigroup composition", err, 1e-3 * scale, t0)
+    return np.sqrt(np.sum(w * (composed - direct) ** 2)) / norm_f
 
 
-# ----------------------------------------------------------------------
-# criterion 10: half-integer closed form, cosh vs sinh variant
-# ----------------------------------------------------------------------
-
-def check_half_integer_kernel(scale=1.0):
-    t0 = time.time()
+@_check("heat", "10", "cosh variant matches general kernel", tol=1e-6)
+def check_half_integer_kernel():
     tp = TypePair(-0.5, -0.5)
     rng = np.random.default_rng(3)
     errs = []
@@ -466,10 +434,10 @@ def check_half_integer_kernel(scale=1.0):
             general = heat.heat_kernel(hp, r, s, u, v)
             closed = heat.heat_kernel_half(t, r, s, u, v, variant="cosh")
             errs.append(abs(closed - general) / abs(general))
-    return _result("10", "cosh variant matches general kernel",
-                   max(errs), 1e-6 * scale, t0)
+    return max(errs)
 
 
+@_in_suite("heat")
 def check_half_integer_kernel_sinh(scale=1.0):
     t0 = time.time()
     hp = heat.HeatParams(0.5, TypePair(-0.5, -0.5))
@@ -483,16 +451,12 @@ def check_half_integer_kernel_sinh(scale=1.0):
                        time.time() - t0)
 
 
-# ----------------------------------------------------------------------
-# criterion 11: diagonal profile power laws
-# ----------------------------------------------------------------------
-
 def _fit_slope(x, y):
     return float(np.polyfit(np.log(x), np.log(y), 1)[0])
 
 
-def check_profile_exponents(scale=1.0):
-    t0 = time.time()
+@_check("heat", "11", "log-log slopes equal 2b and 2a", tol=0.1)
+def check_profile_exponents():
     xs = np.logspace(-3, -2, 25)
     errs = []
     details = []
@@ -504,29 +468,14 @@ def check_profile_exponents(scale=1.0):
         slope = _fit_slope(xs, heat.diagonal_profile("F2", TypePair(alpha, 0.25), xs))
         errs.append(abs(slope - 2.0 * alpha))
         details.append(f"F2(a={alpha}): {slope:.3f}")
-    return _result("11", "log-log slopes equal 2b and 2a", max(errs),
-                   0.1 * scale, t0, extra="; ".join(details))
+    return max(errs), "; ".join(details)
 
 
-# ----------------------------------------------------------------------
-# criteria 12, 13: discretization orders of the differential oracles
-# ----------------------------------------------------------------------
-
-_H_SWEEP = (1.0 / 128, 1.0 / 256, 1.0 / 512)
-
-
-def _order_sweep(residuals):
-    """Measured order over the whole halving sweep, plus per-step ratios."""
-    steps = [float(np.log2(a / b)) for a, b in zip(residuals[:-1], residuals[1:])]
-    overall = float(np.log2(residuals[0] / residuals[-1]) / (len(residuals) - 1))
-    return overall, steps
-
-
-def check_eigenfunction_residual(scale=1.0):
-    t0 = time.time()
+@_check("diffop", "12", "eigenfunction residual order >= 1.9", tol=0.0)
+def check_eigenfunction_residual():
     tp = TypePair(0.6, 0.4)
     n, tau = 3, 1.3
-    lam = specfun.laguerre_eigenvalue(tp.alpha, n) * tau
+    lam = gtransform.spectral_symbol(tp.alpha, n, tau)
 
     def psi(r, s):
         rr = np.broadcast_to(r, np.broadcast_shapes(np.shape(r), np.shape(s)))
@@ -540,30 +489,22 @@ def check_eigenfunction_residual(scale=1.0):
         want = lam * g.values[1:-1, 1:-1]
         residuals.append(np.max(np.abs(out.values - want)) / np.max(np.abs(g.values)))
     order, steps = _order_sweep(residuals)
-    err = max(1.9 - order, 0.0)
-    return _result("12", "eigenfunction residual order >= 1.9", err, 0.0, t0,
-                   extra=f"order {order:.2f}, steps {['%.2f' % o for o in steps]}")
+    return max(1.9 - order, 0.0), f"order {order:.2f}, steps {['%.2f' % o for o in steps]}"
 
 
-def check_factorization_residual(scale=1.0):
-    t0 = time.time()
+@_check("diffop", "12", "delta factorization residual order >= 1.9", tol=0.0)
+def check_factorization_residual():
     tp = TypePair(0.6, 0.4)
-    fr, fs = smooth_bump(1.7, 1.1), smooth_bump(2.1, 1.0)
-    bump = lambda r, s: fr(r) * fs(s)
+    bump = bump_plane(1.7, 1.1, 2.1, 1.0)
     residuals = []
     for h in _H_SWEEP:
         g = diffop.grid_from_function(bump, (0.25, 4.0), (0.25, 4.0), h)
         residuals.append(diffop.delta_factorization_residual(tp.alpha, tp.beta, g))
     order, steps = _order_sweep(residuals)
-    err = max(1.9 - order, 0.0)
-    return _result("12", "delta factorization residual order >= 1.9", err, 0.0, t0,
-                   extra=f"order {order:.2f}, steps {['%.2f' % o for o in steps]}")
+    return max(1.9 - order, 0.0), f"order {order:.2f}, steps {['%.2f' % o for o in steps]}"
 
 
-def _intertwining_residual(alpha, beta, h):
-    fr, fs = smooth_bump(1.6, 1.0), smooth_bump(2.3, 1.2)
-    bump = lambda r, s: fr(r) * fs(s)
-    g = diffop.grid_from_function(bump, (0.25, 4.0), (0.25, 4.0), h)
+def _intertwining_residual(alpha, beta, g):
     lhs = diffop.conjugation_map("U_alphabeta", alpha, beta,
                                  diffop.apply_G_weighted(alpha, beta, g))
     rhs = diffop.apply_G_circ(alpha, beta,
@@ -571,10 +512,7 @@ def _intertwining_residual(alpha, beta, h):
     return np.max(np.abs(lhs.values - rhs.values))
 
 
-def _v_conjugation_residual(alpha, beta, h, kind):
-    fr, fs = smooth_bump(1.6, 1.0), smooth_bump(2.3, 1.2)
-    bump = lambda r, s: fr(r) * fs(s)
-    g = diffop.grid_from_function(bump, (0.25, 4.0), (0.25, 4.0), h)
+def _v_conjugation_residual(alpha, beta, g, kind):
     if kind == "V_alphabeta":
         a2, b2 = -alpha, -beta
         va, vb = alpha, beta
@@ -591,34 +529,16 @@ def _v_conjugation_residual(alpha, beta, h, kind):
     return np.max(np.abs(lhs.values - rhs.values))
 
 
-def check_conjugation_orders(scale=1.0):
-    t0 = time.time()
+@_check("diffop", "13", "conjugation identities at order >= 1.9", tol=0.0)
+def check_conjugation_orders():
     alpha, beta = 0.7, 0.35
-    orders = []
-    res = [_intertwining_residual(alpha, beta, h) for h in _H_SWEEP]
-    orders.append(_order_sweep(res)[0])
+    bump = bump_plane(1.6, 1.0, 2.3, 1.2)
+    grids = [diffop.grid_from_function(bump, (0.25, 4.0), (0.25, 4.0), h) for h in _H_SWEEP]
+    orders = [_order_sweep([_intertwining_residual(alpha, beta, g) for g in grids])[0]]
     for kind in ("V_alphabeta", "V_alpha0", "V_0beta"):
-        res = [_v_conjugation_residual(alpha, beta, h, kind) for h in _H_SWEEP]
+        res = [_v_conjugation_residual(alpha, beta, g, kind) for g in grids]
         orders.append(_order_sweep(res)[0])
-    err = max(1.9 - min(orders), 0.0)
-    return _result("13", "conjugation identities at order >= 1.9", err, 0.0, t0,
-                   extra=f"orders {['%.2f' % o for o in orders]}")
-
-
-SUITES = {
-    "specfun": (check_half_integer_bessel, check_small_argument_laws,
-                check_laguerre_orthonormality, check_laguerre_ode_residual),
-    "hankel": (check_hankel_self_inverse, check_hankel_unitarity,
-               check_hankel_conjugation),
-    "laguerre": (check_gaussian_coefficients, check_gaussian_parseval),
-    "gtransform": (check_plancherel_gaussian, check_round_trips,
-                   check_hat_variant, check_intertwining),
-    "heat": (check_kernel_symmetry, check_kernel_scaling, check_mehler_sum,
-             check_route_agreement, check_semigroup, check_half_integer_kernel,
-             check_half_integer_kernel_sinh, check_profile_exponents),
-    "diffop": (check_eigenfunction_residual, check_factorization_residual,
-               check_conjugation_orders),
-}
+    return max(1.9 - min(orders), 0.0), f"orders {['%.2f' % o for o in orders]}"
 
 
 def run_suite(name: str, tol_scale: float = 1.0) -> list[CheckResult]:

@@ -420,3 +420,50 @@ class TestCoordinateValidation:
     def test_diagonal_profile(self, bad):
         with pytest.raises(ValueError, match=r"^x_grid\[1\] must be a finite real > 0"):
             heat.diagonal_profile("F1", TypePair(0.3, 0.2), [0.5, bad, 1.0])
+
+
+def mpmath_kernel(t, ab, r, s, u, v):
+    """K_t((r,s),(u,v)) by mpmath's tanh-sinh quadrature at 20 digits, on
+    unit intervals out to where the integrand's envelope
+    exp(-tau((r^2+u^2)/2 + 2t(a+1))) falls below 1e-17."""
+    import mpmath
+    with mpmath.workdps(20):
+        t, a, b, r, s, u, v = map(mpmath.mpf, (t, *ab, r, s, u, v))
+
+        def integrand(tau):
+            y = 2 * t * tau
+            return (mpmath.besselj(b, tau * s) * mpmath.besselj(b, tau * v)
+                    * mpmath.exp(-tau * (r * r + u * u) / (2 * mpmath.tanh(y)))
+                    * mpmath.besseli(a, tau * r * u / mpmath.sinh(y))
+                    * tau**2 / mpmath.sinh(y))
+
+        top = int(40 / ((r * r + u * u) / 2 + 2 * t * (a + 1))) + 1
+        return float(mpmath.sqrt(r * s * u * v) * mpmath.quad(integrand, range(top + 1)))
+
+
+class TestTauExponentForNegativeB:
+    # for -1/2 < b < 0 the tau integrand goes as tau^(2b+1) with an unbounded
+    # derivative at 0; the rules absorb it.  Tolerances fixed before the
+    # code; the unabsorbed rules were off by 1.8e-11 to 4.6e-8 (kernel) and
+    # 6.4e-10 to 1.0e-8 (profiles)
+
+    @pytest.mark.parametrize("ab,t,point", [
+        ((0.25, -0.4), 0.5, (1.0, 1.0, 1.0, 1.0)),
+        ((0.25, -0.4), 0.1, (0.7, 1.3, 1.1, 0.6)),
+        ((0.3, -0.2), 0.5, (1.2, 0.8, 0.9, 1.5)),
+    ])
+    def test_heat_kernel_against_mpmath(self, ab, t, point):
+        got = heat.heat_kernel(HeatParams(t, TypePair(*ab)), *point)
+        want = mpmath_kernel(t, ab, *point)
+        assert abs(got - want) / abs(want) < 1e-12
+
+    @pytest.mark.parametrize("x", [0.1, 1.0, 5.0])
+    def test_diagonal_profiles_against_mpmath(self, x):
+        # s F1(s) = K_1/2((1,s),(1,s)) and r F2(r) = K_1/2((r,1),(r,1))
+        ab = (0.25, -0.4)
+        f1 = x * heat.diagonal_profile("F1", TypePair(*ab), [x])[0]
+        f2 = x * heat.diagonal_profile("F2", TypePair(*ab), [x])[0]
+        k1 = mpmath_kernel(0.5, ab, 1.0, x, 1.0, x)
+        k2 = mpmath_kernel(0.5, ab, x, 1.0, x, 1.0)
+        assert abs(f1 - k1) / abs(k1) < 1e-11
+        assert abs(f2 - k2) / abs(k2) < 1e-11

@@ -245,3 +245,29 @@ def test_only_quadrature_and_hankel_bind_truncation_point():
         offenders += [f"{info.name}.{attr}" for attr, value in vars(mod).items()
                       if value is truncation_point]
     assert offenders == []
+
+
+def test_only_quadrature_binds_the_gauss_node_generators():
+    # the [-1, 1] node sets are cached in one place
+    import importlib
+    import pkgutil
+
+    import grushin
+    offenders = []
+    for info in pkgutil.iter_modules(grushin.__path__):
+        if info.name == "quadrature":
+            continue
+        mod = importlib.import_module(f"grushin.{info.name}")
+        offenders += [f"{info.name}.{attr}" for attr, value in vars(mod).items()
+                      if value is leggauss or value is roots_jacobi]
+    assert offenders == []
+
+
+def test_unit_node_sets_are_cached_and_read_only():
+    from grushin.quadrature import _unit_nodes
+    for gamma in (0.0, -0.8):
+        x, w = _unit_nodes(8, gamma)
+        assert _unit_nodes(8, gamma)[0] is x
+        assert not x.flags.writeable and not w.flags.writeable
+    assert np.array_equal(_unit_nodes(8, 0.0)[0], leggauss(8)[0])
+    assert np.array_equal(_unit_nodes(8, -0.8)[1], roots_jacobi(8, 0.0, -0.8)[1])
