@@ -66,14 +66,14 @@ def as_half_line_function(f) -> HalfLineFunction:
 
 
 def profile_rule(f: HalfLineFunction, width: float, extra_exponent: float = 0.0,
-                 reach: float = np.inf) -> HalfLineRule:
-    """Rule of panel width <= width over f's support, else over (0, min(cut
-    of f's decay, reach)); from 0 it absorbs u^(f.endpoint_exponent +
-    extra_exponent), extra_exponent being the kernel's own power at 0."""
+                 reach: float = np.inf, points_per_panel: int = 8) -> HalfLineRule:
+    """Rule of points_per_panel Gauss points on panels of width <= width over f's
+    support, else (0, min(cut of f's decay, reach)); from 0 it absorbs the power
+    u^(f.endpoint_exponent + extra_exponent), extra_exponent being the kernel's."""
     lo, hi = f.support or (0.0, min(truncation_point(
         TruncationPolicy(decay_hint=f.decay, rate=f.rate)), reach))
     gamma = f.endpoint_exponent + extra_exponent if lo == 0.0 else 0.0
-    return build_finite_rule(lo, hi, width, endpoint_exponent=gamma)
+    return build_finite_rule(lo, hi, width, points_per_panel, endpoint_exponent=gamma)
 
 
 def rule_for_function(f: HalfLineFunction, freq: float = 0.0,

@@ -30,6 +30,11 @@ __all__ = [
     "gaussian_coefficient",
 ]
 
+# Gauss points per r panel and the panel's phase at the top wavenumber.  Gauss-Legendre
+# on cos(w u + c) over (0, 1) errs by 2e-15 with 8 points at w = pi; with 16, by 7e-16,
+# 4e-16 and 1e-14 at w = 4, 5 and 6 pi.
+_PANEL_POINTS, _PANEL_PHASE = 16, 5.0 * np.pi
+
 
 @dataclass(frozen=True)
 class LaguerreCoeffs:
@@ -54,15 +59,15 @@ class LaguerreCoeffs:
 
 
 def analysis_rule(alpha, taus, f: HalfLineFunction, n_max) -> HalfLineRule:
-    """r-rule resolving f and every l_{n,tau}^a with n < n_max and tau in the
-    range taus = (tau_lo, tau_hi)."""
+    """r-rule for f and every l_{n,tau}^a, n < n_max, tau in taus = (tau_lo, tau_hi):
+    _PANEL_POINTS Gauss points a panel of phase _PANEL_PHASE at the top wavenumber
+    sqrt(lam_N tau_hi), out to f's cut or the turning point sqrt(lam_N/tau_lo) + 6."""
     alpha = _order_value(alpha)
     lam = laguerre_eigenvalue(alpha, n_max - 1)
     tau_lo, tau_hi = taus
-    # pi over the highest local wavenumber sqrt(lam_N tau) of the basis; the
-    # basis functions die out past the classical turning point
-    return profile_rule(f, np.pi / np.sqrt(lam * tau_hi), alpha + 0.5,
-                        reach=np.ceil(np.sqrt(lam / tau_lo) + 6.0))
+    reach = np.ceil(np.sqrt(lam / tau_lo) + 6.0)
+    return profile_rule(f, _PANEL_PHASE / np.sqrt(lam * tau_hi), alpha + 0.5, reach=reach,
+                        points_per_panel=_PANEL_POINTS)
 
 
 def _laguerre_blocks(alpha, x, n_max, per_block) -> np.ndarray:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from grushin import hankel
-from grushin.functions import smooth_bump
+from grushin.functions import power_gaussian_profile, smooth_bump
 from grushin.quadrature import build_finite_rule
 
 
@@ -148,3 +148,17 @@ def test_conjugation_between_forms():
 def test_negative_tau_rejected():
     with pytest.raises(ValueError):
         hankel.hankel_modified(0.5, lambda u: np.exp(-u), [-1.0])
+
+
+@pytest.mark.parametrize("support", [None, (0.5, 3.0)])
+def test_profile_rule_forwards_points_per_panel(support):
+    prof = power_gaussian_profile(0.3)
+    if support is not None:
+        prof = hankel.HalfLineFunction(prof.fn, support=support)
+    panels = len(hankel.profile_rule(prof, 0.4, 0.8)) // 8
+    rule = hankel.profile_rule(prof, 0.4, 0.8, points_per_panel=16)
+    assert len(rule) == 16 * panels
+    lo, hi = support or (0.0, rule.upper_cut)
+    want = build_finite_rule(lo, hi, 0.4, 16, endpoint_exponent=1.6 if lo == 0.0 else 0.0)
+    assert np.array_equal(rule.nodes, want.nodes)
+    assert np.array_equal(rule.weights, want.weights)

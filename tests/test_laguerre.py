@@ -6,6 +6,7 @@ from scipy.special import gammaln
 
 from grushin import laguerre
 from grushin.functions import power_gaussian_profile, smooth_bump
+from grushin.gtransform import default_tau_rule
 from grushin.hankel import HalfLineFunction
 from grushin.quadrature import build_finite_rule
 from grushin.specfun import LaguerreIndex, laguerre_fn, laguerre_fn_seq
@@ -40,6 +41,17 @@ class TestAnalyze:
         got = laguerre.laguerre_analyze(alpha, tau, prof, 21).values
         want = laguerre.gaussian_coefficient(alpha, np.arange(21), tau)
         assert np.max(np.abs(got - want)) < 1e-8
+
+    @pytest.mark.parametrize("alpha", [-0.9, 0.0, 0.5])
+    @pytest.mark.parametrize("tau", [1e-3, 1.0, 12.0])
+    @pytest.mark.parametrize("n_max", [16, 96, 256])
+    def test_default_rule_matches_closed_form(self, alpha, tau, n_max):
+        # on the default analysis rule, across the tau range of the forward
+        # transform and up to its largest n_max; the 8-point rule of phase
+        # pi per panel was off by at most 1.8e-11 (alpha = 0, tau = 1e-3)
+        got = laguerre.laguerre_analyze(alpha, tau, power_gaussian_profile(alpha), n_max)
+        want = laguerre.gaussian_coefficient(alpha, np.arange(n_max), tau)
+        assert np.max(np.abs(got.values - want)) < 3e-11
 
     def test_basis_function_gives_unit_vector(self):
         alpha, tau, n = 0.4, 1.3, 3
@@ -164,6 +176,14 @@ def test_analyze_of_samples_equals_analyze_of_profile():
     rule = laguerre.analysis_rule(0.4, (1.3, 1.3), prof, 12)
     sampled = laguerre.laguerre_analyze(0.4, 1.3, prof(rule.nodes), 12, rule=rule)
     assert np.array_equal(sampled.values, laguerre.laguerre_analyze(0.4, 1.3, prof, 12).values)
+
+
+def test_forward_r_rule_size():
+    # the r rule of g_forward at n_max = 256 on the default tau grid; the
+    # 8-point rule of phase pi per panel had 2392 nodes
+    tau_lo = default_tau_rule().nodes[0]
+    rule = laguerre.analysis_rule(0.5, (tau_lo, 12.0), power_gaussian_profile(0.5), 256)
+    assert len(rule) <= 1200
 
 
 def test_synthesize_rejects_nan_point():

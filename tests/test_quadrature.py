@@ -213,7 +213,8 @@ class TestAgainstReference:
         assert np.array_equal(rule.weights, weights)
 
     @pytest.mark.parametrize("args", [(0.3, 7.1, 0.13, 8, 0.0), (0.05, 3.5, 0.02, 5, 1.2),
-                                      (0.0, 12.0, 12.0 / 32, 8, -0.6)])
+                                      (0.0, 12.0, 12.0 / 32, 8, -0.6),
+                                      (0.0, 8.0, 0.45, 16, 1.0)])
     def test_build_finite_rule_bitwise(self, args):
         a, b, width, points, gamma = args
         rule = build_finite_rule(a, b, width, points, endpoint_exponent=gamma)
