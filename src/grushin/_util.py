@@ -2,12 +2,14 @@
 
 from __future__ import annotations
 
+import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
-__all__ = ["BLOCK", "column_blocks", "positive_value", "thread_count", "parallel_map"]
+__all__ = ["BLOCK", "column_blocks", "real_value", "count_value", "thread_count",
+           "parallel_map"]
 
 # doubles per column block of every table (Laguerre, Bessel J, Hankel
 # kernel, diagonal profile): a block's working arrays stay cache-resident
@@ -25,18 +27,39 @@ def column_blocks(rows, cols, min_width=1) -> list:
     return [slice(lo, hi) for lo, hi in zip(edges[:-1], edges[1:])]
 
 
-def positive_value(value, name):
+def real_value(value, name, lower=0.0, closed=False):
     """value as a float, or as a float array, after checking that it is
-    finite and > 0; for an array the message names the first bad index."""
+    finite and > lower (>= lower when closed); for an array the message
+    names the first bad index."""
+    op = ">=" if closed else ">"
+    if isinstance(value, (float, int)) or np.ndim(value) == 0:
+        v = float(value)
+        if not ((v >= lower if closed else v > lower) and v < math.inf):
+            raise ValueError(f"{name} must be a finite real {op} {lower:g}, got {v}")
+        return v
     arr = np.asarray(value, dtype=float)
-    bad = ~(np.isfinite(arr) & (arr > 0.0))
-    if arr.ndim == 0:
-        if bad:
-            raise ValueError(f"{name} must be a finite real > 0, got {float(arr)}")
-        return float(arr)
-    if bad.any():
-        i = int(np.flatnonzero(bad)[0])
-        raise ValueError(f"{name}[{i}] must be a finite real > 0, got {arr.flat[i]}")
+    ok = np.isfinite(arr)
+    ok &= arr >= lower if closed else arr > lower
+    if not ok.all():
+        i = int(np.argmin(ok))
+        raise ValueError(f"{name}[{i}] must be a finite real {op} {lower:g}, "
+                         f"got {arr.flat[i]}")
+    return arr
+
+
+def count_value(value, name, least):
+    """value as an int, or as an array, after checking that every entry is an
+    integer >= least; for an array the message names the first bad index."""
+    if isinstance(value, (float, int)) or np.ndim(value) == 0:
+        v = float(value)
+        if not (v >= least and v.is_integer()):
+            raise ValueError(f"{name} must be an integer >= {least}, got {value}")
+        return int(v)
+    arr = np.asarray(value)
+    ok = np.isfinite(arr) & (arr >= least) & (arr == np.floor(arr))
+    if not ok.all():
+        i = int(np.argmin(ok))
+        raise ValueError(f"{name}[{i}] must be an integer >= {least}, got {arr.flat[i]}")
     return arr
 
 

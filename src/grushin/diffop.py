@@ -23,6 +23,8 @@ from typing import Callable
 
 import numpy as np
 
+from ._util import real_value
+
 __all__ = [
     "GridFunction2D",
     "grid_from_function",
@@ -50,8 +52,7 @@ class GridFunction2D:
         for name, nodes in (("r_nodes", self.r_nodes), ("s_nodes", self.s_nodes)):
             if nodes.ndim != 1 or len(nodes) < 5:
                 raise ValueError(f"{name} must be 1-d with at least 5 nodes")
-            if nodes[0] <= 0.0:
-                raise ValueError(f"{name} must be positive")
+            real_value(nodes, name)
             d = np.diff(nodes)
             if np.any(d <= 0.0):
                 raise ValueError(f"{name} must be strictly increasing")

@@ -23,7 +23,7 @@ from typing import Callable, Optional, Tuple
 
 import numpy as np
 
-from ._util import positive_value
+from ._util import real_value
 from .hankel import (HalfLineFunction, _liouville_kernel, as_half_line_function,
                      rule_for_function)
 from .laguerre import _laguerre_rows, _synthesize_columns, analysis_rule
@@ -124,14 +124,12 @@ class SpectralData:
         object.__setattr__(self, "values", np.asarray(self.values))
         _order_value(self.alpha, "alpha")
         _order_value(self.beta, "beta")
+        real_value(self.tau_grid, "tau_grid")
         if self.tau_grid.ndim != 1 or np.any(np.diff(self.tau_grid) <= 0.0):
             raise ValueError("tau_grid must be strictly increasing")
-        if np.any(self.tau_grid <= 0.0):
-            raise ValueError("tau_grid must be positive")
         if self.tau_weights.shape != self.tau_grid.shape:
             raise ValueError("tau_weights must match tau_grid")
-        if np.any(self.tau_weights <= 0.0):
-            raise ValueError("tau_weights must be positive")
+        real_value(self.tau_weights, "tau_weights")
         if self.values.ndim != 2 or self.values.shape[1] != len(self.tau_grid):
             raise ValueError("values must have shape (n_max, len(tau_grid))")
         if not np.all(np.isfinite(self.values)):
@@ -231,15 +229,15 @@ def _points_array(points) -> np.ndarray:
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     if pts.shape[1] != 2:
         raise ValueError("points must have shape (m, 2)")
-    positive_value(pts[:, 0], "r")
-    positive_value(pts[:, 1], "s")
+    real_value(pts[:, 0], "r")
+    real_value(pts[:, 1], "s")
     return pts
 
 
 def g_inverse_grid(sd: SpectralData, rs, ss) -> np.ndarray:
     """Inverse transform evaluated on the tensor grid rs x ss."""
-    rs = positive_value(np.atleast_1d(rs), "rs")
-    ss = positive_value(np.atleast_1d(ss), "ss")
+    rs = real_value(np.atleast_1d(rs), "rs")
+    ss = real_value(np.atleast_1d(ss), "ss")
     synth = _synthesis(sd, rs)                                 # (K, nr)
     kern = _liouville_kernel(sd.beta, sd.tau_grid, ss)         # (ns, K)
     return synth.T @ (sd.tau_weights[:, None] * kern.T)        # (nr, ns)

@@ -18,7 +18,7 @@ from typing import Callable, Optional, Tuple
 
 import numpy as np
 
-from ._util import column_blocks
+from ._util import column_blocks, real_value
 from .quadrature import (HalfLineRule, TruncationPolicy, build_finite_rule, build_rule,
                          truncation_point)
 from .specfun import bessel_j_normalized, bessel_j_table, _order_value
@@ -105,10 +105,8 @@ def _sampled_values(f, rule, default_rule):
 
 
 def _values_and_rule(f, taus, rule, extra_exponent):
-    taus = np.atleast_1d(np.asarray(taus, dtype=float))
-    vals, rule = _sampled_values(f, rule, lambda hf: rule_for_function(
+    return _sampled_values(f, rule, lambda hf: rule_for_function(
         hf, freq=float(taus.max(initial=0.0)), extra_exponent=extra_exponent))
-    return vals, rule, taus
 
 
 def _liouville_kernel(beta, taus, pts):
@@ -130,9 +128,8 @@ def hankel_modified(alpha, f, taus, rule: Optional[HalfLineRule] = None):
     """Modified-form transform of f at the points taus (taus >= 0 allowed),
     as an array of the length of taus."""
     alpha = _order_value(alpha)
-    vals, rule, taus = _values_and_rule(f, taus, rule, 2.0 * alpha + 1.0)
-    if np.any(taus < 0.0):
-        raise ValueError("tau must be >= 0")
+    taus = real_value(np.atleast_1d(taus), "tau", closed=True)
+    vals, rule = _values_and_rule(f, taus, rule, 2.0 * alpha + 1.0)
     weighted = rule.weights * vals * rule.nodes ** (2.0 * alpha + 1.0)
     return _kernel_apply(taus, rule, weighted,
                          lambda t, u: bessel_j_normalized(alpha, t[:, None] * u[None, :]))
@@ -142,10 +139,9 @@ def hankel_liouville(beta, f, taus, rule: Optional[HalfLineRule] = None):
     """Liouville-form transform of f at the points taus (taus > 0), as an
     array of the length of taus."""
     beta = _order_value(beta)
+    taus = real_value(np.atleast_1d(taus), "tau")
     # the kernel itself contributes u^(b+1/2) at the origin
-    vals, rule, taus = _values_and_rule(f, taus, rule, min(beta + 0.5, 0.0))
-    if np.any(taus <= 0.0):
-        raise ValueError("tau must be > 0 for the Liouville form")
+    vals, rule = _values_and_rule(f, taus, rule, min(beta + 0.5, 0.0))
     weighted = rule.weights * vals
     # the kernel depends on tau u only: as (tau block x nodes) it is the
     # (pts = tau, taus = u) table

@@ -26,7 +26,7 @@ from typing import Optional
 
 import numpy as np
 
-from ._util import column_blocks, parallel_map, positive_value
+from ._util import column_blocks, parallel_map, real_value
 from .gtransform import (Multiplier, TypePair, _points_array, as_plane_function,
                          functional_calculus)
 from .hankel import profile_rule
@@ -57,7 +57,7 @@ class HeatParams:
     tp: TypePair
 
     def __post_init__(self):
-        positive_value(self.t, "t")
+        real_value(self.t, "t")
 
     @property
     def alpha(self) -> float:
@@ -122,7 +122,7 @@ def _kernel_core(alpha, t, tau, r, u, log_scale):
 def heat_kernel(hp: HeatParams, r, s, u, v,
                 rule: Optional[HalfLineRule] = None) -> float:
     """Kernel value K_t((r,s),(u,v)) by tau quadrature."""
-    r, s, u, v = map(positive_value, (r, s, u, v), "rsuv")
+    r, s, u, v = map(real_value, (r, s, u, v), "rsuv")
     if rule is None:
         rule = kernel_tau_rule(hp, freq=max(s, v))
     tau = rule.nodes
@@ -140,7 +140,7 @@ def heat_kernel_half(t: float, r, s, u, v, variant: str = "cosh") -> float:
     """
     if variant not in ("cosh", "sinh"):
         raise ValueError("variant must be 'cosh' or 'sinh'")
-    r, s, u, v = map(positive_value, (r, s, u, v), "rsuv")
+    r, s, u, v = map(real_value, (r, s, u, v), "rsuv")
     hp = HeatParams(t, TypePair(-0.5, -0.5))
     rule = kernel_tau_rule(hp, freq=max(s, v))
     tau = rule.nodes
@@ -172,7 +172,7 @@ def kernel_at_origin(hp: HeatParams, r, s) -> float:
 
 
 def _weighted_kernel(hp, r, s, u, v, rule):
-    r, s = map(positive_value, (r, s), "rs")
+    r, s = map(real_value, (r, s), "rs")
     if rule is None:
         rule = kernel_tau_rule(hp, freq=max(s, v))
     tau = rule.nodes
@@ -294,7 +294,7 @@ def diagonal_profile(kind: str, tp: TypePair, x_grid) -> np.ndarray:
     """
     if kind not in ("F1", "F2"):
         raise ValueError("kind must be 'F1' or 'F2'")
-    x_grid = positive_value(np.atleast_1d(x_grid), "x_grid")
+    x_grid = real_value(np.atleast_1d(x_grid), "x_grid")
     # envelope: exp(-tau) from coth, tau^2/sinh ~ e^(-tau), and for a < 0 the
     # Bessel factor contributes growth e^(|a| tau) through its small argument
     rate = (2.0 if kind == "F1" else 1.0) + min(tp.alpha, 0.0)

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from ._util import real_value
 from .diffop import GridFunction2D
 from .gtransform import SpectralData
 
@@ -147,12 +148,17 @@ def _header_int(header, key, path):
 
 
 def _header_array(header, key, path):
+    """The comma-separated entries of a header field, each finite and > 0."""
     if key not in header:
         raise HeaderError(f"{path}: missing header field {key!r}")
     try:
-        return np.array([float(tok) for tok in header[key].split(",")])
+        values = np.array([float(tok) for tok in header[key].split(",")])
     except ValueError:
         raise HeaderError(f"{path}: header field {key!r} holds a non-numeric entry")
+    try:
+        return real_value(values, key)
+    except ValueError as exc:
+        raise HeaderError(f"{path}: header field {exc}") from None
 
 
 def _header_types(header, path):

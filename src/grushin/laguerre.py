@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import gammaln
 
-from ._util import column_blocks, parallel_map, positive_value
+from ._util import column_blocks, count_value, parallel_map, real_value
 from .hankel import HalfLineFunction, _sampled_values, profile_rule
 from .quadrature import HalfLineRule
 from .specfun import _order_value, laguerre_eigenvalue, laguerre_fn_seq
@@ -47,7 +47,7 @@ class LaguerreCoeffs:
     def __post_init__(self):
         object.__setattr__(self, "values", np.asarray(self.values))
         _order_value(self.alpha, "alpha")
-        positive_value(self.tau, "tau")
+        real_value(self.tau, "tau")
         if self.values.ndim != 1 or self.values.size < 1:
             raise ValueError("values must be a nonempty 1-d array")
         if not np.all(np.isfinite(self.values)):
@@ -63,7 +63,7 @@ def analysis_rule(alpha, taus, f: HalfLineFunction, n_max) -> HalfLineRule:
     _PANEL_POINTS Gauss points a panel of phase _PANEL_PHASE at the top wavenumber
     sqrt(lam_N tau_hi), out to f's cut or the turning point sqrt(lam_N/tau_lo) + 6."""
     alpha = _order_value(alpha)
-    lam = laguerre_eigenvalue(alpha, n_max - 1)
+    lam = laguerre_eigenvalue(alpha, count_value(n_max, "n_max", 1) - 1)
     tau_lo, tau_hi = taus
     reach = np.ceil(np.sqrt(lam / tau_lo) + 6.0)
     return profile_rule(f, _PANEL_PHASE / np.sqrt(lam * tau_hi), alpha + 0.5, reach=reach,
@@ -110,9 +110,8 @@ def laguerre_analyze(alpha, tau, f, n_max: int = 128,
                      rule: HalfLineRule | None = None) -> LaguerreCoeffs:
     """Coefficients <f, l_{n,tau}^a> for n < n_max, by quadrature."""
     alpha = _order_value(alpha)
-    tau = positive_value(tau, "tau")
-    if n_max < 1:
-        raise ValueError("n_max must be >= 1")
+    tau = real_value(tau, "tau")
+    n_max = count_value(n_max, "n_max", 1)
     vals, rule = _sampled_values(f, rule,
                                  lambda hf: analysis_rule(alpha, (tau, tau), hf, n_max))
     weighted = rule.weights * vals
@@ -123,7 +122,7 @@ def laguerre_analyze(alpha, tau, f, n_max: int = 128,
 
 def laguerre_synthesize(coeffs: LaguerreCoeffs, rs):
     """Evaluate sum_n coeffs[n] l_{n,tau}^a at the points rs > 0."""
-    rs = np.asarray(positive_value(rs, "rs"))
+    rs = np.asarray(real_value(rs, "rs"))
     out = _synthesize_columns(coeffs.alpha, np.array([coeffs.tau]),
                               coeffs.values[:, None], rs.ravel())
     out = out.reshape(rs.shape) * coeffs.tau**0.25
@@ -137,12 +136,8 @@ def gaussian_coefficient(alpha, n, tau):
     is 1 for n = 0 and 0 otherwise.
     """
     alpha = _order_value(alpha)
-    n = np.asarray(n)
-    tau = np.asarray(tau, dtype=float)
-    if np.any(n < 0):
-        raise ValueError("n must be >= 0")
-    if np.any(tau <= 0.0):
-        raise ValueError("tau must be > 0")
+    n = np.asarray(count_value(n, "n", 0))
+    tau = np.asarray(real_value(tau, "tau"))
     log_c = 0.5 * (np.log(2.0) + gammaln(n + 1.0) - gammaln(n + alpha + 1.0))
     lead = np.exp((alpha + 1.0) * np.log(2.0) - log_c
                   + (alpha + 1.0) * np.log(np.sqrt(tau) / (1.0 + tau)))

@@ -18,6 +18,8 @@ import numpy as np
 from numpy.polynomial.legendre import leggauss
 from scipy.special import roots_jacobi
 
+from ._util import count_value, real_value
+
 __all__ = [
     "TruncationPolicy",
     "HalfLineRule",
@@ -59,18 +61,13 @@ class TruncationPolicy:
     endpoint_exponent: float = 0.0
 
     def __post_init__(self):
-        if self.abs_tol <= 0.0:
-            raise ValueError("abs_tol must be > 0")
         if self.decay_hint not in ("gaussian", "exponential", "algebraic_oscillatory"):
             raise ValueError(f"unknown decay hint {self.decay_hint!r}")
-        if self.rate <= 0.0:
-            raise ValueError("rate must be > 0")
-        if self.freq_bound < 0.0:
-            raise ValueError("freq_bound must be >= 0")
-        if self.endpoint_exponent <= -1.0:
-            raise ValueError("endpoint_exponent must be > -1")
-        if self.max_panels < 1:
-            raise ValueError("max_panels must be >= 1")
+        real_value(self.abs_tol, "abs_tol")
+        real_value(self.rate, "rate")
+        real_value(self.freq_bound, "freq_bound", closed=True)
+        real_value(self.endpoint_exponent, "endpoint_exponent", -1.0)
+        count_value(self.max_panels, "max_panels", 1)
 
 
 @dataclass(frozen=True)
@@ -86,10 +83,10 @@ class HalfLineRule:
         object.__setattr__(self, "weights", np.asarray(self.weights, dtype=float))
         if self.nodes.ndim != 1 or self.nodes.shape != self.weights.shape:
             raise ValueError("nodes and weights must be 1-d arrays of equal length")
+        real_value(self.nodes, "nodes", closed=True)
         if np.any(np.diff(self.nodes) <= 0.0):
             raise ValueError("nodes must be strictly increasing")
-        if np.any(self.weights <= 0.0):
-            raise ValueError("weights must be positive")
+        real_value(self.weights, "weights")
         if self.upper_cut < self.nodes[-1]:
             raise ValueError("upper_cut must be >= the largest node")
 
@@ -135,6 +132,7 @@ def _unit_nodes(points: int, gamma: float):
 def _assemble(edges: np.ndarray, points: int, upper: float,
               endpoint_exponent: float = 0.0) -> HalfLineRule:
     """Map one Gauss-Legendre node set onto every panel at once."""
+    points = count_value(points, "points_per_panel", 4)
     a, b = edges[:-1, None], edges[1:, None]
     half = 0.5 * (b - a)
     x, w = _unit_nodes(points, 0.0)
@@ -152,8 +150,6 @@ def _assemble(edges: np.ndarray, points: int, upper: float,
 
 def build_rule(policy: TruncationPolicy, points_per_panel: int = 8) -> HalfLineRule:
     """Composite Gauss-Legendre rule on (0, U) honoring a truncation policy."""
-    if points_per_panel < 4:
-        raise ValueError("points_per_panel must be >= 4")
     upper = truncation_point(policy)
 
     def cap(top):
@@ -185,8 +181,7 @@ def build_finite_rule(a: float, b: float, max_width: float,
     """
     if not (0.0 <= a < b):
         raise ValueError("need 0 <= a < b")
-    if max_width <= 0.0:
-        raise ValueError("max_width must be > 0")
+    real_value(max_width, "max_width")
     return _assemble(_edges(a, b, lambda top: max_width), points_per_panel, b,
                      endpoint_exponent)
 

@@ -24,7 +24,7 @@ import numpy as np
 from scipy import special as sp
 from scipy.special import ive, jv
 
-from ._util import column_blocks, positive_value
+from ._util import column_blocks, count_value, real_value
 
 __all__ = [
     "Order",
@@ -62,25 +62,18 @@ class LaguerreIndex:
     tau: float
 
     def __post_init__(self):
-        if self.n < 0 or int(self.n) != self.n:
-            raise ValueError(f"n must be a nonnegative integer, got {self.n}")
+        count_value(self.n, "n", 0)
         _order_value(self.alpha, "alpha")
-        positive_value(self.tau, "tau")
+        real_value(self.tau, "tau")
 
 
 def _order_value(nu, name="order") -> float:
-    nu = nu.nu if isinstance(nu, Order) else float(nu)
-    if not np.isfinite(nu) or nu <= -1.0:
-        raise ValueError(f"{name} must be a finite real > -1, got {nu}")
-    return nu
+    return real_value(nu.nu if isinstance(nu, Order) else nu, name, -1.0)
 
 
 def log_gamma(x):
     """log Gamma(x) for x > 0."""
-    x = np.asarray(x, dtype=float)
-    if np.any(x <= 0.0):
-        raise ValueError("log_gamma requires x > 0")
-    out = sp.gammaln(x)
+    out = sp.gammaln(real_value(x, "x"))
     return float(out) if out.ndim == 0 else out
 
 
@@ -90,14 +83,11 @@ def laguerre_eigenvalue(alpha, n):
     return 2.0 * (2.0 * np.asarray(n) + alpha + 1.0)
 
 
-def _check_bessel_args(nu, x):
+def _bessel_args(nu, x, normalized=False):
+    # x >= 0, but x > 0 where J_nu and I_nu diverge at 0 (nu < 0); the
+    # normalized forms J_nu(x)/x^nu and I_nu(x)/x^nu are finite there
     nu = _order_value(nu)
-    x = np.asarray(x, dtype=float)
-    if np.any(x < 0.0):
-        raise ValueError("bessel argument must be >= 0")
-    if nu < 0.0 and np.any(x == 0.0):
-        raise ValueError(f"bessel function of order {nu} diverges at x = 0")
-    return nu, x
+    return nu, np.asarray(real_value(x, "x", 0.0, closed=normalized or nu >= 0.0))
 
 
 def _at_zero(nu, x, values):
@@ -111,7 +101,7 @@ def bessel_j(nu, x):
     """Bessel function of the first kind J_nu(x), nu > -1, x >= 0.
 
     Always scipy's value: the independent reference for `bessel_j_table`."""
-    nu, x = _check_bessel_args(nu, x)
+    nu, x = _bessel_args(nu, x)
     out = _at_zero(nu, x, jv(nu, x))
     return float(out) if np.ndim(out) == 0 else out
 
@@ -229,14 +219,14 @@ def bessel_j_table(nu, x):
 
 def bessel_i(nu, x):
     """Modified Bessel function of the first kind I_nu(x), nu > -1, x >= 0."""
-    nu, x = _check_bessel_args(nu, x)
+    nu, x = _bessel_args(nu, x)
     out = _at_zero(nu, x, sp.iv(nu, x))
     return float(out) if np.ndim(out) == 0 else out
 
 
 def bessel_i_scaled(nu, x):
     """Overflow-safe exp(-x) I_nu(x); pairs with decaying exponentials."""
-    nu, x = _check_bessel_args(nu, x)
+    nu, x = _bessel_args(nu, x)
     out = _at_zero(nu, x, sp.ive(nu, x))
     return float(out) if np.ndim(out) == 0 else out
 
@@ -252,17 +242,9 @@ def _j_normalized_series(nu, x):
     return c0 * (1.0 - y / (nu + 1.0) + y * y / (2.0 * (nu + 1.0) * (nu + 2.0)))
 
 
-def _normalized_args(nu, x):
-    nu = _order_value(nu)
-    x = np.asarray(x, dtype=float)
-    if np.any(x < 0.0):
-        raise ValueError("bessel argument must be >= 0")
-    return nu, x
-
-
 def bessel_j_normalized(nu, x):
     """J_nu(x)/x^nu, extended by continuity to 2^-nu/Gamma(nu+1) at x = 0."""
-    nu, x = _normalized_args(nu, x)
+    nu, x = _bessel_args(nu, x, normalized=True)
     small = x < _SMALL_ARG
     xs = np.where(small, 1.0, x)
     out = np.where(small, _j_normalized_series(nu, x), bessel_j_table(nu, xs) / xs**nu)
@@ -271,7 +253,7 @@ def bessel_j_normalized(nu, x):
 
 def bessel_i_normalized(nu, x):
     """I_nu(x)/x^nu, extended by continuity to 2^-nu/Gamma(nu+1) at x = 0."""
-    nu, x = _normalized_args(nu, x)
+    nu, x = _bessel_args(nu, x, normalized=True)
     out = bessel_i_normalized_exp(nu, x, 0.0)
     return float(out) if out.ndim == 0 else out
 
@@ -348,8 +330,7 @@ def bessel_i_normalized_exp(nu, x, log_factor):
 
 def laguerre_poly(n, alpha, x):
     """Laguerre polynomial L_n^alpha(x) by the three-term recurrence in n."""
-    if n < 0 or int(n) != n:
-        raise ValueError(f"degree must be a nonnegative integer, got {n}")
+    n = count_value(n, "n", 0)
     alpha = _order_value(alpha)
     x = np.asarray(x, dtype=float)
     prev = np.zeros_like(x)
@@ -370,9 +351,7 @@ def laguerre_fn_seq(alpha, x, n_max) -> Iterator[np.ndarray]:
     Each yielded array is freshly allocated and safe to retain.
     """
     alpha = _order_value(alpha)
-    x = np.asarray(x, dtype=float)
-    if np.any(x <= 0.0):
-        raise ValueError("laguerre functions require argument > 0")
+    x = np.asarray(real_value(x, "x"))
     x2 = x * x
     g0 = 0.5 * np.log(2.0) - 0.5 * sp.gammaln(alpha + 1.0) - 0.5 * x2 \
         + (alpha + 0.5) * np.log(x)

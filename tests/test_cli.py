@@ -355,3 +355,29 @@ def test_missing_required_flags_are_named(capsys):
     assert code == 2
     assert capsys.readouterr().err == (
         "error: heat-apply: missing required flag(s): --beta, --input, --points, --output\n")
+
+
+def _set_first_entry(path, field, token):
+    lines = path.read_text().splitlines()
+    prefix = f"# {field}="
+    i = next(i for i, line in enumerate(lines) if line.startswith(prefix))
+    lines[i] = prefix + ",".join([token] + lines[i][len(prefix):].split(",")[1:])
+    path.write_text("\n".join(lines) + "\n")
+
+
+# each of these headers used to run to exit 0 writing nan or inf, or fail with a
+# ValueError that named neither the file nor the field
+@pytest.mark.parametrize("field", ["tau_grid", "tau_weights"])
+@pytest.mark.parametrize("token", ["nan", "inf", "-1"])
+def test_igtransform_rejects_bad_spectral_header(tmp_path, capsys, spectral_file, field,
+                                                 token):
+    _set_first_entry(spectral_file, field, token)
+    ppath = tmp_path / "pts.csv"
+    ppath.write_text("1.0,2.0\n")
+    opath = tmp_path / "g.csv"
+    code = main(["igtransform", "--input", str(spectral_file), "--points", str(ppath),
+                 "--output", str(opath)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert f"HeaderError: {spectral_file}: header field {field}[0] must be" in err
+    assert not opath.exists()
