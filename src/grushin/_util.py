@@ -31,18 +31,19 @@ def real_value(value, name, lower=0.0, closed=False):
     """value as a float, or as a float array, after checking that it is
     finite and > lower (>= lower when closed); for an array the message
     names the first bad index."""
-    op = ">=" if closed else ">"
+    # the bound's shortest round-trip repr (":g" prints 0.9999999 as "1")
+    op = (">= " if closed else "> ") + repr(float(lower)).removesuffix(".0")
     if isinstance(value, (float, int)) or np.ndim(value) == 0:
         v = float(value)
         if not ((v >= lower if closed else v > lower) and v < math.inf):
-            raise ValueError(f"{name} must be a finite real {op} {lower:g}, got {v}")
+            raise ValueError(f"{name} must be a finite real {op}, got {v}")
         return v
     arr = np.asarray(value, dtype=float)
     ok = np.isfinite(arr)
     ok &= arr >= lower if closed else arr > lower
     if not ok.all():
         i = int(np.argmin(ok))
-        raise ValueError(f"{name}[{i}] must be a finite real {op} {lower:g}, "
+        raise ValueError(f"{name}[{i}] must be a finite real {op}, "
                          f"got {arr.flat[i]}")
     return arr
 

@@ -23,7 +23,7 @@ from typing import Callable, Optional, Tuple
 
 import numpy as np
 
-from ._util import real_value
+from ._util import count_value, real_value
 from .hankel import (HalfLineFunction, _liouville_kernel, as_half_line_function,
                      rule_for_function)
 from .laguerre import _laguerre_rows, _synthesize_columns, analysis_rule
@@ -159,7 +159,8 @@ def default_tau_rule(upper: float = 12.0, panels: int = 32,
                      endpoint_exponent: float = 0.0) -> HalfLineRule:
     """Default tau discretization: panels of width upper/panels on (0, upper),
     refined geometrically toward 0."""
-    return build_finite_rule(0.0, upper, upper / panels,
+    upper = real_value(upper, "upper")
+    return build_finite_rule(0.0, upper, upper / count_value(panels, "panels", 1),
                              endpoint_exponent=endpoint_exponent)
 
 

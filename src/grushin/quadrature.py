@@ -35,6 +35,9 @@ _ZERO_LEVELS = 20
 # panels are narrow enough that (local frequency) * (panel width) <= this;
 # an 8-point panel then integrates the oscillation to ~1e-10 relative
 _PHASE_PER_PANEL = 3.5
+# panel cap of every finite rule, sized by memory, not by accuracy: 2^20
+# panels of 8 points are 8.4M nodes, whose nodes and weights take 134 MB
+_MAX_FINITE_PANELS = 1 << 20
 
 
 class QuadratureError(RuntimeError):
@@ -87,8 +90,7 @@ class HalfLineRule:
         if np.any(np.diff(self.nodes) <= 0.0):
             raise ValueError("nodes must be strictly increasing")
         real_value(self.weights, "weights")
-        if self.upper_cut < self.nodes[-1]:
-            raise ValueError("upper_cut must be >= the largest node")
+        real_value(self.upper_cut, "upper_cut", self.nodes[-1], closed=True)
 
     def __len__(self):
         return len(self.nodes)
@@ -107,19 +109,6 @@ def truncation_point(policy: TruncationPolicy) -> float:
     return float(np.ceil(max(u, 1.0)))
 
 
-def _edges(lo: float, hi: float, cap: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
-    """Panel edges on [lo, hi].  From lo == 0 the interval is first cut into
-    geometric octaves toward 0; each piece is then split evenly into the
-    fewest panels no wider than cap(upper end of the piece)."""
-    if lo == 0.0:
-        base = np.concatenate([[0.0], hi * 2.0 ** (-np.arange(_ZERO_LEVELS, -1, -1.0))])
-    else:
-        base = np.array([lo, hi])
-    counts = np.maximum(1, np.ceil(np.diff(base) / cap(base[1:])).astype(int))
-    return np.concatenate([base[:1]] + [np.linspace(a, b, k + 1)[1:]
-                                        for a, b, k in zip(base[:-1], base[1:], counts)])
-
-
 @functools.lru_cache(maxsize=64)
 def _unit_nodes(points: int, gamma: float):
     """Read-only Gauss nodes and weights on [-1, 1] for the weight (1+x)^gamma:
@@ -129,15 +118,34 @@ def _unit_nodes(points: int, gamma: float):
     return x, w
 
 
-def _assemble(edges: np.ndarray, points: int, upper: float,
-              endpoint_exponent: float = 0.0) -> HalfLineRule:
-    """Map one Gauss-Legendre node set onto every panel at once."""
+def _composite_rule(a, b, width, points, endpoint_exponent, max_panels,
+                    policy=None) -> HalfLineRule:
+    """Gauss rule of `points` nodes per panel on [a, b].  From a == 0 the
+    interval is first cut into geometric octaves toward 0, whose first panel
+    absorbs u^endpoint_exponent exactly; each piece is then split evenly into
+    the fewest panels no wider than width(top of the piece), and more than
+    max_panels of them raise, naming policy, before any edge is built."""
+    a = real_value(a, "a", closed=True)
+    b = real_value(b, "b", a)
     points = count_value(points, "points_per_panel", 4)
-    a, b = edges[:-1, None], edges[1:, None]
-    half = 0.5 * (b - a)
+    if a == 0.0:
+        base = np.concatenate([[0.0], b * 2.0 ** (-np.arange(_ZERO_LEVELS, -1, -1.0))])
+    else:
+        base = np.array([a, b])
+    counts = np.maximum(1.0, np.ceil(np.diff(base) / width(base[1:])))
+    if not counts.sum() <= max_panels:
+        source, fix = ((policy, "loosen abs_tol or raise max_panels") if policy is not None
+                       else (f"[{a!r}, {b!r}]", "widen the panels or narrow the interval"))
+        raise QuadratureError(f"rule needs {counts.sum():.0f} panels, more than the cap of "
+                              f"{max_panels}, for {source}; {fix}")
+    edges = np.concatenate([base[:1]] + [np.linspace(lo, hi, k + 1)[1:] for lo, hi, k
+                                         in zip(base[:-1], base[1:], counts.astype(int))])
+    # one Gauss node set mapped onto every panel at once
+    lo, hi = edges[:-1, None], edges[1:, None]
+    half = 0.5 * (hi - lo)
     x, w = _unit_nodes(points, 0.0)
-    nodes, weights = half * x + 0.5 * (a + b), half * w
-    if endpoint_exponent != 0.0 and edges[0] == 0.0:
+    nodes, weights = half * x + 0.5 * (lo + hi), half * w
+    if endpoint_exponent != 0.0 and a == 0.0:
         # Gauss-Jacobi first panel (0, edges[1]) absorbing the u^gamma factor
         # exactly; weights are folded back so the rule applies to the plain
         # integrand
@@ -145,12 +153,11 @@ def _assemble(edges: np.ndarray, points: int, upper: float,
         h = half[0, 0]  # a scalar: numpy's array power can round differently
         nodes[0] = h * (t + 1.0)
         weights[0] = h ** (endpoint_exponent + 1.0) * wj * nodes[0] ** (-endpoint_exponent)
-    return HalfLineRule(nodes.ravel(), weights.ravel(), upper)
+    return HalfLineRule(nodes.ravel(), weights.ravel(), b)
 
 
 def build_rule(policy: TruncationPolicy, points_per_panel: int = 8) -> HalfLineRule:
     """Composite Gauss-Legendre rule on (0, U) honoring a truncation policy."""
-    upper = truncation_point(policy)
 
     def cap(top):
         # resolve the decay envelope: local log-derivative is rate^2*u for a
@@ -161,29 +168,19 @@ def build_rule(policy: TruncationPolicy, points_per_panel: int = 8) -> HalfLineR
             width = np.minimum(width, np.pi / (2.0 * policy.freq_bound))
         return width
 
-    edges = _edges(0.0, upper, cap)
-    if len(edges) - 1 > policy.max_panels:
-        raise QuadratureError(
-            f"rule needs {len(edges) - 1} panels but the policy allows "
-            f"max_panels={policy.max_panels} (decay_hint={policy.decay_hint!r}, "
-            f"rate={policy.rate}, freq_bound={policy.freq_bound}, "
-            f"abs_tol={policy.abs_tol}); loosen abs_tol or raise max_panels")
-    return _assemble(edges, points_per_panel, upper, policy.endpoint_exponent)
+    return _composite_rule(0.0, truncation_point(policy), cap, points_per_panel,
+                           policy.endpoint_exponent, policy.max_panels, policy)
 
 
 def build_finite_rule(a: float, b: float, max_width: float,
                       points_per_panel: int = 8,
                       endpoint_exponent: float = 0.0) -> HalfLineRule:
-    """Uniform composite Gauss-Legendre rule on a finite interval [a, b].
-
-    If a == 0 the panels refine geometrically toward the origin (and a
-    declared endpoint exponent is absorbed on the first panel).
-    """
-    if not (0.0 <= a < b):
-        raise ValueError("need 0 <= a < b")
-    real_value(max_width, "max_width")
-    return _assemble(_edges(a, b, lambda top: max_width), points_per_panel, b,
-                     endpoint_exponent)
+    """Composite Gauss-Legendre rule of panels no wider than max_width on a
+    finite [a, b]; from a == 0 they refine geometrically toward the origin,
+    the first absorbing a declared endpoint exponent."""
+    max_width = real_value(max_width, "max_width")
+    return _composite_rule(a, b, lambda top: max_width, points_per_panel,
+                           endpoint_exponent, _MAX_FINITE_PANELS)
 
 
 def integrate(f: Callable[[np.ndarray], np.ndarray] | np.ndarray,

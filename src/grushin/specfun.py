@@ -364,7 +364,7 @@ def laguerre_fn_seq(alpha, x, n_max) -> Iterator[np.ndarray]:
     del g0  # the generator's frame would hold it through every order
     nxt = np.empty_like(x2)
     rescale = 300.0 * np.log(10.0)
-    for n in range(int(n_max)):
+    for n in range(count_value(n_max, "n_max", 1)):
         yield cur * scale
         c_up = np.sqrt((n + 1.0) * (n + alpha + 1.0))
         c_dn = np.sqrt(n * (n + alpha)) if n > 0 else 0.0

@@ -61,6 +61,13 @@ REAL_SITES = [
      "nodes", ">=", "0", -0.5),
     ("build_finite_rule", lambda v: quadrature.build_finite_rule(0.0, 1.0, v),
      "max_width", ">", "0", 0.0),
+    ("build_finite_rule a", lambda v: quadrature.build_finite_rule(v, 1.0, 0.1),
+     "a", ">=", "0", -0.5),
+    ("build_finite_rule b", lambda v: quadrature.build_finite_rule(0.5, v, 0.1),
+     "b", ">", "0.5", 0.5),
+    ("HalfLineRule.upper_cut",
+     lambda v: quadrature.HalfLineRule([0.5, 1.0], [1.0, 1.0], v), "upper_cut", ">=", "1", 0.9),
+    ("default_tau_rule", lambda v: gtransform.default_tau_rule(upper=v), "upper", ">", "0", 0.0),
     ("hankel_modified", lambda v: hankel.hankel_modified(0.4, _PROFILE, [1.0, v]),
      "tau", ">=", "0", -1.0),
     ("hankel_liouville", lambda v: hankel.hankel_liouville(0.25, _PROFILE, v),
@@ -99,6 +106,9 @@ COUNT_SITES = [
      "points_per_panel", 4),
     ("build_finite_rule", lambda n: quadrature.build_finite_rule(0.0, 1.0, 0.5, n),
      "points_per_panel", 4),
+    ("laguerre_fn_seq", lambda n: next(specfun.laguerre_fn_seq(0.3, [1.0, 2.0], n)),
+     "n_max", 1),
+    ("default_tau_rule", lambda n: gtransform.default_tau_rule(panels=n), "panels", 1),
 ]
 
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from grushin import hankel
-from grushin.functions import power_gaussian_profile, smooth_bump
+from grushin.functions import packet_plane, power_gaussian_profile, smooth_bump
 from grushin.quadrature import build_finite_rule
 
 
@@ -162,3 +162,13 @@ def test_profile_rule_forwards_points_per_panel(support):
     want = build_finite_rule(lo, hi, 0.4, 16, endpoint_exponent=1.6 if lo == 0.0 else 0.0)
     assert np.array_equal(rule.nodes, want.nodes)
     assert np.array_equal(rule.weights, want.weights)
+
+
+def test_supported_profile_at_high_tau():
+    # the default rule of a supported profile at tau = 800 has 8302 panels:
+    # finite rules are capped by memory, not by the policy's 8192
+    f = packet_plane().axis_profile(1)
+    assert len(hankel.rule_for_function(f, freq=800.0)) > 8 * 8192
+    for form in (hankel.hankel_modified, hankel.hankel_liouville):
+        values = form(0.4, f, [1.0, 800.0])
+        assert values.shape == (2,) and np.all(np.isfinite(values))

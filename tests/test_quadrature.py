@@ -264,6 +264,31 @@ def test_only_quadrature_binds_the_gauss_node_generators():
     assert offenders == []
 
 
+def test_finite_rule_panel_cap(monkeypatch):
+    # the cap lowered to 1000, so that the probe (1e5 panels) stays cheap even
+    # if a wrong cap builds the rule before it counts the panels
+    from grushin import quadrature
+    assert len(build_finite_rule(0.0, 100.0, 1e-3)) > 8 * 100_000
+    monkeypatch.setattr(quadrature, "_MAX_FINITE_PANELS", 1000)
+    with pytest.raises(QuadratureError, match=r"^rule needs 100010 panels, more than the "
+                       r"cap of 1000, for \[0\.0, 100\.0\]; widen the panels"):
+        build_finite_rule(0.0, 100.0, 1e-3)
+
+
+def test_public_rule_builders_do_not_call_each_other():
+    # the benchmark's tracer wraps both names, so a nested call would count a
+    # rule twice
+    import ast
+    import inspect
+
+    from grushin import quadrature
+    tree = ast.parse(inspect.getsource(quadrature))
+    names = {fn.name: {n.id for n in ast.walk(fn) if isinstance(n, ast.Name)}
+             for fn in tree.body if isinstance(fn, ast.FunctionDef)}
+    assert "build_finite_rule" not in names["build_rule"]
+    assert "build_rule" not in names["build_finite_rule"]
+
+
 def test_unit_node_sets_are_cached_and_read_only():
     from grushin.quadrature import _unit_nodes
     for gamma in (0.0, -0.8):
