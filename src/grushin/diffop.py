@@ -23,7 +23,7 @@ from typing import Callable
 
 import numpy as np
 
-from ._util import real_value
+from ._util import count_value, real_value
 
 __all__ = [
     "GridFunction2D",
@@ -72,7 +72,7 @@ class GridFunction2D:
         return float(self.s_nodes[1] - self.s_nodes[0])
 
     def interior(self, margin: int) -> "GridFunction2D":
-        m = int(margin)
+        m = count_value(margin, "margin", 1)
         return GridFunction2D(self.r_nodes[m:-m], self.s_nodes[m:-m],
                               self.values[m:-m, m:-m])
 
@@ -120,20 +120,14 @@ def apply_G_weighted(alpha: float, beta: float, g: GridFunction2D) -> GridFuncti
     return GridFunction2D(g.r_nodes[1:-1], g.s_nodes[1:-1], out)
 
 
-def _delta1(alpha, g: GridFunction2D, adjoint: bool) -> GridFunction2D:
-    sign = -1.0 if adjoint else 1.0
-    r = g.r_nodes[1:-1][:, None]
-    out = sign * _d_r(g.values, g.h_r) - (alpha + 0.5) / r * g.values[1:-1, 1:-1]
-    return GridFunction2D(g.r_nodes[1:-1], g.s_nodes[1:-1], out)
-
-
-def _delta2(alpha, beta, g: GridFunction2D, adjoint: bool) -> GridFunction2D:
-    sign = -1.0 if adjoint else 1.0
-    r = g.r_nodes[1:-1][:, None]
-    s = g.s_nodes[1:-1][None, :]
-    out = r * (sign * _d_s(g.values, g.h_s)
-               - (beta + 0.5) / s * g.values[1:-1, 1:-1])
-    return GridFunction2D(g.r_nodes[1:-1], g.s_nodes[1:-1], out)
+def _delta(order, g: GridFunction2D, axis: int, adjoint: bool) -> GridFunction2D:
+    """d1 = d_r - (a+1/2)/r (axis 0, order a) or d2 = r (d_s - (b+1/2)/s) (axis 1,
+    order b) on the margin-1 interior; adjoint negates the derivative."""
+    r, s = g.r_nodes[1:-1][:, None], g.s_nodes[1:-1][None, :]
+    d = _d_s(g.values, g.h_s) if axis else _d_r(g.values, g.h_r)
+    out = (-1.0 if adjoint else 1.0) * d - (order + 0.5) / (s if axis else r) \
+        * g.values[1:-1, 1:-1]
+    return GridFunction2D(g.r_nodes[1:-1], g.s_nodes[1:-1], r * out if axis else out)
 
 
 def delta_factorization_residual(alpha: float, beta: float,
@@ -143,8 +137,8 @@ def delta_factorization_residual(alpha: float, beta: float,
     The composed first-order stencils reproduce the second derivative only to
     O(h^2), so the residual itself measures the discretization order.
     """
-    d1 = _delta1(alpha, _delta1(alpha, g, adjoint=False), adjoint=True)
-    d2 = _delta2(alpha, beta, _delta2(alpha, beta, g, adjoint=False), adjoint=True)
+    d1 = _delta(alpha, _delta(alpha, g, 0, adjoint=False), 0, adjoint=True)
+    d2 = _delta(beta, _delta(beta, g, 1, adjoint=False), 1, adjoint=True)
     direct = apply_G_circ(alpha, beta, g).interior(1)
     resid = d1.values + d2.values - direct.values
     return float(np.max(np.abs(resid)))

@@ -26,7 +26,7 @@ import numpy as np
 from ._util import count_value, real_value
 from .hankel import (HalfLineFunction, _liouville_kernel, as_half_line_function,
                      rule_for_function)
-from .laguerre import _laguerre_rows, _synthesize_columns, analysis_rule
+from .laguerre import _analyze_columns, _synthesize_columns, analysis_rule
 from .quadrature import HalfLineRule, build_finite_rule
 from .specfun import _order_value, laguerre_eigenvalue, laguerre_fn_seq
 
@@ -190,8 +190,7 @@ def g_forward(tp: TypePair, f, n_max: int = DEFAULT_N_MAX,
     """
     tau_rule, rw, fvals, hankel, x = _plane_setup(tp, f, n_max, tau_rule)
     weighted = rw[:, None] * (fvals @ hankel)                  # (nr, K)
-    values = _laguerre_rows(tp.alpha, x, n_max,
-                            lambda q, c: np.sum(weighted[:, c] * q, axis=0))
+    values = _analyze_columns(tp.alpha, x, weighted, n_max)
     values *= tau_rule.nodes[None, :] ** 0.25
     return SpectralData(tp.alpha, tp.beta, tau_rule.nodes, tau_rule.weights, values)
 

@@ -95,11 +95,6 @@ def _coth(y):
     return np.where(y < 300.0, 1.0 / np.tanh(np.minimum(y, 300.0)), 1.0)
 
 
-def _log_inv_sinh(y):
-    # log(1/sinh y) for y > 0, also where sinh overflows
-    return math.log(2.0) - y - np.log(-np.expm1(-2.0 * y))
-
-
 def _kernel_core(alpha, t, tau, r, u, log_scale):
     """sqrt(r u) exp(-tau(r^2+u^2)/(2 tanh y)) I_a(x) exp(log_scale) / sinh y
     for y = 2 t tau and x = tau r u / sinh y; the kernel's tau integrand
@@ -110,7 +105,7 @@ def _kernel_core(alpha, t, tau, r, u, log_scale):
     below the double range keeps its power law; x itself only enters the
     series of I_a(x)/x^a through x^2, where an underflow to 0 is exact."""
     y = 2.0 * t * tau
-    log_inv = _log_inv_sinh(y)
+    log_inv = math.log(2.0) - y - np.log(-np.expm1(-2.0 * y))  # log(1/sinh y), no overflow
     log_ru = np.log(r) + np.log(u)
     x = tau * np.exp(log_inv) * (r * u)
     expo = -0.5 * tau * _coth(y) * (r * r + u * u) \

@@ -21,7 +21,7 @@ from scipy.special import gammaln
 from ._util import column_blocks, count_value, parallel_map, real_value
 from .hankel import HalfLineFunction, _sampled_values, profile_rule
 from .quadrature import HalfLineRule
-from .specfun import _order_value, laguerre_eigenvalue, laguerre_fn_seq
+from .specfun import _laguerre_steps, _order_value, laguerre_eigenvalue, laguerre_fn_seq
 
 __all__ = [
     "LaguerreCoeffs",
@@ -70,40 +70,49 @@ def analysis_rule(alpha, taus, f: HalfLineFunction, n_max) -> HalfLineRule:
                         points_per_panel=_PANEL_POINTS)
 
 
-def _laguerre_blocks(alpha, x, n_max, per_block) -> np.ndarray:
-    """per_block(cols, seq) over contiguous column blocks of the table x,
-    joined along the last axis; seq yields l_n^a(x[:, cols]) for n < n_max.
-
-    A block holds about _util.BLOCK doubles.  Blocks run on up to
-    thread_count() workers.  Columns are independent and the recurrence acts
-    elementwise, so every yielded value, and any contraction that sums down
-    the columns, does not depend on the block size or the thread count."""
-    # blocks of at least two columns: on a one-column block numpy's axis-0
-    # sums turn pairwise and the contractions would change bits
+def _laguerre_blocks(x, per_block) -> np.ndarray:
+    """per_block(cols) over column blocks of about _util.BLOCK doubles of the
+    table x, on up to thread_count() workers, joined along the last axis.
+    Columns are independent and the recurrence acts elementwise, so no result
+    depends on the block size or thread count; blocks are at least two columns
+    wide, as on one column numpy's axis-0 sums turn pairwise and change bits."""
     blocks = column_blocks(x.shape[0], x.shape[1], min_width=2)
-    parts = parallel_map(
-        lambda cols: per_block(cols, laguerre_fn_seq(alpha, x[:, cols], n_max)), blocks)
-    return np.concatenate(parts, axis=-1)
+    return np.concatenate(parallel_map(per_block, blocks), axis=-1)
 
 
-def _laguerre_rows(alpha, x, n_max, contract) -> np.ndarray:
-    """Rows contract(l_n^a(x[:, cols]), cols) for n < n_max, as (n_max, K)."""
-    return _laguerre_blocks(alpha, x, n_max,
-                            lambda cols, seq: np.array([contract(q, cols) for q in seq]))
+def _analyze_columns(alpha, x, weighted, n_max) -> np.ndarray:
+    """sum_j weighted[j, k] l_n^a(x[j, k]) for n < n_max, as (n_max, K): each
+    order is contracted inside the recurrence, in the summation order (and
+    with the bits) of np.sum(weighted * l_n^a(x), axis=0)."""
+    def analyze(cols):
+        rows = np.empty((n_max, cols.stop - cols.start), np.result_type(weighted, 1.0))
+        last = None
+        for n, (cur, scale) in enumerate(_laguerre_steps(alpha, x[:, cols], n_max)):
+            if scale is not last:  # the weights carry the scale, new at a rescale
+                last, ws = scale, weighted[:, cols] * scale
+            np.einsum("ij,ij->j", ws, cur, out=rows[n])
+        return rows
+
+    return _laguerre_blocks(x, analyze)
 
 
 def _synthesize_columns(alpha, taus, values, rs) -> np.ndarray:
-    """sum_n values[n, k] l_n^a(sqrt(tau_k) r_j) as a (K, len(rs)) matrix;
+    """sum_n values[n, k] l_n^a(sqrt(tau_k) r_j) as a (K, len(rs)) matrix,
+    accumulated in place with the bits of out += values[n][:, None] * l_n^a;
     the caller applies the factor tau_k^(1/4) of l_{n,tau_k}^a."""
     x = np.sqrt(taus)[:, None] * rs[None, :]
 
-    def synthesize(cols, seq):
+    def synthesize(cols):
         out = np.zeros((len(taus), cols.stop - cols.start), dtype=values.dtype)
-        for n, q in enumerate(seq):
-            out += values[n][:, None] * q
+        tmp, last = np.empty_like(out), None
+        for n, (cur, scale) in enumerate(_laguerre_steps(alpha, x[:, cols], len(values))):
+            if scale is not last:
+                last, unit = scale, np.all(scale == 1.0)
+            q = cur if unit else np.multiply(cur, scale, out=tmp)
+            out += np.multiply(values[n][:, None], q, out=tmp)
         return out
 
-    return _laguerre_blocks(alpha, x, len(values), synthesize)
+    return _laguerre_blocks(x, synthesize)
 
 
 def laguerre_analyze(alpha, tau, f, n_max: int = 128,
@@ -115,8 +124,8 @@ def laguerre_analyze(alpha, tau, f, n_max: int = 128,
     vals, rule = _sampled_values(f, rule,
                                  lambda hf: analysis_rule(alpha, (tau, tau), hf, n_max))
     weighted = rule.weights * vals
-    x = np.sqrt(tau) * rule.nodes[:, None]
-    coeffs = _laguerre_rows(alpha, x, n_max, lambda q, cols: np.dot(weighted, q[:, 0]))
+    coeffs = np.array([np.dot(weighted, q)
+                       for q in laguerre_fn_seq(alpha, np.sqrt(tau) * rule.nodes, n_max)])
     return LaguerreCoeffs(alpha, tau, coeffs * tau**0.25)
 
 

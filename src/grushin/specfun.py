@@ -91,10 +91,11 @@ def _bessel_args(nu, x, normalized=False):
 
 
 def _at_zero(nu, x, values):
-    # limit value at x = 0: 1 for nu = 0, 0 for nu > 0 (nu < 0 rejected earlier)
+    # limit value at x = 0: 1 for nu = 0, 0 for nu > 0 (nu < 0 rejected earlier);
+    # a float for a scalar x
     if np.any(x == 0.0):
         values = np.where(x == 0.0, 1.0 if nu == 0.0 else 0.0, values)
-    return values
+    return float(values) if np.ndim(values) == 0 else values
 
 
 def bessel_j(nu, x):
@@ -102,8 +103,7 @@ def bessel_j(nu, x):
 
     Always scipy's value: the independent reference for `bessel_j_table`."""
     nu, x = _bessel_args(nu, x)
-    out = _at_zero(nu, x, jv(nu, x))
-    return float(out) if np.ndim(out) == 0 else out
+    return _at_zero(nu, x, jv(nu, x))
 
 
 # Hankel's expansion (DLMF 10.17.3) is used past this argument, with enough
@@ -220,15 +220,13 @@ def bessel_j_table(nu, x):
 def bessel_i(nu, x):
     """Modified Bessel function of the first kind I_nu(x), nu > -1, x >= 0."""
     nu, x = _bessel_args(nu, x)
-    out = _at_zero(nu, x, sp.iv(nu, x))
-    return float(out) if np.ndim(out) == 0 else out
+    return _at_zero(nu, x, sp.iv(nu, x))
 
 
 def bessel_i_scaled(nu, x):
     """Overflow-safe exp(-x) I_nu(x); pairs with decaying exponentials."""
     nu, x = _bessel_args(nu, x)
-    out = _at_zero(nu, x, sp.ive(nu, x))
-    return float(out) if np.ndim(out) == 0 else out
+    return _at_zero(nu, x, sp.ive(nu, x))
 
 
 _SMALL_ARG = 1e-6
@@ -340,16 +338,13 @@ def laguerre_poly(n, alpha, x):
     return float(cur) if cur.ndim == 0 else cur
 
 
-def laguerre_fn_seq(alpha, x, n_max) -> Iterator[np.ndarray]:
-    """Yield l_0^a(x), ..., l_{n_max-1}^a(x) for an array of arguments x > 0.
-
-    Runs the orthonormal three-term recurrence directly on the weighted
-    functions, carrying a per-element log-scale so that intermediate values
-    neither overflow nor underflow; entries whose true magnitude is below
-    the double-precision floor come out as exact zeros.
-
-    Each yielded array is freshly allocated and safe to retain.
-    """
+def _laguerre_steps(alpha, x, n_max) -> Iterator[tuple]:
+    """Yield (cur, scale) with l_n^a(x) = cur * scale for n < n_max, x > 0: the
+    orthonormal three-term recurrence run directly on the weighted functions,
+    with a per-element log-scale so that no intermediate value overflows or
+    underflows.  cur is a rotating buffer that the next step overwrites;
+    scale is exactly 1 where no entry was rescaled, and a new array only
+    after a rescale."""
     alpha = _order_value(alpha)
     x = np.asarray(real_value(x, "x"))
     x2 = x * x
@@ -365,7 +360,7 @@ def laguerre_fn_seq(alpha, x, n_max) -> Iterator[np.ndarray]:
     nxt = np.empty_like(x2)
     rescale = 300.0 * np.log(10.0)
     for n in range(count_value(n_max, "n_max", 1)):
-        yield cur * scale
+        yield cur, scale
         c_up = np.sqrt((n + 1.0) * (n + alpha + 1.0))
         c_dn = np.sqrt(n * (n + alpha)) if n > 0 else 0.0
         np.subtract(2 * n + alpha + 1.0, x2, out=nxt)
@@ -382,11 +377,17 @@ def laguerre_fn_seq(alpha, x, n_max) -> Iterator[np.ndarray]:
             scale = np.exp(off)
 
 
+def laguerre_fn_seq(alpha, x, n_max) -> Iterator[np.ndarray]:
+    """Yield l_0^a(x), ..., l_{n_max-1}^a(x) for an array of arguments x > 0,
+    each freshly allocated and safe to retain; entries whose true magnitude
+    is below the double-precision floor come out as exact zeros."""
+    return (cur * scale for cur, scale in _laguerre_steps(alpha, x, n_max))
+
+
 def laguerre_fn(idx: LaguerreIndex, r):
     """Scaled Laguerre function of Hermite type l_{n,tau}^{a}(r), r > 0."""
     x = np.sqrt(idx.tau) * np.asarray(r, dtype=float)
-    for n, val in enumerate(laguerre_fn_seq(idx.alpha, x, idx.n + 1)):
-        if n == idx.n:
-            out = idx.tau**0.25 * val
-            return float(out) if out.ndim == 0 else out
-    raise AssertionError("unreachable")
+    for val in laguerre_fn_seq(idx.alpha, x, idx.n + 1):
+        pass  # the last order is l_n^a
+    out = idx.tau**0.25 * val
+    return float(out) if out.ndim == 0 else out

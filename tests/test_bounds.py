@@ -109,6 +109,7 @@ COUNT_SITES = [
     ("laguerre_fn_seq", lambda n: next(specfun.laguerre_fn_seq(0.3, [1.0, 2.0], n)),
      "n_max", 1),
     ("default_tau_rule", lambda n: gtransform.default_tau_rule(panels=n), "panels", 1),
+    ("GridFunction2D.interior", lambda n: _grid(1.0).interior(n), "margin", 1),
 ]
 
 

@@ -9,10 +9,10 @@ from grushin import _util, diffop, gtransform
 from grushin.functions import packet_plane, power_gaussian, smooth_bump
 from grushin.gtransform import (Multiplier, PlaneFunction, SpectralData,
                                 TypePair, default_tau_rule)
-from grushin.hankel import HalfLineFunction
+from grushin.hankel import HalfLineFunction, _liouville_kernel
 from grushin.laguerre import gaussian_coefficient
 from grushin.quadrature import build_finite_rule
-from grushin.specfun import laguerre_eigenvalue
+from grushin.specfun import laguerre_eigenvalue, laguerre_fn_seq
 
 
 class TestForward:
@@ -199,6 +199,49 @@ class TestLaguerreBlocks:
                 monkeypatch.setenv("GRUSHIN_THREADS", threads)
                 for got, ref in zip(run(), want):
                     assert np.array_equal(got, ref), (block, threads)
+
+
+class TestRescaledEntries:
+    """On a tau grid reaching 400 about half of the Laguerre table lies past
+    x = sqrt(tau) r ~ 34.6, where the recurrence carries a scale other than 1.
+    The fused analysis and the in-place synthesis give the bits of plain
+    per-order loops there too, whatever the block size and thread count."""
+
+    def test_matches_per_order_loops(self, monkeypatch):
+        tp, n_max = TypePair(0.4, -0.9), 96
+        f = power_gaussian(tp.alpha, tp.beta)
+        # the rules, samples and Hankel kernel of g_forward, built once (the
+        # s rule at tau = 400 makes them the slow part) and then reused
+        setup = gtransform._plane_setup(tp, f, n_max, default_tau_rule(upper=400, panels=64))
+        monkeypatch.setattr(gtransform, "_plane_setup", lambda *args: setup)
+        tau_rule, rw, fvals, hankel, x = setup
+        # past x = 35 the recurrence starts below e^-600, on a rescaled entry
+        assert np.mean(x > 35.0) > 0.4
+        weighted = rw[:, None] * (fvals @ hankel)
+        want = np.array([np.sum(weighted * q, axis=0)
+                         for q in laguerre_fn_seq(tp.alpha, x, n_max)])
+        want *= tau_rule.nodes[None, :] ** 0.25
+
+        pts = np.stack([np.linspace(0.5, 3.0, 9), np.linspace(4.0, 0.7, 9)], axis=-1)
+        taus = tau_rule.nodes
+        synth = np.zeros((len(taus), len(pts)))
+        xs = np.sqrt(taus)[:, None] * pts[:, 0]
+        for n, q in enumerate(laguerre_fn_seq(tp.alpha, xs, n_max)):
+            synth += want[n][:, None] * q
+        synth = synth * taus[:, None] ** 0.25
+        kern = _liouville_kernel(tp.beta, taus, pts[:, 1])
+        want_inv = np.sum(kern.T * synth * tau_rule.weights[:, None], axis=0)
+
+        for block, threads in ((_util.BLOCK, None), (1, "1"), (1, "4")):
+            monkeypatch.setattr(_util, "BLOCK", block)
+            if threads:
+                monkeypatch.setenv("GRUSHIN_THREADS", threads)
+            sd = gtransform.g_forward(tp, f, n_max=n_max)
+            assert np.array_equal(sd.values, want), (block, threads)
+            # each synthesized entry is its own sum over n, so a rescaled
+            # entry's rounding shows here before the tau integral hides it
+            assert np.array_equal(gtransform._synthesis(sd, pts[:, 0]), synth), (block, threads)
+            assert np.array_equal(gtransform.g_inverse(sd, pts), want_inv), (block, threads)
 
 
 def _truncated_spectral_fixture(tp, tau_rule):

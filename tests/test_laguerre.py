@@ -128,6 +128,25 @@ class TestMatchesPerOrderLoop:
         assert isinstance(one, float) and one == want[1, 2]
 
 
+@pytest.mark.parametrize("shape", [(1184, 2), (1184, 3), (1184, 5), (1184, 28),
+                                   (1184, 100), (848, 376)])
+@pytest.mark.parametrize("kind", [float, complex])
+def test_einsum_column_sums_equal_axis0_sums(shape, kind):
+    # the fused analysis contracts each order with einsum("ij,ij->j") and is
+    # bitwise equal to the per-order np.sum(weighted * l_n, axis=0) only while
+    # numpy sums both down the columns in the same order; a numpy upgrade
+    # that breaks this fails here first
+    rng = np.random.default_rng(shape)
+    a = rng.standard_normal(shape)
+    if kind is complex:
+        a = a + 1j * rng.standard_normal(shape)
+    b = rng.standard_normal(shape) * np.exp(rng.uniform(-30.0, 30.0, shape))
+    want = np.sum(a * b, axis=0)
+    out = np.empty(shape[1], dtype=want.dtype)
+    np.einsum("ij,ij->j", a, b, out=out)
+    assert np.array_equal(out, want)
+
+
 class TestValidation:
     def test_coeffs_validation(self):
         with pytest.raises(ValueError):

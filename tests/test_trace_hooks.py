@@ -12,8 +12,8 @@ import sys
 
 import numpy as np
 
-from grushin import gtransform, heat
-from grushin.functions import bump_plane, power_gaussian
+from grushin import gtransform, heat, laguerre
+from grushin.functions import bump_plane, power_gaussian, power_gaussian_profile
 from grushin.gtransform import TypePair
 from grushin.heat import HeatParams
 
@@ -53,6 +53,10 @@ def test_instrument_counts_each_layer_and_restores(monkeypatch):
                                             3.0, 1.0, 3.0, 1.0))
         sd = gtransform.g_forward(TypePair(0.5, 0.5), power_gaussian(0.5, 0.5), n_max=4)
         assert sd.n_max == 4
+        # g_forward runs the recurrence core directly; the one-tau analysis
+        # still iterates the hooked laguerre_fn_seq
+        coeffs = laguerre.laguerre_analyze(0.5, 1.0, power_gaussian_profile(0.5), n_max=4)
+        assert coeffs.n_max == 4
     finally:
         patcher.restore()
 
