@@ -2,8 +2,9 @@
 
 Subcommands: gtransform, igtransform, heat-kernel, heat-apply, profiles,
 verify.  Numeric inputs and outputs are the `#`-header CSV formats of the
-io module.  A --config file with the same key=value grammar supplies values
-for flags not given on the command line (explicit flags win).  Exit codes:
+io module.  A --config file's `key=value` lines are parsed as `--key=value`
+flags placed before the explicit ones, which win; a key of another command
+is skipped and a key of none is a usage error.  Exit codes:
 0 success / all checks pass, 1 any check failed, 2 usage error.
 """
 
@@ -36,56 +37,30 @@ _FLAG_TYPES = {"t": float, "alpha": float, "beta": float, "nmax": int,
                "suite": str}
 _FLAG_DEFAULTS = {"nmax": 96, "route": "kernel", "suite": "all",
                   "tol_scale": 1.0}
-# command -> (its flags, help text); every flag without a default is required
-_COMMAND_FLAGS = {
-    "gtransform": (("alpha", "beta", "input", "nmax", "output"),
-                   "forward transform of a grid file"),
-    "igtransform": (("input", "points", "output"), "inverse transform at points"),
-    "heat-kernel": (("t", "alpha", "beta", "point"), "print one kernel value"),
-    "heat-apply": (("t", "alpha", "beta", "input", "points", "route", "output"),
-                   "apply the heat semigroup"),
-    "profiles": (("kind", "alpha", "beta", "grid", "output"), "diagonal kernel profiles"),
-    "verify": (("suite", "tol_scale"), "run the verification suites"),
-}
-_REQUIRED = {name: tuple(f for f in flags if f not in _FLAG_DEFAULTS)
-             for name, (flags, _) in _COMMAND_FLAGS.items()}
+_FLAG_CHOICES = {"route": ("kernel", "spectral"), "kind": ("F1", "F2"),
+                 "suite": ("all", *SUITES)}
 
 
-def _read_config(path):
-    values = {}
+def _config_flags(path, flags):
+    """The `key=value` lines of a --config file as `--key=value` arguments, for
+    the keys among `flags`; a key that is no command's flag is an error."""
     try:
         lines = gio.read_lines(path)
     except OSError as exc:
         raise UsageError(f"cannot read config file: {exc}")
-    for i, line in enumerate(lines):
+    args = []
+    for i, line in enumerate(lines, 1):
         line = line.strip()
         if not line or line.startswith("#"):
             continue
         key_val = gio.split_entry(line)
         if key_val is None:
-            raise UsageError(f"{path}:{i + 1}: expected key=value, got {line!r}")
-        values[key_val[0].replace("-", "_")] = key_val[1]
-    return values
-
-
-def _merge_config(args):
-    if getattr(args, "config", None):
-        for key, raw in _read_config(args.config).items():
-            if key not in _FLAG_TYPES or not hasattr(args, key):
-                continue
-            if getattr(args, key) is None:
-                try:
-                    setattr(args, key, _FLAG_TYPES[key](raw))
-                except ValueError:
-                    raise UsageError(
-                        f"config value for {key!r} is not a {_FLAG_TYPES[key].__name__}: {raw!r}")
-    for key, default in _FLAG_DEFAULTS.items():
-        if hasattr(args, key) and getattr(args, key) is None:
-            setattr(args, key, default)
-    missing = [k for k in _REQUIRED[args.command] if getattr(args, k) is None]
-    if missing:
-        raise UsageError(f"{args.command}: missing required flag(s): "
-                         + ", ".join("--" + m.replace("_", "-") for m in missing))
+            raise UsageError(f"{path}:{i}: expected key=value, got {line!r}")
+        key = key_val[0].replace("-", "_")
+        if key not in _FLAG_TYPES:
+            raise UsageError(f"{path}:{i}: unknown key {key_val[0]!r}")
+        if key in flags:
+            args.append(f"--{key.replace('_', '-')}={key_val[1]}")
     return args
 
 
@@ -135,6 +110,8 @@ def _parse_grid_spec(spec):
         raise UsageError(f"--grid has non-numeric pieces: {spec!r}")
     if count < 1:
         raise UsageError(f"--grid count must be >= 1, got {count}")
+    if np.isinf(lo) or np.isinf(hi):
+        raise UsageError(f"--grid bounds must be finite, got lo={lo}, hi={hi}")
     if parts[0] == "log":
         if not (lo > 0.0 and hi > 0.0):
             raise UsageError(f"--grid log bounds must be > 0, got lo={lo}, hi={hi}")
@@ -150,8 +127,6 @@ def _cmd_profiles(args):
 
 
 def _cmd_verify(args):
-    if args.suite not in ("all", *SUITES):
-        raise UsageError(f"unknown suite {args.suite!r}")
     results = run_suite(args.suite, tol_scale=args.tol_scale)
     width = max(len(r.name) for r in results) + 2
     failures = 0
@@ -165,13 +140,19 @@ def _cmd_verify(args):
     return 1 if failures else 0
 
 
+# command -> (handler, its flags, help text); a flag without a default is required
 _COMMANDS = {
-    "gtransform": _cmd_gtransform,
-    "igtransform": _cmd_igtransform,
-    "heat-kernel": _cmd_heat_kernel,
-    "heat-apply": _cmd_heat_apply,
-    "profiles": _cmd_profiles,
-    "verify": _cmd_verify,
+    "gtransform": (_cmd_gtransform, ("alpha", "beta", "input", "nmax", "output"),
+                   "forward transform of a grid file"),
+    "igtransform": (_cmd_igtransform, ("input", "points", "output"),
+                    "inverse transform at points"),
+    "heat-kernel": (_cmd_heat_kernel, ("t", "alpha", "beta", "point"),
+                    "print one kernel value"),
+    "heat-apply": (_cmd_heat_apply, ("t", "alpha", "beta", "input", "points", "route",
+                                     "output"), "apply the heat semigroup"),
+    "profiles": (_cmd_profiles, ("kind", "alpha", "beta", "grid", "output"),
+                 "diagonal kernel profiles"),
+    "verify": (_cmd_verify, ("suite", "tol_scale"), "run the verification suites"),
 }
 
 
@@ -181,30 +162,33 @@ def _build_parser():
         description="Spectral transforms, heat kernels, and verification "
                     "suites for quarter-plane Grushin-type operators.")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (flags, help_text) in _COMMAND_FLAGS.items():
+    for name, (_, flags, help_text) in _COMMANDS.items():
         p = sub.add_parser(name, help=help_text)
         for flag in flags:
-            kwargs = {"type": _FLAG_TYPES[flag], "default": None}
-            if flag == "route":
-                kwargs["choices"] = ("kernel", "spectral")
-            if flag == "kind":
-                kwargs["choices"] = ("F1", "F2")
-            p.add_argument("--" + flag.replace("_", "-"),
-                           dest=flag, **kwargs)
+            p.add_argument("--" + flag.replace("_", "-"), dest=flag, type=_FLAG_TYPES[flag],
+                           default=_FLAG_DEFAULTS.get(flag), choices=_FLAG_CHOICES.get(flag))
         p.add_argument("--config", default=None,
                        help="key=value file supplying flag values")
     return parser
 
 
 def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else list(argv)
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
+        handler, flags, _ = _COMMANDS[args.command]
+        if args.config:
+            # config lines go right after the command, so explicit flags, which
+            # come later, win: argparse keeps a flag's last occurrence
+            args = parser.parse_args(argv[:1] + _config_flags(args.config, flags) + argv[1:])
+        missing = [f for f in flags if getattr(args, f) is None]
+        if missing:
+            raise UsageError(f"{args.command}: missing required flag(s): "
+                             + ", ".join("--" + m.replace("_", "-") for m in missing))
+        return handler(args)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
-    try:
-        args = _merge_config(args)
-        return _COMMANDS[args.command](args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ._util import real_value
+from ._util import count_value, real_value
 from .diffop import GridFunction2D
 from .gtransform import SpectralData
 
@@ -141,10 +141,12 @@ def _header_float(header, key, path):
 
 
 def _header_int(header, key, path):
+    """A header count: an integer >= 1."""
     v = _header_float(header, key, path)
-    if int(v) != v:
-        raise HeaderError(f"{path}: header field {key!r} must be an integer")
-    return int(v)
+    try:
+        return count_value(v, key, 1)
+    except ValueError as exc:
+        raise HeaderError(f"{path}: header field {exc}") from None
 
 
 def _header_array(header, key, path):

@@ -1,11 +1,14 @@
 """End-to-end command-line tests through main(argv)."""
 
 import gc
+import shlex
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from grushin import cli
 from grushin import io as gio
 from grushin.cli import main
 from grushin.diffop import GridFunction2D
@@ -242,6 +245,19 @@ def test_log_grid_bounds_must_be_positive(tmp_path, capsys, spec):
     assert capsys.readouterr().err.startswith("error: --grid log bounds must be > 0, got lo=")
 
 
+# an infinite bound used to escape main as numpy's RuntimeWarning under
+# -W error, or else to be reported as x_grid[0] rather than --grid
+@pytest.mark.parametrize("spec", ["lin:1:inf:3", "log:1:inf:3", "lin:-inf:1:3"])
+def test_grid_bounds_must_be_finite(tmp_path, capsys, spec):
+    opath = tmp_path / "p.csv"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(["profiles", "--kind", "F1", "--alpha", "0.3", "--beta", "0.2",
+                     "--grid", spec, "--output", str(opath)])
+    assert code == 2 and not opath.exists()
+    assert capsys.readouterr().err.startswith("error: --grid bounds must be finite, got lo=")
+
+
 def test_thread_env_var_validation(monkeypatch):
     from grushin._util import thread_count
     monkeypatch.setenv("GRUSHIN_THREADS", "3")
@@ -381,3 +397,96 @@ def test_igtransform_rejects_bad_spectral_header(tmp_path, capsys, spectral_file
     assert code == 2
     assert f"HeaderError: {spectral_file}: header field {field}[0] must be" in err
     assert not opath.exists()
+
+
+# ------------------------------------------------------------ --config grammar
+# A config file's lines are parsed as flags, so they are typed and checked
+# like flags; keys of no command used to be dropped silently (exit 0).
+
+@pytest.mark.parametrize("text, line, key", [
+    ("alpha=0.4\nbeta=0.25\nn_max=8\n", 3, "n_max"),
+    ("# a comment\n\nalpah=0.3\nbeta=0.25\n", 3, "alpah")], ids=["n_max", "typo"])
+def test_config_key_of_no_command_is_usage_error(tmp_path, capsys, text, line, key):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(text)
+    opath = tmp_path / "F.csv"
+    # the input does not exist: the config is checked before any input is read
+    code = main(["gtransform", "--alpha", "0.4", "--input", str(tmp_path / "absent.csv"),
+                 "--output", str(opath), "--config", str(cfg)])
+    assert code == 2 and not opath.exists()
+    assert capsys.readouterr().err == f"error: {cfg}:{line}: unknown key {key!r}\n"
+
+
+@pytest.mark.parametrize("argv, entry", [
+    (["heat-apply", "--t", "0.5", "--alpha", "0.4", "--beta", "0.25", "--input", "f.csv",
+      "--points", "pts.csv", "--output", "out.csv"], "route=bogus"),
+    (["verify"], "suite=bogus"),
+    (["profiles", "--alpha", "0.3", "--beta", "0.2", "--grid", "lin:1:2:3",
+      "--output", "p.csv"], "kind=F3")], ids=["route", "suite", "kind"])
+def test_config_value_outside_choices_is_usage_error(tmp_path, capsys, monkeypatch,
+                                                    argv, entry):
+    monkeypatch.chdir(tmp_path)
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(entry + "\n")
+    assert main(argv + ["--config", str(cfg)]) == 2
+    key, value = entry.split("=")
+    assert f"argument --{key}: invalid choice: {value!r}" in capsys.readouterr().err
+    assert not any(tmp_path.glob("*.csv"))
+
+
+def test_config_key_of_another_command_is_skipped(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("nmax=16\nt=0.5\nroute=spectral\nalpha=0.25\n")
+    flags = ["heat-kernel", "--beta", "-0.5", "--point", "1,1,1,1"]
+    assert main(flags + ["--t", "0.5", "--alpha", "0.25"]) == 0
+    want = capsys.readouterr().out
+    assert main(flags + ["--config", str(cfg)]) == 0
+    assert capsys.readouterr().out == want
+
+
+@pytest.mark.parametrize("entry", ["nmax=1.5", "nmax=", "alpha=abc"])
+def test_config_value_of_wrong_type_is_usage_error(tmp_path, capsys, packet_grid_file,
+                                                  entry):
+    fpath, _ = packet_grid_file
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"beta=0.25\n{entry}\n")
+    opath = tmp_path / "F.csv"
+    code = main(["gtransform", "--alpha", "0.4", "--input", str(fpath),
+                 "--output", str(opath), "--config", str(cfg)])
+    key, value = entry.split("=")
+    assert code == 2 and not opath.exists()
+    assert f"argument --{key}: invalid " in capsys.readouterr().err
+
+
+def test_config_fills_defaulted_flag(tmp_path, packet_grid_file):
+    fpath, _ = packet_grid_file
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("nmax=8\n")
+    outs = []
+    for tag, extra in (("flag", ["--nmax", "8"]), ("cfg", ["--config", str(cfg)])):
+        opath = tmp_path / f"F_{tag}.csv"
+        assert main(["gtransform", "--alpha", "0.4", "--beta", "0.25",
+                     "--input", str(fpath), "--output", str(opath)] + extra) == 0
+        outs.append(opath.read_bytes())
+    assert outs[0] == outs[1] and b"# n_max=8\n" in outs[0]
+
+
+def _readme_commands():
+    """Each `grushin ...` line of README's "CLI examples" block, with its
+    backslash continuations joined."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = text.split("## CLI examples", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    return [ln for ln in block.replace("\\\n", " ").splitlines()
+            if ln.startswith("grushin ")]
+
+
+def test_readme_examples_parse_with_the_command_table():
+    commands = _readme_commands()
+    assert commands
+    parser = cli._build_parser()
+    for line in commands:
+        argv = shlex.split(line)[1:]
+        assert argv[0] in cli._COMMANDS
+        args = parser.parse_args(argv)
+        _, flags, _ = cli._COMMANDS[argv[0]]
+        assert all(getattr(args, f) is not None for f in flags), line

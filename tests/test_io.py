@@ -1,5 +1,7 @@
 """Persistence round trips and the distinct failure modes."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -201,6 +203,39 @@ class TestSpectralFiles:
         with pytest.raises(gio.FileFormatError, match="values.*complex128"):
             gio.write_spectral(path, sd)
         assert not path.exists()
+
+
+def _write_with_field(grid, spectral, path, kind, field, token, body=True):
+    if kind == "grid":
+        gio.write_grid(path, grid)
+    else:
+        gio.write_spectral(path, spectral)
+    lines = [f"# {field}={token}" if ln.startswith(f"# {field}=") else ln
+             for ln in path.read_text().splitlines() if body or ln.startswith("#")]
+    path.write_text("\n".join(lines) + "\n")
+
+
+# each of these counts used to fail with a bare ValueError or OverflowError, or
+# with a row-count or node-count message, none of which named the header field
+@pytest.mark.parametrize("kind, field", [("grid", "nr"), ("grid", "ns"),
+                                         ("spectral", "n_max"), ("spectral", "n_tau")])
+@pytest.mark.parametrize("token", ["nan", "inf", "0", "-1", "1.5"])
+def test_header_count_is_an_integer_of_at_least_one(grid, spectral, tmp_path, kind, field,
+                                                     token):
+    path = tmp_path / f"{kind}.csv"
+    _write_with_field(grid, spectral, path, kind, field, token)
+    read = gio.read_grid if kind == "grid" else gio.read_spectral
+    with pytest.raises(gio.HeaderError, match=re.escape(
+            f"{path}: header field {field} must be an integer >= 1, got ")):
+        read(path)
+
+
+def test_spectral_file_of_zero_orders_is_rejected(grid, spectral, tmp_path):
+    # used to read as a SpectralData with no orders and a zero norm
+    path = tmp_path / "sd.csv"
+    _write_with_field(grid, spectral, path, "spectral", "n_max", "0", body=False)
+    with pytest.raises(gio.HeaderError, match="n_max must be an integer >= 1, got 0.0"):
+        gio.read_spectral(path)
 
 
 # ------------------------------------------------------------ reference code
