@@ -49,6 +49,7 @@ def _config_flags(path, flags):
     except OSError as exc:
         raise UsageError(f"cannot read config file: {exc}")
     args = []
+    check = _add_flags(argparse.ArgumentParser(exit_on_error=False), flags)
     for i, line in enumerate(lines, 1):
         line = line.strip()
         if not line or line.startswith("#"):
@@ -61,7 +62,18 @@ def _config_flags(path, flags):
             raise UsageError(f"{path}:{i}: unknown key {key_val[0]!r}")
         if key in flags:
             args.append(f"--{key.replace('_', '-')}={key_val[1]}")
+            try:  # typed and checked on its own, so that its error names the line
+                check.parse_args(args[-1:])
+            except argparse.ArgumentError as exc:
+                raise UsageError(f"{path}:{i}: {exc}")
     return args
+
+
+def _add_flags(parser, flags):
+    for flag in flags:
+        parser.add_argument("--" + flag.replace("_", "-"), dest=flag, type=_FLAG_TYPES[flag],
+                            default=_FLAG_DEFAULTS.get(flag), choices=_FLAG_CHOICES.get(flag))
+    return parser
 
 
 def _plane_from_grid(path):
@@ -84,11 +96,12 @@ def _cmd_igtransform(args):
 
 
 def _cmd_heat_kernel(args):
-    coords = [float(tok) for tok in args.point.split(",")]
-    if len(coords) != 4:
-        raise UsageError("--point must be r,s,u,v")
+    try:
+        r, s, u, v = map(float, args.point.split(","))
+    except ValueError as exc:
+        raise UsageError(f"--point must be r,s,u,v: {exc}")
     hp = HeatParams(args.t, TypePair(args.alpha, args.beta))
-    print(f"{heat_kernel(hp, *coords):.16e}")
+    print(f"{heat_kernel(hp, r, s, u, v):.16e}")
     return 0
 
 
@@ -110,11 +123,11 @@ def _parse_grid_spec(spec):
         raise UsageError(f"--grid has non-numeric pieces: {spec!r}")
     if count < 1:
         raise UsageError(f"--grid count must be >= 1, got {count}")
-    if np.isinf(lo) or np.isinf(hi):
+    if parts[0] == "log" and not (lo > 0.0 and hi > 0.0):
+        raise UsageError(f"--grid log bounds must be > 0, got lo={lo}, hi={hi}")
+    if not (np.isfinite(lo) and np.isfinite(hi)):
         raise UsageError(f"--grid bounds must be finite, got lo={lo}, hi={hi}")
     if parts[0] == "log":
-        if not (lo > 0.0 and hi > 0.0):
-            raise UsageError(f"--grid log bounds must be > 0, got lo={lo}, hi={hi}")
         return np.logspace(np.log10(lo), np.log10(hi), count)
     return np.linspace(lo, hi, count)
 
@@ -163,12 +176,8 @@ def _build_parser():
                     "suites for quarter-plane Grushin-type operators.")
     sub = parser.add_subparsers(dest="command", required=True)
     for name, (_, flags, help_text) in _COMMANDS.items():
-        p = sub.add_parser(name, help=help_text)
-        for flag in flags:
-            p.add_argument("--" + flag.replace("_", "-"), dest=flag, type=_FLAG_TYPES[flag],
-                           default=_FLAG_DEFAULTS.get(flag), choices=_FLAG_CHOICES.get(flag))
-        p.add_argument("--config", default=None,
-                       help="key=value file supplying flag values")
+        _add_flags(sub.add_parser(name, help=help_text), flags).add_argument(
+            "--config", default=None, help="key=value file supplying flag values")
     return parser
 
 

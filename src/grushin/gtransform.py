@@ -19,13 +19,14 @@ and the functional calculus finite computations.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Optional, Tuple
 
 import numpy as np
 
 from ._util import count_value, real_value
-from .hankel import (HalfLineFunction, _liouville_kernel, as_half_line_function,
-                     rule_for_function)
+from .hankel import (HalfLineFunction, _kernel_apply, _liouville_kernel,
+                     as_half_line_function, rule_for_function)
 from .laguerre import _analyze_columns, _synthesize_columns, analysis_rule
 from .quadrature import HalfLineRule, build_finite_rule
 from .specfun import _order_value, laguerre_eigenvalue, laguerre_fn_seq
@@ -165,9 +166,8 @@ def default_tau_rule(upper: float = 12.0, panels: int = 32,
 
 
 def _plane_setup(tp: TypePair, f, n_max: int, tau_rule):
-    """The tau rule, the r-rule weights, f on the (r, s) tensor rule, the
-    s-weighted Hankel kernel (ns, K) and the Laguerre arguments sqrt(tau) r
-    on the (r-node, tau-node) tensor."""
+    """The tau rule, the r-rule weights, f on the (r, s) tensor rule, the s rule
+    and the Laguerre arguments sqrt(tau) r on the (r-node, tau-node) tensor."""
     f = as_plane_function(f)
     if tau_rule is None:
         tau_rule = default_tau_rule(endpoint_exponent=min(2.0 * tp.beta + 1.0, 0.0))
@@ -175,10 +175,9 @@ def _plane_setup(tp: TypePair, f, n_max: int, tau_rule):
     r_rule = analysis_rule(tp.alpha, (tg[0], tg[-1]), f.axis_profile(0), n_max)
     s_rule = rule_for_function(f.axis_profile(1), freq=float(tg[-1]),
                                extra_exponent=tp.beta + 0.5)
-    rn, sn = r_rule.nodes, s_rule.nodes
-    fvals = np.asarray(f(rn[:, None], sn[None, :]))
-    hankel = s_rule.weights[:, None] * _liouville_kernel(tp.beta, tg, sn)
-    return tau_rule, r_rule.weights, fvals, hankel, np.sqrt(tg)[None, :] * rn[:, None]
+    rn = r_rule.nodes
+    fvals = np.asarray(f(rn[:, None], s_rule.nodes[None, :]))
+    return tau_rule, r_rule.weights, fvals, s_rule, np.sqrt(tg)[None, :] * rn[:, None]
 
 
 def g_forward(tp: TypePair, f, n_max: int = DEFAULT_N_MAX,
@@ -188,8 +187,10 @@ def g_forward(tp: TypePair, f, n_max: int = DEFAULT_N_MAX,
     The inner transform is independent of n and is evaluated once on the
     (r-node, tau-node) tensor, then reused for every coefficient order.
     """
-    tau_rule, rw, fvals, hankel, x = _plane_setup(tp, f, n_max, tau_rule)
-    weighted = rw[:, None] * (fvals @ hankel)                  # (nr, K)
+    tau_rule, rw, fvals, s_rule, x = _plane_setup(tp, f, n_max, tau_rule)
+    hankel = _kernel_apply(partial(_liouville_kernel, tp.beta), s_rule.nodes, s_rule.weights,
+                           fvals.T, tau_rule.nodes)  # (K, nr), summed below as C-order (nr, K)
+    weighted = np.multiply(rw[:, None], hankel.T, order="C")
     values = _analyze_columns(tp.alpha, x, weighted, n_max)
     values *= tau_rule.nodes[None, :] ** 0.25
     return SpectralData(tp.alpha, tp.beta, tau_rule.nodes, tau_rule.weights, values)
@@ -206,8 +207,9 @@ def g_forward_hat(tp: TypePair, f, n_max: int = DEFAULT_N_MAX,
                   tau_rule: Optional[HalfLineRule] = None) -> SpectralData:
     """Order-exchanged transform: scaled Laguerre in r first, Hankel in s
     second.  Coincides with g_forward; the contraction order differs."""
-    tau_rule, rw, fvals, hankel, x = _plane_setup(tp, f, n_max, tau_rule)
+    tau_rule, rw, fvals, s_rule, x = _plane_setup(tp, f, n_max, tau_rule)
     weighted_f = rw[:, None] * fvals                           # (nr, ns)
+    hankel = s_rule.weights[:, None] * _liouville_kernel(tp.beta, tau_rule.nodes, s_rule.nodes)
     # Laguerre analysis of every s-slice at each tau, then the Hankel
     # contraction evaluated on the diagonal tau.  The table runs unblocked:
     # a block's product would stream all of weighted_f, which costs more
@@ -238,9 +240,8 @@ def g_inverse_grid(sd: SpectralData, rs, ss) -> np.ndarray:
     """Inverse transform evaluated on the tensor grid rs x ss."""
     rs = real_value(np.atleast_1d(rs), "rs")
     ss = real_value(np.atleast_1d(ss), "ss")
-    synth = _synthesis(sd, rs)                                 # (K, nr)
-    kern = _liouville_kernel(sd.beta, sd.tau_grid, ss)         # (ns, K)
-    return synth.T @ (sd.tau_weights[:, None] * kern.T)        # (nr, ns)
+    return _kernel_apply(partial(_liouville_kernel, sd.beta), sd.tau_grid, sd.tau_weights,
+                         _synthesis(sd, rs), ss).T             # (nr, ns)
 
 
 def g_inverse(sd: SpectralData, points):

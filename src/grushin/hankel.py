@@ -14,11 +14,12 @@ equals U_a H_a U_a^{-1} with U_a f = u^(a+1/2) f.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Optional, Tuple
 
 import numpy as np
 
-from ._util import column_blocks, real_value
+from ._util import column_blocks, parallel_map, real_value
 from .quadrature import (HalfLineRule, TruncationPolicy, build_finite_rule, build_rule,
                          truncation_point)
 from .specfun import bessel_j_normalized, bessel_j_table, _order_value
@@ -112,15 +113,22 @@ def _values_and_rule(f, taus, rule, extra_exponent):
 def _liouville_kernel(beta, taus, pts):
     """(tau u)^(1/2) J_beta(tau u) as a (len(pts), len(taus)) matrix."""
     x = taus[None, :] * pts[:, None]
-    return np.sqrt(x) * bessel_j_table(beta, x)
+    out = bessel_j_table(beta, x)
+    return np.multiply(out, np.sqrt(x, out=x), out=out)
 
 
-def _kernel_apply(taus, rule, weighted_vals, kernel):
-    """sum_i kernel(tau_k, u_i) * weighted_vals_i, blocked over tau;
-    kernel(tau_block, nodes) is the (len(tau_block), len(nodes)) matrix."""
-    out = np.empty(len(taus), dtype=weighted_vals.dtype)
-    for cols in column_blocks(len(rule.nodes), len(taus)):
-        out[cols] = kernel(taus[cols], rule.nodes) @ weighted_vals
+def _kernel_apply(kernel, nodes, weights, values, points):
+    """out[i, ...] = sum_j kernel(u_j, p_i) w_j values[j, ...], kernel(nodes, points) being the
+    (len(points), len(nodes)) matrix, in blocks of at least 64 points on the worker threads,
+    so that a block times values stays a matrix product even when the nodes fill a block."""
+    out = np.empty((len(points),) + values.shape[1:], np.result_type(weights, values))
+
+    def block(cols):
+        kb = kernel(nodes, points[cols])
+        kb *= weights
+        np.matmul(kb, values, out=out[cols])
+
+    parallel_map(block, column_blocks(len(nodes), len(points), min_width=64))
     return out
 
 
@@ -130,9 +138,8 @@ def hankel_modified(alpha, f, taus, rule: Optional[HalfLineRule] = None):
     alpha = _order_value(alpha)
     taus = real_value(np.atleast_1d(taus), "tau", closed=True)
     vals, rule = _values_and_rule(f, taus, rule, 2.0 * alpha + 1.0)
-    weighted = rule.weights * vals * rule.nodes ** (2.0 * alpha + 1.0)
-    return _kernel_apply(taus, rule, weighted,
-                         lambda t, u: bessel_j_normalized(alpha, t[:, None] * u[None, :]))
+    return _kernel_apply(lambda u, t: bessel_j_normalized(alpha, np.outer(t, u)), rule.nodes,
+                         rule.weights * rule.nodes ** (2.0 * alpha + 1.0), vals, taus)
 
 
 def hankel_liouville(beta, f, taus, rule: Optional[HalfLineRule] = None):
@@ -142,11 +149,7 @@ def hankel_liouville(beta, f, taus, rule: Optional[HalfLineRule] = None):
     taus = real_value(np.atleast_1d(taus), "tau")
     # the kernel itself contributes u^(b+1/2) at the origin
     vals, rule = _values_and_rule(f, taus, rule, min(beta + 0.5, 0.0))
-    weighted = rule.weights * vals
-    # the kernel depends on tau u only: as (tau block x nodes) it is the
-    # (pts = tau, taus = u) table
-    return _kernel_apply(taus, rule, weighted,
-                         lambda t, u: _liouville_kernel(beta, u, t))
+    return _kernel_apply(partial(_liouville_kernel, beta), rule.nodes, rule.weights, vals, taus)
 
 
 # both forms are involutions on their L^2 spaces; the aliases let call sites

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 from typing import Optional
 
 import numpy as np
@@ -29,7 +30,7 @@ import numpy as np
 from ._util import column_blocks, parallel_map, real_value
 from .gtransform import (Multiplier, TypePair, _points_array, as_plane_function,
                          functional_calculus)
-from .hankel import profile_rule
+from .hankel import _kernel_apply, _liouville_kernel, profile_rule
 from .quadrature import HalfLineRule, TruncationPolicy, build_rule
 from .specfun import bessel_i_normalized_exp, bessel_j_normalized, bessel_j_table
 
@@ -234,46 +235,31 @@ def heat_apply_grid(hp: HeatParams, fvals, urule: HalfLineRule,
 
 def _kernel_route(hp, fvals, urule, vrule, pts, trule):
     tau = trule.nodes
-    un, uw = urule.nodes, urule.weights
-    vn, vw = vrule.nodes, vrule.weights
+    liouville = partial(_liouville_kernel, hp.beta)
+    # h(tau, u) = w_u sum_v w_v (tau v)^(1/2) J_b(tau v) f(u, v) first, shared by every point
+    h = _kernel_apply(liouville, vrule.nodes, vrule.weights, fvals.T, tau)  # (K, n_u)
+    h *= urule.weights
 
-    # the Hankel transform in s first, shared by every point:
-    # h(tau, u) = w_u sum_v w_v sqrt(v) J_b(tau v) f(u, v), in tau-row
-    # blocks of at least 64 rows, so that a block times f stays a matrix
-    # product even when n_v alone fills a block
-    h = np.empty((len(tau), len(un)))
-    weighted_v = np.sqrt(vn) * vw
-
-    def hankel_rows(rows):
-        jv_rows = bessel_j_table(hp.beta, tau[rows, None] * vn[None, :])
-        jv_rows *= weighted_v
-        h[rows] = jv_rows @ fvals.T
-
-    parallel_map(hankel_rows, column_blocks(len(vn), len(tau), min_width=64))
-    h *= uw
-
-    # the s kernel columns are shared by every r group
-    s_unique, s_col = np.unique(pts[:, 1], return_inverse=True)
-    j_s = bessel_j_table(hp.beta, tau[:, None] * s_unique[None, :]) \
-        * np.sqrt(s_unique)[None, :] * trule.weights[:, None]  # (K, nsu)
-    core_rows = column_blocks(len(un), len(tau))
-    out = np.empty(len(pts))
-
-    def run_group(item):
-        r, idxs = item
+    def contract_core(r):
         b = np.empty(len(tau))
-        for rows in core_rows:
+        for rows in column_blocks(len(urule.nodes), len(tau)):
             tau_rows = tau[rows, None]
-            core = _kernel_core(hp.alpha, hp.t, tau_rows, r, un[None, :],
+            core = _kernel_core(hp.alpha, hp.t, tau_rows, r, urule.nodes[None, :],
                                 2.0 * np.log(tau_rows))
             b[rows] = np.einsum("ij,ij->i", core, h[rows])
-        vals = b @ j_s                                         # (nsu,)
-        out[idxs] = vals[s_col[idxs]]
+        return b
 
-    groups: dict[float, list[int]] = {}
-    for idx, (r, _) in enumerate(pts):
-        groups.setdefault(float(r), []).append(idx)
-    parallel_map(run_group, [(r, np.asarray(idxs)) for r, idxs in groups.items()])
+    # b(tau) of every distinct r, then for blocks of distinct s the tau -> s step
+    # of all of them at once, keeping each block's own points (no (n_s, n_r)
+    # table); w_tau / tau takes back the tau^(1/2) of the two Liouville kernels
+    r_unique, r_col = np.unique(pts[:, 0], return_inverse=True)
+    s_unique, s_col = np.unique(pts[:, 1], return_inverse=True)
+    b = np.stack(parallel_map(contract_core, r_unique), axis=1)  # (K, n_r)
+    out = np.empty(len(pts))
+    for cols in column_blocks(len(r_unique), len(s_unique), min_width=64):
+        idx = np.flatnonzero((s_col >= cols.start) & (s_col < cols.stop))
+        vals = _kernel_apply(liouville, tau, trule.weights / tau, b, s_unique[cols])
+        out[idx] = vals[s_col[idx] - cols.start, r_col[idx]]
     return out
 
 

@@ -199,8 +199,8 @@ def bessel_j_table(nu, x):
         fast_fn, cut = None, np.inf
     flat = x.ravel()
     out = np.empty_like(flat)
-    # blocks keep the branch temporaries cache-resident
-    for cols in column_blocks(1, flat.size):
+    # cache-resident blocks of >= 4096 values, so that scipy runs in bulk at any BLOCK
+    for cols in column_blocks(1, flat.size, min_width=4096):
         xb, ob = flat[cols], out[cols]
         # zero and non-finite arguments go to scipy
         fast = xb > cut

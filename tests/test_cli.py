@@ -343,12 +343,20 @@ def test_heat_kernel_rejects_nonfinite_point(capsys, point, named):
     assert f"error [heat-kernel]: ValueError: {named} must be a finite real > 0" in err
 
 
+def test_point_coordinate_must_be_a_number(capsys):
+    code = main(["heat-kernel", "--t", "0.5", "--alpha", "0.0", "--beta", "0.0",
+                 "--point", "1,x,1,1"])
+    out, err = capsys.readouterr()
+    assert code == 2 and out == ""
+    assert err == "error: --point must be r,s,u,v: could not convert string to float: 'x'\n"
+
+
 def test_profiles_rejects_nan_grid(tmp_path, capsys):
     opath = tmp_path / "p.csv"
     code = main(["profiles", "--kind", "F1", "--alpha", "0.0", "--beta", "0.0",
                  "--grid", "lin:nan:1:3", "--output", str(opath)])
     assert code == 2 and not opath.exists()
-    assert "x_grid[0] must be a finite real > 0, got nan" in capsys.readouterr().err
+    assert capsys.readouterr().err.startswith("error: --grid bounds must be finite, got lo=nan")
 
 
 @pytest.mark.parametrize("argv", [
@@ -456,6 +464,16 @@ def test_config_value_of_wrong_type_is_usage_error(tmp_path, capsys, packet_grid
     key, value = entry.split("=")
     assert code == 2 and not opath.exists()
     assert f"argument --{key}: invalid " in capsys.readouterr().err
+
+
+def test_config_value_error_names_the_line(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("beta=0.25\n# t below\nt=abc\n")
+    code = main(["heat-kernel", "--alpha", "0.0", "--point", "1,1,1,1",
+                 "--config", str(cfg)])
+    out, err = capsys.readouterr()
+    assert code == 2 and out == ""
+    assert err == f"error: {cfg}:3: argument --t: invalid float value: 'abc'\n"
 
 
 def test_config_fills_defaulted_flag(tmp_path, packet_grid_file):

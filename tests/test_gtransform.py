@@ -210,13 +210,17 @@ class TestRescaledEntries:
     def test_matches_per_order_loops(self, monkeypatch):
         tp, n_max = TypePair(0.4, -0.9), 96
         f = power_gaussian(tp.alpha, tp.beta)
-        # the rules, samples and Hankel kernel of g_forward, built once (the
-        # s rule at tau = 400 makes them the slow part) and then reused
+        # the rules and samples of g_forward, built once (the s rule at
+        # tau = 400 makes them the slow part) and then reused
         setup = gtransform._plane_setup(tp, f, n_max, default_tau_rule(upper=400, panels=64))
         monkeypatch.setattr(gtransform, "_plane_setup", lambda *args: setup)
-        tau_rule, rw, fvals, hankel, x = setup
+        tau_rule, rw, fvals, s_rule, x = setup
         # past x = 35 the recurrence starts below e^-600, on a rescaled entry
         assert np.mean(x > 35.0) > 0.4
+        # the whole weighted kernel: g_forward's blocked contraction must
+        # give the bits of this one product
+        hankel = s_rule.weights[:, None] * _liouville_kernel(tp.beta, tau_rule.nodes,
+                                                             s_rule.nodes)
         weighted = rw[:, None] * (fvals @ hankel)
         want = np.array([np.sum(weighted * q, axis=0)
                          for q in laguerre_fn_seq(tp.alpha, x, n_max)])
@@ -242,6 +246,35 @@ class TestRescaledEntries:
             # entry's rounding shows here before the tau integral hides it
             assert np.array_equal(gtransform._synthesis(sd, pts[:, 0]), synth), (block, threads)
             assert np.array_equal(gtransform.g_inverse(sd, pts), want_inv), (block, threads)
+
+
+def test_forward_memory_stays_below_one_s_by_tau_kernel(monkeypatch):
+    # the s step contracts f with the Liouville kernel in blocks of tau
+    # nodes, so no (n_s, K) kernel is formed (n_s s nodes, K tau nodes); on a
+    # tau window reaching 100 that kernel outweighs the packet's samples
+    import tracemalloc
+    sizes = {}
+    setup = gtransform._plane_setup
+
+    def recording_setup(tp, f, n_max, tau_rule):
+        out = setup(tp, f, n_max, tau_rule)
+        sizes["f"], sizes["n_s"], sizes["K"] = out[2].nbytes, out[2].shape[1], len(out[0].nodes)
+        return out
+
+    monkeypatch.setattr(gtransform, "_plane_setup", recording_setup)
+    # the bound holds for two workers' blocks at a time
+    monkeypatch.setenv("GRUSHIN_THREADS", "2")
+    tau_rule = default_tau_rule(upper=100, panels=64)
+    tracemalloc.start()
+    try:
+        sd = gtransform.g_forward(TypePair(0.4, 0.25), packet_plane(), n_max=16,
+                                  tau_rule=tau_rule)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.all(np.isfinite(sd.values))
+    assert (sizes["n_s"], sizes["K"]) == (8304, 624)
+    assert peak < sizes["f"] + 8 * sizes["n_s"] * sizes["K"]
 
 
 def _truncated_spectral_fixture(tp, tau_rule):

@@ -270,6 +270,41 @@ def test_kernel_route_memory_stays_below_one_tau_by_v_table(monkeypatch):
     assert peak < 8 * sizes["K"] * sizes["n_v"]
 
 
+def test_kernel_route_memory_stays_below_the_s_by_r_and_tau_by_s_tables(monkeypatch):
+    # scattered points with more distinct s than tau nodes: the tau -> s step
+    # contracts the b(tau) of every distinct r in blocks of distinct s, each
+    # keeping the entries of its own points, so neither a (K, n_s) nor an
+    # (n_s, n_r) table is formed (n_s distinct s, n_r distinct r)
+    import tracemalloc
+    sizes = {}
+    route = heat._kernel_route
+
+    def recording_route(hp, fvals, urule, vrule, pts, trule):
+        sizes["K"] = len(trule.nodes)
+        return route(hp, fvals, urule, vrule, pts, trule)
+
+    monkeypatch.setattr(heat, "_kernel_route", recording_route)
+    # the bound holds for two workers' blocks at a time
+    monkeypatch.setenv("GRUSHIN_THREADS", "2")
+    hp, f = HeatParams(2.0, TypePair(0.4, 0.25)), bump_plane()
+    n_s, n_r = 4000, 200
+    pts = np.stack([np.repeat(np.linspace(1.0, 2.5, n_r), n_s // n_r),
+                    np.linspace(0.5, 1.0, n_s)], axis=-1)
+    tracemalloc.start()
+    try:
+        out = heat.heat_apply(hp, f, pts, route="kernel")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sizes["K"] == 232
+    assert peak < 8 * min(sizes["K"] * n_s, n_s * n_r)
+    # each point keeps its own (r, s) entry: the same points one at a time
+    # share the tau rule (it follows max(s, 1) = 1) and differ by rounding
+    few = pts[::997]
+    alone = np.concatenate([heat.heat_apply(hp, f, [p], route="kernel") for p in few])
+    assert np.allclose(out[::997], alone, rtol=1e-13, atol=0.0)
+
+
 def diagonal_profile_per_x_reference(kind, tp, x_grid):
     """One tau quadrature per grid point with the unscaled I_a: the form
     diagonal_profile had before it was tabulated on the kernel core.  Its
