@@ -24,7 +24,7 @@ from typing import Callable, Optional, Tuple
 
 import numpy as np
 
-from ._util import count_value, real_value
+from ._util import column_blocks, count_value, parallel_map, real_value
 from .hankel import (HalfLineFunction, _kernel_apply, _liouville_kernel,
                      as_half_line_function, rule_for_function)
 from .laguerre import _analyze_columns, _synthesize_columns, analysis_rule
@@ -247,11 +247,18 @@ def g_inverse_grid(sd: SpectralData, rs, ss) -> np.ndarray:
 def g_inverse(sd: SpectralData, points):
     """Inverse transform at scattered points [(r_1, s_1), ...], one value per
     point as an (m,) array: synthesis over n at each grid tau, then the
-    Hankel integral in tau."""
+    Hankel integral in tau.  Both are taken per block of points on the
+    worker threads; blocks are at least two points wide, as on one column
+    the axis-0 sum turns pairwise and changes bits."""
     pts = _points_array(points)
-    synth = _synthesis(sd, pts[:, 0])                          # (K, m)
-    kern = _liouville_kernel(sd.beta, sd.tau_grid, pts[:, 1])  # (m, K)
-    return np.sum(kern.T * synth * sd.tau_weights[:, None], axis=0)
+
+    def block(cols):
+        synth = _synthesis(sd, pts[cols, 0])                          # (K, mb)
+        kern = _liouville_kernel(sd.beta, sd.tau_grid, pts[cols, 1])  # (mb, K)
+        return np.sum(kern.T * synth * sd.tau_weights[:, None], axis=0)
+
+    blocks = column_blocks(len(sd.tau_grid), len(pts), min_width=2)
+    return np.concatenate(parallel_map(block, blocks))
 
 
 def plancherel_norm(sd: SpectralData) -> float:

@@ -277,6 +277,26 @@ def test_forward_memory_stays_below_one_s_by_tau_kernel(monkeypatch):
     assert peak < sizes["f"] + 8 * sizes["n_s"] * sizes["K"]
 
 
+def test_inverse_memory_stays_below_one_tau_by_point_table(monkeypatch):
+    # the synthesis and the Liouville kernel are taken per block of points,
+    # so no (K, m) table is formed (K tau nodes, m scattered points)
+    import tracemalloc
+    sd = gtransform.g_forward(TypePair(0.4, 0.25), power_gaussian(0.4, 0.25), n_max=8)
+    rng = np.random.default_rng(3)
+    pts = rng.uniform(0.1, 4.0, size=(4000, 2))
+    # the bound holds for two workers' blocks at a time
+    monkeypatch.setenv("GRUSHIN_THREADS", "2")
+    tracemalloc.start()
+    try:
+        out = gtransform.g_inverse(sd, pts)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert out.shape == (4000,) and np.all(np.isfinite(out))
+    assert len(sd.tau_grid) == 376
+    assert peak < 8 * len(sd.tau_grid) * len(pts)
+
+
 def _truncated_spectral_fixture(tp, tau_rule):
     """Smooth compactly supported data on the discretized spectrum.
 

@@ -188,15 +188,53 @@ class TestBesselJTable:
         assert np.max(np.abs(got - want)) < 5e-16
 
     @pytest.mark.parametrize("nu", ORDERS)
-    def test_against_scipy_across_the_switch(self, nu):
+    def test_against_mpmath_across_the_switch(self, nu):
+        # scipy's jv is off by up to 2.7e-14 here (nu = -0.9), so mpmath is
+        # the reference
         cut = specfun._HANKEL_CUT
         x = np.concatenate([np.linspace(0.01, cut, 600),
                             [np.nextafter(cut, 0.0), cut, np.nextafter(cut, np.inf)],
                             np.linspace(cut, 4.0 * cut, 600)])
-        # scipy's own J_1/2 is off by up to 5.3e-15 near x = 11 (the closed
-        # form is exact to rounding, see the mpmath test above)
-        tol = 6e-15 if abs(nu) == 0.5 else 2e-15
-        assert np.max(np.abs(specfun.bessel_j_table(nu, x) - sp.jv(nu, x))) < tol
+        want = np.array([float(mpmath.besselj(nu, t)) for t in map(mpmath.mpf, x)])
+        assert np.max(np.abs(specfun.bessel_j_table(nu, x) - want)) < 2e-15
+
+    @pytest.mark.parametrize("nu", (-0.9, 0.0, 0.25, 0.45, 1.3, 3.0, 5.0, 8.0, 12.0))
+    def test_liouville_form_below_the_cut_against_mpmath(self, nu):
+        # sqrt(x) J_nu(x) on [1e-4, 30], with every integer and half-integer
+        # and both neighbours of each half-integer; scipy is off by up to
+        # 5e-14 here at the non-integer orders
+        half = np.arange(0.5, 30.0)
+        x = np.unique(np.concatenate([
+            np.geomspace(1e-4, 30.0, 300), np.arange(1.0, 31.0), half,
+            np.nextafter(half, 0.0), np.nextafter(half, np.inf)]))
+        want = np.array([float(mpmath.sqrt(t) * mpmath.besselj(nu, t))
+                         for t in map(mpmath.mpf, x)])
+        got = np.sqrt(x) * specfun.bessel_j_table(nu, x)
+        assert np.max(np.abs(got - want)) < 4e-15
+
+    @pytest.mark.parametrize("nu", (-0.9, -0.5, 0.0, 0.25, 0.5, 3.0, 20.0))
+    def test_zero_negative_and_nonfinite_arguments_are_scipy_values(self, nu):
+        # in one array with arguments of the table and of the expansion, so
+        # that a bad argument cannot reach a branch by its panel index
+        x = np.array([0.0, -0.5, -3.0, -40.0, np.nan, np.inf, -np.inf, 2.0, 45.0])
+        got = specfun.bessel_j_table(nu, x)
+        assert np.array_equal(got[:-2], sp.jv(nu, x[:-2]), equal_nan=True)
+        assert np.all(np.isfinite(got[-2:]))
+
+    def test_taylor_table_is_built_on_first_use_without_mpmath(self):
+        # importing the library builds no coefficients and the table needs no
+        # mpmath; the first value at an order builds that order's table once
+        import subprocess
+        import sys
+        code = ("import sys; from grushin import specfun; "
+                "size = specfun._taylor_coefficients.cache_info().currsize; "
+                "specfun.bessel_j_table(0.3, [1.0, 2.0]); specfun.bessel_j_table(0.3, 3.0); "
+                "print(size, specfun._taylor_coefficients.cache_info().currsize, "
+                "'mpmath' in sys.modules)")
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             check=True)
+        assert out.stdout.split() == ["0", "1", "False"]
+        assert not specfun._taylor_coefficients(0.3).flags.writeable
 
     def test_terms_grow_with_the_order_up_to_the_cap(self):
         terms = [len(specfun._hankel_coefficients(nu)[0])

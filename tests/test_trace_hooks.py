@@ -12,7 +12,7 @@ import sys
 
 import numpy as np
 
-from grushin import gtransform, heat, laguerre
+from grushin import gtransform, heat, laguerre, specfun
 from grushin.functions import bump_plane, power_gaussian, power_gaussian_profile
 from grushin.gtransform import TypePair
 from grushin.heat import HeatParams
@@ -57,6 +57,9 @@ def test_instrument_counts_each_layer_and_restores(monkeypatch):
         # still iterates the hooked laguerre_fn_seq
         coeffs = laguerre.laguerre_analyze(0.5, 1.0, power_gaussian_profile(0.5), n_max=4)
         assert coeffs.n_max == 4
+        # the J_nu tables above stay on the library's own evaluators; an
+        # order past 12.5 reaches scipy's jv
+        assert np.all(np.isfinite(specfun.bessel_j_table(20.0, np.array([1.0, 40.0]))))
     finally:
         patcher.restore()
 
