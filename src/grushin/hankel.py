@@ -20,8 +20,8 @@ from typing import Callable, Optional, Tuple
 import numpy as np
 
 from ._util import column_blocks, parallel_map, real_value
-from .quadrature import (HalfLineRule, TruncationPolicy, build_finite_rule, build_rule,
-                         truncation_point)
+from .quadrature import (_MAX_FINITE_PANELS, HalfLineRule, TruncationPolicy, _composite_rule,
+                         _envelope_width, build_rule, truncation_point)
 from .specfun import bessel_j_normalized, bessel_j_table, _order_value
 
 __all__ = [
@@ -44,15 +44,22 @@ class HalfLineFunction:
     """Evaluable profile on (0, inf) with integration hints.
 
     fn must accept numpy arrays.  When support is None the decay hint and
-    rate choose the truncation; endpoint_exponent declares a u^gamma factor
-    at the origin.
+    rate choose the truncation.  endpoint_exponent declares the law at the
+    origin: a float gamma > -1 says that f is exactly u^gamma times a smooth
+    function, so a rule from 0 absorbs u^gamma in its first panel and needs
+    no geometric octaves; None declares nothing, and such rules keep their
+    octaves.
     """
 
     fn: Callable[[np.ndarray], np.ndarray]
     support: Optional[Tuple[float, float]] = None
     decay: str = "gaussian"
     rate: float = 1.0
-    endpoint_exponent: float = 0.0
+    endpoint_exponent: Optional[float] = None
+
+    def __post_init__(self):
+        if self.endpoint_exponent is not None:
+            real_value(self.endpoint_exponent, "endpoint_exponent", -1.0)
 
     def __call__(self, u):
         return self.fn(u)
@@ -69,24 +76,38 @@ def as_half_line_function(f) -> HalfLineFunction:
 def profile_rule(f: HalfLineFunction, width: float, extra_exponent: float = 0.0,
                  reach: float = np.inf, points_per_panel: int = 8) -> HalfLineRule:
     """Rule of points_per_panel Gauss points on panels of width <= width over f's
-    support, else (0, min(cut of f's decay, reach)); from 0 it absorbs the power
-    u^(f.endpoint_exponent + extra_exponent), extra_exponent being the kernel's."""
-    lo, hi = f.support or (0.0, min(truncation_point(
-        TruncationPolicy(decay_hint=f.decay, rate=f.rate)), reach))
-    gamma = f.endpoint_exponent + extra_exponent if lo == 0.0 else 0.0
-    return build_finite_rule(lo, hi, width, points_per_panel, endpoint_exponent=gamma)
+    support, else (0, min(cut of f's decay, reach)); from 0 its first panel absorbs
+    the power u^(f.endpoint_exponent + extra_exponent), extra_exponent being the
+    kernel's.  When f declares its endpoint law, a rule from 0 has no geometric
+    octaves, so the caller must pass the kernel's whole power, not only its
+    singular part; a rule cut by f's decay then also narrows its panels to
+    resolve f's envelope at the cut."""
+    declared = f.endpoint_exponent is not None
+    if f.support is not None:
+        lo, hi = f.support
+    else:
+        policy = TruncationPolicy(decay_hint=f.decay, rate=f.rate)
+        lo, hi = 0.0, min(truncation_point(policy), reach)
+        if declared:
+            width = min(width, _envelope_width(policy, hi))
+    width = real_value(width, "width")
+    gamma = (f.endpoint_exponent or 0.0) + extra_exponent if lo == 0.0 else 0.0
+    return _composite_rule(lo, hi, lambda top: width, points_per_panel, gamma,
+                           _MAX_FINITE_PANELS, octaves=not declared)
 
 
 def rule_for_function(f: HalfLineFunction, freq: float = 0.0,
                       extra_exponent: float = 0.0) -> HalfLineRule:
-    """Quadrature rule adequate for f against a kernel of frequency <= freq."""
-    if f.support is not None:
-        a, b = f.support
+    """Quadrature rule adequate for f against a kernel of frequency <= freq and
+    power u^extra_exponent at the origin: profile_rule's for a supported or a
+    declared profile, else build_rule's, with its octaves toward 0."""
+    if f.support is not None or f.endpoint_exponent is not None:
+        a, b = f.support or (0.0, np.inf)  # at freq 0, f's envelope sets the width
         width = np.pi / (2.0 * _FREQ_FACTOR * freq) if freq > 0.0 else (b - a) / 8.0
         return profile_rule(f, width, extra_exponent)
     return build_rule(TruncationPolicy(
         decay_hint=f.decay, rate=f.rate, freq_bound=_FREQ_FACTOR * freq,
-        endpoint_exponent=f.endpoint_exponent + extra_exponent))
+        endpoint_exponent=extra_exponent))
 
 
 def _sampled_values(f, rule, default_rule):
@@ -103,11 +124,6 @@ def _sampled_values(f, rule, default_rule):
     if rule is None:
         rule = default_rule(hf)
     return np.asarray(hf(rule.nodes)), rule
-
-
-def _values_and_rule(f, taus, rule, extra_exponent):
-    return _sampled_values(f, rule, lambda hf: rule_for_function(
-        hf, freq=float(taus.max(initial=0.0)), extra_exponent=extra_exponent))
 
 
 def _liouville_kernel(beta, taus, pts):
@@ -137,7 +153,8 @@ def hankel_modified(alpha, f, taus, rule: Optional[HalfLineRule] = None):
     as an array of the length of taus."""
     alpha = _order_value(alpha)
     taus = real_value(np.atleast_1d(taus), "tau", closed=True)
-    vals, rule = _values_and_rule(f, taus, rule, 2.0 * alpha + 1.0)
+    vals, rule = _sampled_values(f, rule, lambda hf: rule_for_function(
+        hf, float(taus.max(initial=0.0)), 2.0 * alpha + 1.0))
     return _kernel_apply(lambda u, t: bessel_j_normalized(alpha, np.outer(t, u)), rule.nodes,
                          rule.weights * rule.nodes ** (2.0 * alpha + 1.0), vals, taus)
 
@@ -147,8 +164,12 @@ def hankel_liouville(beta, f, taus, rule: Optional[HalfLineRule] = None):
     array of the length of taus."""
     beta = _order_value(beta)
     taus = real_value(np.atleast_1d(taus), "tau")
-    # the kernel itself contributes u^(b+1/2) at the origin
-    vals, rule = _values_and_rule(f, taus, rule, min(beta + 0.5, 0.0))
+    # the kernel itself contributes u^(b+1/2) at the origin: a rule without
+    # octaves (a declared profile's) absorbs all of it, one with octaves only
+    # its singular part
+    vals, rule = _sampled_values(f, rule, lambda hf: rule_for_function(
+        hf, float(taus.max(initial=0.0)), beta + 0.5 if hf.endpoint_exponent is not None
+        else min(beta + 0.5, 0.0)))
     return _kernel_apply(partial(_liouville_kernel, beta), rule.nodes, rule.weights, vals, taus)
 
 

@@ -61,7 +61,9 @@ class LaguerreCoeffs:
 def analysis_rule(alpha, taus, f: HalfLineFunction, n_max) -> HalfLineRule:
     """r-rule for f and every l_{n,tau}^a, n < n_max, tau in taus = (tau_lo, tau_hi):
     _PANEL_POINTS Gauss points a panel of phase _PANEL_PHASE at the top wavenumber
-    sqrt(lam_N tau_hi), out to f's cut or the turning point sqrt(lam_N/tau_lo) + 6."""
+    sqrt(lam_N tau_hi), out to f's cut or the turning point sqrt(lam_N/tau_lo) + 6.
+    The first panel absorbs the basis's r^(a+1/2) in full, so a profile that
+    declares its endpoint law gets no octaves toward 0 (hankel.profile_rule)."""
     alpha = _order_value(alpha)
     lam = laguerre_eigenvalue(alpha, count_value(n_max, "n_max", 1) - 1)
     tau_lo, tau_hi = taus

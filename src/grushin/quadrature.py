@@ -5,7 +5,8 @@ Rules are built from a truncation policy that knows how the integrand decays
 relevant, how fast it oscillates.  Panels double geometrically toward zero so
 that integrable endpoint singularities are resolved; a known power-law factor
 u^gamma at the origin can additionally be absorbed exactly by a Gauss-Jacobi
-first panel.
+first panel, which for an integrand known to be u^gamma times a smooth
+function makes the octaves unnecessary.
 """
 
 from __future__ import annotations
@@ -118,17 +119,26 @@ def _unit_nodes(points: int, gamma: float):
     return x, w
 
 
+def _envelope_width(policy: TruncationPolicy, top):
+    """Panel width resolving the decay envelope up to top: its local
+    log-derivative is rate^2*top for a gaussian, rate otherwise."""
+    local = policy.rate**2 * top if policy.decay_hint == "gaussian" else policy.rate
+    return _PHASE_PER_PANEL / local
+
+
 def _composite_rule(a, b, width, points, endpoint_exponent, max_panels,
-                    policy=None) -> HalfLineRule:
+                    policy=None, octaves=True) -> HalfLineRule:
     """Gauss rule of `points` nodes per panel on [a, b].  From a == 0 the
-    interval is first cut into geometric octaves toward 0, whose first panel
-    absorbs u^endpoint_exponent exactly; each piece is then split evenly into
-    the fewest panels no wider than width(top of the piece), and more than
-    max_panels of them raise, naming policy, before any edge is built."""
+    interval is first cut into geometric octaves toward 0 (unless octaves is
+    false), and the first panel absorbs u^endpoint_exponent exactly; each
+    piece is then split evenly into the fewest panels no wider than
+    width(top of the piece), and more than max_panels of them raise, naming
+    policy, before any edge is built."""
     a = real_value(a, "a", closed=True)
     b = real_value(b, "b", a)
     points = count_value(points, "points_per_panel", 4)
-    if a == 0.0:
+    endpoint_exponent = real_value(endpoint_exponent, "endpoint_exponent", -1.0)
+    if a == 0.0 and octaves:
         base = np.concatenate([[0.0], b * 2.0 ** (-np.arange(_ZERO_LEVELS, -1, -1.0))])
     else:
         base = np.array([a, b])
@@ -160,10 +170,8 @@ def build_rule(policy: TruncationPolicy, points_per_panel: int = 8) -> HalfLineR
     """Composite Gauss-Legendre rule on (0, U) honoring a truncation policy."""
 
     def cap(top):
-        # resolve the decay envelope: local log-derivative is rate^2*u for a
-        # gaussian, rate otherwise; and the oscillation, if any
-        local = policy.rate**2 * top if policy.decay_hint == "gaussian" else policy.rate
-        width = _PHASE_PER_PANEL / local
+        # resolve the decay envelope and the oscillation, if any
+        width = _envelope_width(policy, top)
         if policy.freq_bound > 0.0:
             width = np.minimum(width, np.pi / (2.0 * policy.freq_bound))
         return width

@@ -65,9 +65,18 @@ REAL_SITES = [
      "a", ">=", "0", -0.5),
     ("build_finite_rule b", lambda v: quadrature.build_finite_rule(0.5, v, 0.1),
      "b", ">", "0.5", 0.5),
+    ("build_finite_rule endpoint_exponent",
+     lambda v: quadrature.build_finite_rule(0.0, 1.0, 0.1, endpoint_exponent=v),
+     "endpoint_exponent", ">", "-1", -1.0),
+    ("HalfLineFunction.endpoint_exponent",
+     lambda v: hankel.HalfLineFunction(np.exp, endpoint_exponent=v),
+     "endpoint_exponent", ">", "-1", -1.0),
     ("HalfLineRule.upper_cut",
      lambda v: quadrature.HalfLineRule([0.5, 1.0], [1.0, 1.0], v), "upper_cut", ">=", "1", 0.9),
     ("default_tau_rule", lambda v: gtransform.default_tau_rule(upper=v), "upper", ">", "0", 0.0),
+    ("default_tau_rule endpoint_exponent",
+     lambda v: gtransform.default_tau_rule(endpoint_exponent=v), "endpoint_exponent", ">", "-1",
+     -2.0),
     ("hankel_modified", lambda v: hankel.hankel_modified(0.4, _PROFILE, [1.0, v]),
      "tau", ">=", "0", -1.0),
     ("hankel_liouville", lambda v: hankel.hankel_liouville(0.25, _PROFILE, v),

@@ -110,6 +110,13 @@ def test_plancherel_power_gaussian_at_negative_alpha():
     assert abs(gtransform.plancherel_norm(sd) ** 2 - want) / want < 1e-7
 
 
+def test_declared_s_rule_has_no_octaves():
+    # 123 panels of width pi/48 on (0, 8) for freq 12; the 20 geometric octaves
+    # toward 0 took the rule to 1104 nodes
+    setup = gtransform._plane_setup(TypePair(0.5, 0.5), power_gaussian(0.5, 0.5), 96, None)
+    assert len(setup[3]) == 984
+
+
 class TestAxisProfiles:
     F1 = HalfLineFunction(lambda r: r * np.exp(-r), decay="exponential",
                           endpoint_exponent=1.0)
@@ -124,7 +131,7 @@ class TestAxisProfiles:
 
     def test_without_profiles_only_the_support_is_kept(self):
         prof = self.plane(support=((0.1, 2.0), (0.3, 4.0))).axis_profile(1)
-        assert prof.support == (0.3, 4.0) and prof.endpoint_exponent == 0.0
+        assert prof.support == (0.3, 4.0) and prof.endpoint_exponent is None
 
     def test_support_and_profiles_together_are_rejected(self):
         with pytest.raises(ValueError, match="support.*profiles"):

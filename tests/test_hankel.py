@@ -3,9 +3,12 @@
 import numpy as np
 import pytest
 
-from grushin import hankel
+from grushin import gtransform, hankel, laguerre
 from grushin.functions import packet_plane, power_gaussian_profile, smooth_bump
-from grushin.quadrature import build_finite_rule
+from grushin.gtransform import PlaneFunction, TypePair, default_tau_rule
+from grushin.quadrature import (_MAX_FINITE_PANELS, TruncationPolicy, _composite_rule,
+                                build_finite_rule, build_rule)
+from grushin.specfun import laguerre_eigenvalue
 
 
 class TestModifiedForm:
@@ -159,7 +162,11 @@ def test_profile_rule_forwards_points_per_panel(support):
     rule = hankel.profile_rule(prof, 0.4, 0.8, points_per_panel=16)
     assert len(rule) == 16 * panels
     lo, hi = support or (0.0, rule.upper_cut)
-    want = build_finite_rule(lo, hi, 0.4, 16, endpoint_exponent=1.6 if lo == 0.0 else 0.0)
+    if support is None:  # the declared law from 0: even panels, no octaves
+        want = _composite_rule(lo, hi, lambda top: 0.4, 16, 1.6, _MAX_FINITE_PANELS,
+                               octaves=False)
+    else:
+        want = build_finite_rule(lo, hi, 0.4, 16)
     assert np.array_equal(rule.nodes, want.nodes)
     assert np.array_equal(rule.weights, want.weights)
 
@@ -172,3 +179,64 @@ def test_supported_profile_at_high_tau():
     for form in (hankel.hankel_modified, hankel.hankel_liouville):
         values = form(0.4, f, [1.0, 800.0])
         assert values.shape == (2,) and np.all(np.isfinite(values))
+
+
+class TestUndeclaredRulesKeepTheirOctaves:
+    """A profile that declares no endpoint law keeps the geometric octaves
+    toward 0 of build_rule and build_finite_rule, bit for bit; only a
+    declared law drops them."""
+
+    @staticmethod
+    def fn(u):
+        return np.exp(-u * u / 2)
+
+    @staticmethod
+    def same(rule, want):
+        return (np.array_equal(rule.nodes, want.nodes)
+                and np.array_equal(rule.weights, want.weights))
+
+    @pytest.mark.parametrize("beta", [-0.8, 0.5])
+    def test_bare_callable(self, beta):
+        taus = np.array([0.4, 1.0, 3.3])
+        want = build_rule(TruncationPolicy(freq_bound=2.0 * 3.3,
+                                           endpoint_exponent=min(beta + 0.5, 0.0)))
+        assert np.array_equal(hankel.hankel_liouville(beta, self.fn, taus),
+                              hankel.hankel_liouville(beta, self.fn, taus, rule=want))
+        want = build_rule(TruncationPolicy(freq_bound=2.0 * 3.3, endpoint_exponent=2 * beta + 1))
+        assert np.array_equal(hankel.hankel_modified(beta, self.fn, taus),
+                              hankel.hankel_modified(beta, self.fn, taus, rule=want))
+
+    def test_as_half_line_function(self):
+        hf = hankel.as_half_line_function(self.fn)
+        assert hf.endpoint_exponent is None
+        rule = hankel.rule_for_function(hf, freq=12.0, extra_exponent=0.75)
+        assert len(rule) == 1104
+        assert self.same(rule, build_rule(TruncationPolicy(freq_bound=24.0,
+                                                           endpoint_exponent=0.75)))
+        width = laguerre._PANEL_PHASE / np.sqrt(laguerre_eigenvalue(0.5, 95) * 12.0)
+        rule = laguerre.analysis_rule(0.5, (1e-3, 12.0), hf, 96)
+        assert len(rule) == 848
+        assert self.same(rule, build_finite_rule(0.0, 8.0, width, 16, endpoint_exponent=1.0))
+
+    @pytest.mark.parametrize("beta", [-0.8, 0.5])
+    def test_plane_function_without_profiles(self, beta):
+        f = PlaneFunction(lambda r, s: self.fn(r) * self.fn(s))
+        tau_rule = default_tau_rule()
+        tg = tau_rule.nodes
+        _, rw, _, s_rule, _ = gtransform._plane_setup(TypePair(0.5, beta), f, 96, tau_rule)
+        r_rule = build_finite_rule(0.0, 8.0, laguerre._PANEL_PHASE
+                                   / np.sqrt(laguerre_eigenvalue(0.5, 95) * tg[-1]),
+                                   16, endpoint_exponent=1.0)
+        assert np.array_equal(rw, r_rule.weights)
+        assert self.same(s_rule, build_rule(TruncationPolicy(freq_bound=2.0 * tg[-1],
+                                                             endpoint_exponent=beta + 0.5)))
+
+    @pytest.mark.parametrize("support", [(0.0, 3.0), (0.5, 3.0)])
+    def test_support_only_profiles(self, support):
+        hf = hankel.HalfLineFunction(self.fn, support=support)
+        lo, hi = support
+        gamma = 1.1 if lo == 0.0 else 0.0
+        assert self.same(hankel.profile_rule(hf, 0.07, 1.1, points_per_panel=16),
+                         build_finite_rule(lo, hi, 0.07, 16, endpoint_exponent=gamma))
+        assert self.same(hankel.rule_for_function(hf, freq=3.0, extra_exponent=1.1),
+                         build_finite_rule(lo, hi, np.pi / 12.0, endpoint_exponent=gamma))

@@ -205,6 +205,18 @@ def test_forward_r_rule_size():
     assert len(rule) <= 1200
 
 
+@pytest.mark.parametrize("n_max, nodes", [(96, 560), (256, 912)])
+def test_declared_profile_r_rule_has_no_octaves(n_max, nodes):
+    # power_gaussian declares r^(a+1/2) times a smooth function, so the first
+    # panel absorbs r^(2a+1) and (0, 8) is split evenly; with the 20 geometric
+    # octaves toward 0 the rule had 848 and 1184 nodes
+    tg = default_tau_rule().nodes
+    rule = laguerre.analysis_rule(0.5, (tg[0], tg[-1]), power_gaussian_profile(0.5), n_max)
+    assert len(rule) == nodes
+    mids = 0.5 * (rule.nodes[16::16] + rule.nodes[31::16])  # Gauss-Legendre panels
+    assert np.allclose(np.diff(mids), rule.upper_cut / (nodes // 16))
+
+
 def test_synthesize_rejects_nan_point():
     coeffs = laguerre.LaguerreCoeffs(0.0, 1.0, np.ones(3))
     with pytest.raises(ValueError, match=r"^rs\[0\] must be a finite real > 0, got nan"):

@@ -257,6 +257,18 @@ class TestBesselJTable:
         assert specfun.bessel_j_table(0.5, 0.0) == 0.0
         assert specfun.bessel_j_table(0.0, np.zeros(2)).tolist() == [1.0, 1.0]
 
+    @pytest.mark.parametrize("nu", (-0.9, 0.25, 5.0, 12.0))
+    def test_normalized_form_across_the_small_argument_switch_against_mpmath(self, nu):
+        # J_nu(x)/x^nu = 2^-nu/Gamma(nu+1) 0F1(; nu+1; -x^2/4) at 40 digits, on
+        # both sides of x = 1e-6 and at 0; within 1 ulp (2.2e-16 relative)
+        x = np.array([0.0, 1e-9, 5e-7, np.nextafter(1e-6, 0.0), 1e-6, 2e-6])
+        with mpmath.workdps(40):
+            n = mpmath.mpf(nu)
+            want = np.array([float(2**-n / mpmath.gamma(n + 1) * mpmath.hyp0f1(n + 1, -t * t / 4))
+                             for t in map(mpmath.mpf, x)])
+        got = specfun.bessel_j_normalized(nu, x)
+        assert np.all(np.abs(got - want) <= np.spacing(want))
+
     def test_normalized_form_uses_the_table(self):
         x = np.array([0.5, 10.0, 45.0])
         want = specfun.bessel_j_table(-0.5, x) / x**-0.5
