@@ -27,5 +27,8 @@ from .heat import (HeatParams, heat_kernel, heat_kernel_half, heat_apply,
 from .diffop import (GridFunction2D, grid_from_function, apply_G_circ,
                      apply_G_weighted, delta_factorization_residual,
                      conjugation_map, apply_radial_operator)
+from . import _util
+
+_util.pin_numpy_blas()  # the library's workers own the cores
 
 __version__ = "0.1.0"

@@ -1,7 +1,11 @@
-"""Small shared helpers."""
+"""Small shared helpers, and the one threading policy: the package's worker
+threads (parallel_map, GRUSHIN_THREADS) own the cores, and numpy's OpenBLAS
+runs on one thread (pin_numpy_blas, called when grushin is imported)."""
 
 from __future__ import annotations
 
+import ctypes
+import glob
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
@@ -9,7 +13,7 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 
 __all__ = ["BLOCK", "column_blocks", "real_value", "count_value", "thread_count",
-           "parallel_map"]
+           "parallel_map", "pin_numpy_blas"]
 
 # doubles per column block of every table (Laguerre, Bessel J, Hankel
 # kernel, diagonal profile): a block's working arrays stay cache-resident
@@ -65,7 +69,8 @@ def count_value(value, name, least):
 
 
 def thread_count() -> int:
-    """Parallelism cap from GRUSHIN_THREADS (0 or unset = automatic)."""
+    """Parallelism cap from GRUSHIN_THREADS; 0 or unset picks the number of
+    cores the process may run on (its CPU affinity), at most 8."""
     raw = os.environ.get("GRUSHIN_THREADS", "0")
     try:
         n = int(raw)
@@ -74,6 +79,8 @@ def thread_count() -> int:
     if n < 0:
         raise ValueError("GRUSHIN_THREADS must be >= 0")
     if n == 0:
+        if hasattr(os, "sched_getaffinity"):
+            return min(len(os.sched_getaffinity(0)), 8)
         return min(os.cpu_count() or 1, 8)
     return n
 
@@ -87,3 +94,33 @@ def parallel_map(fn, items) -> list:
         return [fn(item) for item in items]
     with ThreadPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(fn, items))
+
+
+# numpy's wheels bundle their OpenBLAS here
+_NUMPY_LIBS = os.path.dirname(np.__file__) + ".libs"
+
+
+def _numpy_openblas():
+    """numpy's bundled OpenBLAS as a ctypes library, or None (another BLAS)."""
+    for path in glob.glob(os.path.join(_NUMPY_LIBS, "*openblas*")):
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            continue
+        if hasattr(lib, "scipy_openblas_set_num_threads64_"):
+            return lib
+    return None
+
+
+def pin_numpy_blas() -> None:
+    """Set numpy's bundled OpenBLAS to one thread for the whole process; with
+    another BLAS do nothing. BLAS threads inside the workers would compete
+    for their cores, and their spin after a product slows the elementwise
+    work that follows. OpenBLAS's sums depend on its thread count, so a
+    caller that raises it again gets values that differ at rounding level
+    (2-7e-16 of their max)."""
+    lib = _numpy_openblas()
+    if lib is not None:
+        setter = lib.scipy_openblas_set_num_threads64_
+        setter.argtypes, setter.restype = [ctypes.c_int], None
+        setter(1)
