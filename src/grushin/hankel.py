@@ -22,7 +22,7 @@ import numpy as np
 from ._util import column_blocks, parallel_map, real_value
 from .quadrature import (_MAX_FINITE_PANELS, HalfLineRule, TruncationPolicy, _composite_rule,
                          _envelope_width, build_rule, truncation_point)
-from .specfun import bessel_j_normalized, bessel_j_table, _order_value
+from .specfun import _bessel_j_scaled, _order_value
 
 __all__ = [
     "HalfLineFunction",
@@ -128,9 +128,7 @@ def _sampled_values(f, rule, default_rule):
 
 def _liouville_kernel(beta, taus, pts):
     """(tau u)^(1/2) J_beta(tau u) as a (len(pts), len(taus)) matrix."""
-    x = taus[None, :] * pts[:, None]
-    out = bessel_j_table(beta, x)
-    return np.multiply(out, np.sqrt(x, out=x), out=out)
+    return _bessel_j_scaled(beta, taus[None, :] * pts[:, None], 0.5)
 
 
 def _kernel_apply(kernel, nodes, weights, values, points):
@@ -155,7 +153,7 @@ def hankel_modified(alpha, f, taus, rule: Optional[HalfLineRule] = None):
     taus = real_value(np.atleast_1d(taus), "tau", closed=True)
     vals, rule = _sampled_values(f, rule, lambda hf: rule_for_function(
         hf, float(taus.max(initial=0.0)), 2.0 * alpha + 1.0))
-    return _kernel_apply(lambda u, t: bessel_j_normalized(alpha, np.outer(t, u)), rule.nodes,
+    return _kernel_apply(lambda u, t: _bessel_j_scaled(alpha, np.outer(t, u), -alpha), rule.nodes,
                          rule.weights * rule.nodes ** (2.0 * alpha + 1.0), vals, taus)
 
 

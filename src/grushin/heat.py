@@ -32,7 +32,7 @@ from .gtransform import (Multiplier, TypePair, _points_array, as_plane_function,
                          functional_calculus)
 from .hankel import _kernel_apply, _liouville_kernel, profile_rule
 from .quadrature import HalfLineRule, TruncationPolicy, build_rule
-from .specfun import bessel_i_normalized_exp, bessel_j_normalized, bessel_j_table
+from .specfun import _bessel_j_scaled, bessel_i_normalized_exp, bessel_j_table
 
 __all__ = [
     "HeatParams",
@@ -177,8 +177,8 @@ def _weighted_kernel(hp, r, s, u, v, rule):
     # at u = v = 0 the normalized Bessel factors take their limits
     # 2^-b/Gamma(b+1) and 2^-a/Gamma(a+1)
     expo = -0.5 * tau * (r * r + u * u) * _coth(y)
-    integrand = bessel_j_normalized(hp.beta, tau * s) \
-        * bessel_j_normalized(hp.beta, tau * v) \
+    integrand = _bessel_j_scaled(hp.beta, tau * s, -hp.beta) \
+        * _bessel_j_scaled(hp.beta, tau * v, -hp.beta) \
         * bessel_i_normalized_exp(hp.alpha, tau * r * u * inv, expo) \
         * (tau * inv) ** (hp.alpha + 1.0) * tau ** (2.0 * hp.beta + 1.0)
     return float(np.dot(rule.weights, integrand))

@@ -1,7 +1,8 @@
 """Special functions used by every transform and kernel.
 
-Bessel J_nu and I_nu for real order nu > -1, their small-argument normalized
-forms J_nu(x)/x^nu and I_nu(x)/x^nu, Laguerre polynomials, and the
+Bessel J_nu and I_nu for real order nu > -1, their normalized forms
+J_nu(x)/x^nu and I_nu(x)/x^nu, finite at x = 0 (every J_nu table is read by
+_bessel_j_scaled, bessel_j alone is scipy's), Laguerre polynomials, and the
 (scaled) Laguerre functions of Hermite type
 
     l_n^a(x)      = c_{n,a} L_n^a(x^2) exp(-x^2/2) x^(a+1/2),
@@ -146,7 +147,7 @@ def _hankel_coefficients(nu):
     return p, q
 
 
-def _hankel_expansion(nu, x):
+def _hankel_expansion(nu, x, shift):
     """J_nu(x) = sqrt(2/(pi x)) (P cos w - Q sin w), w = x - (nu/2 + 1/4) pi,
     with cos w and sin w expanded so that only cos x and sin x of the exact
     argument are taken (no phase lost to rounding x - w)."""
@@ -174,13 +175,28 @@ def _hankel_expansion(nu, x):
     out += p
     np.divide(2.0 / np.pi, x, out=y)
     out *= np.sqrt(y, out=y)
-    return out
+    return _times_power(out, x, nu, shift)
 
 
-def _half_order(nu, x):
+def _half_order(nu, x, shift):
     # J_1/2(x) = sqrt(2/(pi x)) sin x,  J_-1/2(x) = sqrt(2/(pi x)) cos x
     trig = np.sin(x) if nu > 0.0 else np.cos(x)
-    return np.sqrt((2.0 / np.pi) / x) * trig
+    return _times_power(np.sqrt((2.0 / np.pi) / x) * trig, x, nu, shift)
+
+
+def _scipy_jv(nu, x, shift):
+    # jv is looked up at each call, so that a rebinding of specfun.jv is seen
+    return _times_power(jv(nu, x), x, nu, shift)
+
+
+def _times_power(j, x, nu, shift):
+    # x^shift J_nu(x) from a fresh array j of J_nu(x): g as J_nu(x)/x^nu, the
+    # other forms as J_nu(x) x^shift (x^1/2 is numpy's sqrt)
+    if shift == -nu != 0.0:
+        j /= x ** nu
+    elif shift:
+        j *= x ** shift
+    return j
 
 
 # Up to _HANKEL_CUT, J_nu(x) = x^nu g(x) with g = J_nu/x^nu entire, and g is
@@ -194,18 +210,18 @@ _BERNOULLI = ((1, 6), (-1, 30), (1, 42), (-1, 30), (5, 66), (-691, 2730), (7, 6)
               (-3617, 510), (43867, 798), (-174611, 330))
 
 
-def _decimal_gamma(z):
-    """Gamma(z) for a decimal z > 0 in the current decimal context: Stirling's
-    series for log Gamma at z + 40 with ten terms (the first neglected one is
+def _decimal_log_gamma(z):
+    """log Gamma(z) for a decimal z > 0 in the current decimal context:
+    Stirling's series at z + 40 with ten terms (the first neglected one is
     below 3e-33), shifted back by Gamma(z + 40) = z (z+1) ... (z+39) Gamma(z)."""
     w = z + 40
     log = (w - Decimal("0.5")) * w.ln() - w + _LOG_SQRT_2PI
     for k, (num, den) in enumerate(_BERNOULLI, 1):
         log += Decimal(num) / (den * 2 * k * (2 * k - 1) * w ** (2 * k - 1))
-    out = log.exp()
+    rise = Decimal(1)
     for i in range(40):
-        out /= z + i
-    return out
+        rise *= z + i
+    return log - rise.ln()
 
 
 @lru_cache(maxsize=64)
@@ -224,11 +240,13 @@ def _taylor_coefficients(nu):
 
     and about 0 a_j+2 = -a_j/((j+2)(j+2+2 nu)).  The recurrence loses at most
     15 digits (at c = 1); the terms past the degree add up to less than 2e-17
-    of sum_j |a_j| 2^-j on every panel for -1 < nu <= 12.5."""
+    of sum_j |a_j| 2^-j on every panel for -1 < nu <= 150, as the
+    coefficients fall faster the larger the order."""
     with localcontext() as ctx:
         ctx.prec = _TAYLOR_DIGITS
         n = Decimal(nu)
-        prefactor = (-n * Decimal(2).ln()).exp() / _decimal_gamma(n + 1)
+        # in logs: past nu = 2e5, Gamma(nu+1) would overflow the decimals
+        prefactor = (-n * Decimal(2).ln() - _decimal_log_gamma(n + 1)).exp()
         eps = Decimal(10) ** -_TAYLOR_DIGITS
         table = []
         for c in map(Decimal, range(int(_HANKEL_CUT) + 1)):
@@ -255,9 +273,10 @@ def _taylor_coefficients(nu):
     return table
 
 
-def _taylor_table(nu, x):
-    """J_nu(x) = x^nu g(x) for 0 < x <= _HANKEL_CUT, g by Horner's rule on
-    the Taylor coefficients of each argument's nearest integer."""
+def _taylor_table(nu, x, shift):
+    """x^shift J_nu(x) = x^(nu + shift) g(x) for 0 <= x <= _HANKEL_CUT, g by
+    Horner's rule on the Taylor coefficients of each argument's nearest
+    integer; no power at all for g itself."""
     centre = (x + 0.5).astype(np.intp)
     a = np.take(_taylor_coefficients(nu), centre, axis=1)
     t = x - centre
@@ -265,56 +284,69 @@ def _taylor_table(nu, x):
     for row in a[-2::-1]:
         out *= t
         out += row
-    out *= x**nu
+    if nu + shift:
+        out *= x ** (nu + shift)
     return out
 
 
-def _fill(out, take, fn, nu, x):
-    # out[take] = fn(nu, x[take]), without the copies when take is all or none
+def _fill(out, take, fn, nu, x, shift):
+    # out[take] = fn(nu, x[take], shift), without the copies when take is all or none
     if take.all():
-        out[:] = fn(nu, x)
+        out[:] = fn(nu, x, shift)
     elif take.any():
-        out[take] = fn(nu, x[take])
+        out[take] = fn(nu, x[take], shift)
 
 
 # the largest double: no branch interval lo < x <= hi holds inf or nan
 _FINITE_MAX = np.finfo(float).max
+_TINY = np.finfo(float).tiny
 
 
-def bessel_j_table(nu, x):
-    """J_nu(x) for the kernel tables; the shape of x is kept.
+def _bessel_j_scaled(nu, x, shift):
+    """x^shift J_nu(x) for an order nu > -1 (not validated here), the shape
+    of x kept: J_nu at shift 0, g = J_nu/x^nu at -nu, sqrt(x) J_nu at 1/2.
 
-    At nu = +-1/2 the closed forms for every finite x > 0.  At other orders
-    with |nu| <= 12.5, the per-order Taylor table of J_nu(x)/x^nu on (0, 30]
-    and Hankel's expansion, with an order-dependent number of terms, past
-    30.  Zero, negative and non-finite arguments and larger orders go to
-    scipy's jv.  Against 30-digit mpmath, J_nu is within 2e-15 absolute and
-    sqrt(x) J_nu(x) on [1e-4, 30] within 4e-15 (scipy is off by up to 5e-14
-    there at non-integer orders)."""
-    nu = _order_value(nu)
+    Up to x = 30 at every order, x^(nu + shift) g(x) from the Taylor table;
+    past 30, Hankel's expansion for |nu| <= 12.5; at nu = +-1/2, the closed
+    forms for every x > 0.  scipy's jv takes the rest.  From nu = 149.9 on,
+    the table's g(0) = 2^-nu/Gamma(nu+1) is subnormal, so only g itself is
+    read from it: x^(nu + shift) could not bring back the digits lost."""
+    p = nu + shift
     x = np.asarray(x, dtype=float)
-    if abs(nu) == 0.5:
-        branches = ((_half_order, 0.0, _FINITE_MAX),)
+    half = abs(nu) == 0.5
+    # the table's (lo, hi] holds x = 0 where x^p is finite there; at
+    # nu = +-1/2 only g is read from it, and only at x = 0
+    lo = -math.ulp(0.0) if p >= 0.0 else 0.0
+    taylor = p == 0.0 or not half and _taylor_coefficients(nu)[0, 0] >= _TINY
+    branches = [(_taylor_table, lo, 0.0 if half else _HANKEL_CUT)] if taylor else []
+    if half:
+        branches.append((_half_order, 0.0, _FINITE_MAX))
     elif _hankel_coefficients(nu) is not None:
-        branches = ((_taylor_table, 0.0, _HANKEL_CUT),
-                    (_hankel_expansion, _HANKEL_CUT, _FINITE_MAX))
-    else:
-        branches = ()
+        branches.append((_hankel_expansion, _HANKEL_CUT, _FINITE_MAX))
     flat = x.ravel()
     out = np.empty_like(flat)
-    # a block's gathered Taylor coefficients fill about BLOCK doubles; blocks
-    # of >= 4096 values, so that each branch runs in bulk at any BLOCK
-    for cols in column_blocks(_TAYLOR_DEGREE + 1, flat.size, min_width=4096):
+    # a block's gathered Taylor coefficients, if any, fill about BLOCK
+    # doubles; blocks of >= 4096 values, so that each branch runs in bulk
+    rows = _TAYLOR_DEGREE + 1 if taylor else 1
+    for cols in column_blocks(rows, flat.size, min_width=4096):
         xb, ob = flat[cols], out[cols]
         rest = np.ones(xb.shape, dtype=bool)
         for fn, lo, hi in branches:
             take = xb > lo
             take &= xb <= hi
-            _fill(ob, take, fn, nu, xb)
+            _fill(ob, take, fn, nu, xb, shift)
             rest &= ~take
-        _fill(ob, rest, jv, nu, xb)
+        _fill(ob, rest, _scipy_jv, nu, xb, shift)
     out = out.reshape(x.shape)
     return float(out) if out.ndim == 0 else out
+
+
+def bessel_j_table(nu, x):
+    """J_nu(x) for the kernel tables, the shape of x kept: _bessel_j_scaled
+    at shift 0.  Against 30-digit mpmath, J_nu is within 2e-15 absolute and
+    sqrt(x) J_nu(x) on [1e-4, 30] within 4e-15 (scipy is off by up to 5e-14
+    there at non-integer orders)."""
+    return _bessel_j_scaled(_order_value(nu), x, 0.0)
 
 
 def bessel_i(nu, x):
@@ -329,27 +361,11 @@ def bessel_i_scaled(nu, x):
     return _at_zero(nu, x, sp.ive(nu, x))
 
 
-_SMALL_ARG = 1e-6
-
-
-def _j_normalized_series(nu, x):
-    # J_nu(x)/x^nu = 2^-nu/Gamma(nu+1) (1 - y/(nu+1) + y^2/(2(nu+1)(nu+2)) - ...),
-    # y = x^2/4; three terms leave a relative error ~ y^3/6 < 1e-40 for x < 1e-6.
-    # Up to |nu| = 12.5 the prefactor is the Taylor table's, rounded once from
-    # decimal; the float one is off by up to 19 ulp at nu = 12
-    y = 0.25 * x * x
-    c0 = (_taylor_coefficients(nu)[0, 0] if abs(nu) <= 12.5
-          else np.exp(-nu * np.log(2.0) - sp.gammaln(nu + 1.0)))
-    return c0 * (1.0 - y / (nu + 1.0) + y * y / (2.0 * (nu + 1.0) * (nu + 2.0)))
-
-
 def bessel_j_normalized(nu, x):
-    """J_nu(x)/x^nu, extended by continuity to 2^-nu/Gamma(nu+1) at x = 0."""
+    """J_nu(x)/x^nu, extended by continuity to 2^-nu/Gamma(nu+1) at x = 0:
+    the Taylor table's g itself up to x = 30, at every order."""
     nu, x = _bessel_args(nu, x, normalized=True)
-    small = x < _SMALL_ARG
-    xs = np.where(small, 1.0, x)
-    out = np.where(small, _j_normalized_series(nu, x), bessel_j_table(nu, xs) / xs**nu)
-    return float(out) if out.ndim == 0 else out
+    return _bessel_j_scaled(nu, x, -nu)
 
 
 def bessel_i_normalized(nu, x):

@@ -198,7 +198,8 @@ class TestBesselJTable:
         want = np.array([float(mpmath.besselj(nu, t)) for t in map(mpmath.mpf, x)])
         assert np.max(np.abs(specfun.bessel_j_table(nu, x) - want)) < 2e-15
 
-    @pytest.mark.parametrize("nu", (-0.9, 0.0, 0.25, 0.45, 1.3, 3.0, 5.0, 8.0, 12.0))
+    @pytest.mark.parametrize("nu", (-0.9, 0.0, 0.25, 0.45, 1.3, 3.0, 5.0, 8.0, 12.0,
+                                    13.0, 20.0, 29.0))
     def test_liouville_form_below_the_cut_against_mpmath(self, nu):
         # sqrt(x) J_nu(x) on [1e-4, 30], with every integer and half-integer
         # and both neighbours of each half-integer; scipy is off by up to
@@ -236,14 +237,39 @@ class TestBesselJTable:
         assert out.stdout.split() == ["0", "1", "False"]
         assert not specfun._taylor_coefficients(0.3).flags.writeable
 
+    @pytest.mark.parametrize("nu", (-0.99, 0.25, 12.6, 20.0, 60.0, 150.0))
+    def test_taylor_terms_past_the_degree_are_negligible(self, nu, monkeypatch):
+        # the _taylor_coefficients claim, from a degree-19 table: on every
+        # panel (|x - c| <= 1/2) the terms of degree 16-19 add up to less
+        # than 2e-17 of sum_{j <= 15} |a_j| 2^-j
+        specfun._taylor_coefficients.cache_clear()
+        with monkeypatch.context() as m:
+            m.setattr(specfun, "_TAYLOR_DEGREE", 19)
+            a = np.abs(specfun._taylor_coefficients(nu)) * 0.5 ** np.arange(20)[:, None]
+        specfun._taylor_coefficients.cache_clear()
+        assert a.shape == (20, int(specfun._HANKEL_CUT) + 1)
+        assert np.all(a[16:].sum(axis=0) / a[:16].sum(axis=0) < 2e-17)
+
     def test_terms_grow_with_the_order_up_to_the_cap(self):
         terms = [len(specfun._hankel_coefficients(nu)[0])
                  for nu in (0.25, 5.0, 8.0, 12.0)]
         assert terms == sorted(terms) and terms[-1] == specfun._HANKEL_MAX_TERMS
-        # past the cap every value is scipy's
+        # past the cap every value past the cut is scipy's
         assert specfun._hankel_coefficients(12.6) is None
         x = np.linspace(0.5, 500.0, 1000)
+        x = x[x > specfun._HANKEL_CUT]
         assert np.array_equal(specfun.bessel_j_table(20.0, x), sp.jv(20.0, x))
+
+    def test_orders_past_the_normal_range_keep_scipy_below_the_cut(self):
+        # from nu = 149.9 on, the table's g(0) = 2^-nu/Gamma(nu+1) is
+        # subnormal, so J_nu stays scipy's at every x; g itself stays the
+        # table's, here 0 as the true value underflows, and an order whose
+        # Gamma(nu+1) overflows the decimal range still gives that 0
+        x = np.array([1.0, 17.0, 29.9, 45.0])
+        for nu in (150.0, 250.0):
+            assert np.array_equal(specfun.bessel_j_table(nu, x), sp.jv(nu, x))
+        assert specfun.bessel_j_normalized(250.0, [0.0, 1.0, 29.9]).tolist() == [0.0] * 3
+        assert specfun.bessel_j_normalized(1e6, [0.0, 1.0]).tolist() == [0.0] * 2
 
     def test_shapes_are_kept(self):
         for nu in (-0.5, 0.25):
@@ -257,7 +283,7 @@ class TestBesselJTable:
         assert specfun.bessel_j_table(0.5, 0.0) == 0.0
         assert specfun.bessel_j_table(0.0, np.zeros(2)).tolist() == [1.0, 1.0]
 
-    @pytest.mark.parametrize("nu", (-0.9, 0.25, 5.0, 12.0))
+    @pytest.mark.parametrize("nu", (-0.9, 0.25, 5.0, 12.0, 13.0, 20.0, 29.0, 60.0))
     def test_normalized_form_across_the_small_argument_switch_against_mpmath(self, nu):
         # J_nu(x)/x^nu = 2^-nu/Gamma(nu+1) 0F1(; nu+1; -x^2/4) at 40 digits, on
         # both sides of x = 1e-6 and at 0; within 1 ulp (2.2e-16 relative)
