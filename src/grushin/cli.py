@@ -77,12 +77,11 @@ def _add_flags(parser, flags):
 
 
 def _plane_from_grid(path):
-    grid, alpha, beta = gio.read_grid(path)
-    return grid_plane(grid), alpha, beta
+    return grid_plane(gio.read_grid(path)[0])
 
 
 def _cmd_gtransform(args):
-    f, _, _ = _plane_from_grid(args.input)
+    f = _plane_from_grid(args.input)
     sd = g_forward(TypePair(args.alpha, args.beta), f, n_max=args.nmax)
     gio.write_spectral(args.output, sd)
     return 0
@@ -106,7 +105,7 @@ def _cmd_heat_kernel(args):
 
 
 def _cmd_heat_apply(args):
-    f, _, _ = _plane_from_grid(args.input)
+    f = _plane_from_grid(args.input)
     pts = gio.read_points(args.points)
     hp = HeatParams(args.t, TypePair(args.alpha, args.beta))
     gio.write_points(args.output, pts, heat_apply(hp, f, pts, route=args.route))

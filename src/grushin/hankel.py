@@ -21,7 +21,7 @@ import numpy as np
 
 from ._util import column_blocks, parallel_map, real_value
 from .quadrature import (_MAX_FINITE_PANELS, HalfLineRule, TruncationPolicy, _composite_rule,
-                         _envelope_width, build_rule, truncation_point)
+                         _envelope_cap, truncation_point)
 from .specfun import _bessel_j_scaled, _order_value
 
 __all__ = [
@@ -35,7 +35,7 @@ __all__ = [
 ]
 
 # hankel quadrature resolves the J_beta(tau u) oscillation with panel width
-# <= pi/(4 tau_max); realized by passing 2*tau_max as the frequency bound
+# <= pi/(4 tau_max): the quarter period of the frequency bound 2*tau_max
 _FREQ_FACTOR = 2.0
 
 
@@ -80,34 +80,30 @@ def profile_rule(f: HalfLineFunction, width: float, extra_exponent: float = 0.0,
     the power u^(f.endpoint_exponent + extra_exponent), extra_exponent being the
     kernel's.  When f declares its endpoint law, a rule from 0 has no geometric
     octaves, so the caller must pass the kernel's whole power, not only its
-    singular part; a rule cut by f's decay then also narrows its panels to
-    resolve f's envelope at the cut."""
+    singular part.  A rule cut by f's decay also narrows the panels of each
+    piece (each octave, or the one even split) to resolve f's envelope at the
+    piece's top, so width may be infinite there."""
     declared = f.endpoint_exponent is not None
     if f.support is not None:
-        lo, hi = f.support
+        (lo, hi), cap = f.support, lambda top: width
     else:
         policy = TruncationPolicy(decay_hint=f.decay, rate=f.rate)
         lo, hi = 0.0, min(truncation_point(policy), reach)
-        if declared:
-            width = min(width, _envelope_width(policy, hi))
-    width = real_value(width, "width")
+        cap = _envelope_cap(policy, width)
+    real_value(cap(hi), "width")  # NaN, <= 0, or infinite with no envelope to cap it
     gamma = (f.endpoint_exponent or 0.0) + extra_exponent if lo == 0.0 else 0.0
-    return _composite_rule(lo, hi, lambda top: width, points_per_panel, gamma,
-                           _MAX_FINITE_PANELS, octaves=not declared)
+    return _composite_rule(lo, hi, cap, points_per_panel, gamma, _MAX_FINITE_PANELS,
+                           octaves=not declared)
 
 
 def rule_for_function(f: HalfLineFunction, freq: float = 0.0,
                       extra_exponent: float = 0.0) -> HalfLineRule:
-    """Quadrature rule adequate for f against a kernel of frequency <= freq and
-    power u^extra_exponent at the origin: profile_rule's for a supported or a
-    declared profile, else build_rule's, with its octaves toward 0."""
-    if f.support is not None or f.endpoint_exponent is not None:
-        a, b = f.support or (0.0, np.inf)  # at freq 0, f's envelope sets the width
-        width = np.pi / (2.0 * _FREQ_FACTOR * freq) if freq > 0.0 else (b - a) / 8.0
-        return profile_rule(f, width, extra_exponent)
-    return build_rule(TruncationPolicy(
-        decay_hint=f.decay, rate=f.rate, freq_bound=_FREQ_FACTOR * freq,
-        endpoint_exponent=extra_exponent))
+    """profile_rule's rule for f against a kernel of frequency <= freq and
+    power u^extra_exponent at the origin."""
+    freq = real_value(freq, "freq", closed=True)
+    a, b = f.support or (0.0, np.inf)  # at freq 0, f's envelope sets the width
+    width = np.pi / (2.0 * _FREQ_FACTOR * freq) if freq > 0.0 else (b - a) / 8.0
+    return profile_rule(f, width, extra_exponent)
 
 
 def _sampled_values(f, rule, default_rule):

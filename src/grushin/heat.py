@@ -28,8 +28,8 @@ from typing import Optional
 import numpy as np
 
 from ._util import column_blocks, parallel_map, real_value
-from .gtransform import (Multiplier, TypePair, _points_array, as_plane_function,
-                         functional_calculus)
+from .gtransform import (DEFAULT_N_MAX, Multiplier, TypePair, _points_array,
+                         as_plane_function, functional_calculus)
 from .hankel import _kernel_apply, _liouville_kernel, profile_rule
 from .quadrature import HalfLineRule, TruncationPolicy, build_rule
 from .specfun import _bessel_j_scaled, bessel_i_normalized_exp, bessel_j_table
@@ -194,7 +194,7 @@ def mehler_kernel(alpha, t, tau, r, u) -> float:
     return float(_kernel_core(alpha, t, tau, r, u, log_scale))
 
 
-def heat_apply(hp: HeatParams, f, points, route: str = "kernel", n_max: int = 96):
+def heat_apply(hp: HeatParams, f, points, route: str = "kernel", n_max: int = DEFAULT_N_MAX):
     """Apply the heat semigroup to f at the given (r, s) points; one value
     per point as an (m,) array.
 

@@ -67,6 +67,8 @@ def analysis_rule(alpha, taus, f: HalfLineFunction, n_max) -> HalfLineRule:
     alpha = _order_value(alpha)
     lam = laguerre_eigenvalue(alpha, count_value(n_max, "n_max", 1) - 1)
     tau_lo, tau_hi = taus
+    tau_lo = real_value(tau_lo, "tau_lo")
+    tau_hi = real_value(tau_hi, "tau_hi", tau_lo, closed=True)
     reach = np.ceil(np.sqrt(lam / tau_lo) + 6.0)
     return profile_rule(f, _PANEL_PHASE / np.sqrt(lam * tau_hi), alpha + 0.5, reach=reach,
                         points_per_panel=_PANEL_POINTS)

@@ -52,9 +52,11 @@ class TruncationPolicy:
     decay_hint describes the integrand envelope far out:
       "gaussian"               ~ exp(-(rate*u)^2/2)
       "exponential"            ~ exp(-rate*u)
-      "algebraic_oscillatory"  oscillation at frequency <= freq_bound under an
-                               exponential envelope exp(-rate*u)
-    endpoint_exponent gamma > -1 declares a known u^gamma factor at u = 0.
+      "algebraic_oscillatory"  the same envelope exp(-rate*u), so its rules are
+                               truncated and capped exactly as "exponential"'s
+    freq_bound > 0 bounds the integrand's oscillation under every hint, and
+    narrows every panel to pi/(2 freq_bound); endpoint_exponent gamma > -1
+    declares a known u^gamma factor at u = 0.
     """
 
     abs_tol: float = 1e-12
@@ -119,11 +121,16 @@ def _unit_nodes(points: int, gamma: float):
     return x, w
 
 
-def _envelope_width(policy: TruncationPolicy, top):
-    """Panel width resolving the decay envelope up to top: its local
-    log-derivative is rate^2*top for a gaussian, rate otherwise."""
-    local = policy.rate**2 * top if policy.decay_hint == "gaussian" else policy.rate
-    return _PHASE_PER_PANEL / local
+def _envelope_cap(policy: TruncationPolicy, width):
+    """top -> the panel width of a piece ending at top: width, narrowed to
+    resolve the decay envelope up to top, whose local log-derivative is
+    rate^2*top for a gaussian, rate otherwise."""
+
+    def cap(top):
+        local = policy.rate**2 * top if policy.decay_hint == "gaussian" else policy.rate
+        return np.minimum(width, _PHASE_PER_PANEL / local)
+
+    return cap
 
 
 def _composite_rule(a, b, width, points, endpoint_exponent, max_panels,
@@ -167,17 +174,11 @@ def _composite_rule(a, b, width, points, endpoint_exponent, max_panels,
 
 
 def build_rule(policy: TruncationPolicy, points_per_panel: int = 8) -> HalfLineRule:
-    """Composite Gauss-Legendre rule on (0, U) honoring a truncation policy."""
-
-    def cap(top):
-        # resolve the decay envelope and the oscillation, if any
-        width = _envelope_width(policy, top)
-        if policy.freq_bound > 0.0:
-            width = np.minimum(width, np.pi / (2.0 * policy.freq_bound))
-        return width
-
-    return _composite_rule(0.0, truncation_point(policy), cap, points_per_panel,
-                           policy.endpoint_exponent, policy.max_panels, policy)
+    """Composite Gauss-Legendre rule on (0, U) honoring a truncation policy:
+    its panels resolve the decay envelope and the oscillation, if any."""
+    width = np.pi / (2.0 * policy.freq_bound) if policy.freq_bound > 0.0 else np.inf
+    return _composite_rule(0.0, truncation_point(policy), _envelope_cap(policy, width),
+                           points_per_panel, policy.endpoint_exponent, policy.max_panels, policy)
 
 
 def build_finite_rule(a: float, b: float, max_width: float,

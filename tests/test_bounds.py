@@ -86,6 +86,12 @@ REAL_SITES = [
     ("SpectralData.tau_grid", lambda v: _spectral(v, 1.0), "tau_grid", ">", "0", 0.0),
     ("SpectralData.tau_weights", lambda v: _spectral(1.0, v), "tau_weights", ">", "0", -1.0),
     ("GridFunction2D", _grid, "r_nodes", ">", "0", 0.0),
+    ("rule_for_function", lambda v: hankel.rule_for_function(_PROFILE, v), "freq", ">=", "0",
+     -1.0),
+    ("analysis_rule tau_lo", lambda v: laguerre.analysis_rule(0.4, (v, 12.0), _PROFILE, 8),
+     "tau_lo", ">", "0", -1.0),
+    ("analysis_rule tau_hi", lambda v: laguerre.analysis_rule(0.4, (1e-3, v), _PROFILE, 8),
+     "tau_hi", ">=", "0.001", 5e-4),
 ]
 
 

@@ -181,6 +181,19 @@ def test_supported_profile_at_high_tau():
         assert values.shape == (2,) and np.all(np.isfinite(values))
 
 
+@pytest.mark.parametrize("form", [hankel.hankel_liouville, hankel.hankel_modified])
+def test_undeclared_profile_at_high_tau_matches_its_support(form):
+    # the bare gaussian's rule at tau = 1000 has 10198 panels, past the
+    # policy cap of 8192; it is the rule of the same profile supported on
+    # its cut (0, 8), with the same octaves
+    def g(u):
+        return np.exp(-u * u / 2)
+
+    taus = [1.0, 1000.0]
+    want = form(0.4, hankel.HalfLineFunction(g, support=(0.0, 8.0)), taus)
+    assert np.array_equal(form(0.4, g, taus), want)
+
+
 class TestUndeclaredRulesKeepTheirOctaves:
     """A profile that declares no endpoint law keeps the geometric octaves
     toward 0 of build_rule and build_finite_rule, bit for bit; only a

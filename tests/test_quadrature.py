@@ -248,6 +248,23 @@ def test_only_quadrature_and_hankel_bind_truncation_point():
     assert offenders == []
 
 
+def test_only_quadrature_and_heat_bind_build_rule():
+    # every profile's rule comes from hankel.profile_rule; build_rule is left
+    # to the policy-driven tau rules of heat
+    import importlib
+    import pkgutil
+
+    import grushin
+    offenders = []
+    for info in pkgutil.iter_modules(grushin.__path__):
+        if info.name in ("quadrature", "heat"):
+            continue
+        mod = importlib.import_module(f"grushin.{info.name}")
+        offenders += [f"{info.name}.{attr}" for attr, value in vars(mod).items()
+                      if value is build_rule]
+    assert offenders == []
+
+
 def test_only_quadrature_binds_the_gauss_node_generators():
     # the [-1, 1] node sets are cached in one place
     import importlib
