@@ -248,13 +248,19 @@ def g_inverse(sd: SpectralData, points):
     """Inverse transform at scattered points [(r_1, s_1), ...], one value per
     point as an (m,) array: synthesis over n at each grid tau, then the
     Hankel integral in tau.  Both are taken per block of points on the
-    worker threads; blocks are at least two points wide, as on one column
+    worker threads: each block is synthesized on its distinct r and its
+    kernel built on its distinct s, then both are gathered to its points.
+    Every column is summed on its own, so the values do not depend on the
+    blocks, provided the gathered tables stay C-ordered and the blocks are
+    at least two points wide: on one column, or down an F-ordered table,
     the axis-0 sum turns pairwise and changes bits."""
     pts = _points_array(points)
 
     def block(cols):
-        synth = _synthesis(sd, pts[cols, 0])                          # (K, mb)
-        kern = _liouville_kernel(sd.beta, sd.tau_grid, pts[cols, 1])  # (mb, K)
+        rs, r_at = np.unique(pts[cols, 0], return_inverse=True)
+        ss, s_at = np.unique(pts[cols, 1], return_inverse=True)
+        synth = np.take(_synthesis(sd, rs), r_at, axis=1)                       # (K, mb)
+        kern = np.take(_liouville_kernel(sd.beta, sd.tau_grid, ss), s_at, axis=0)  # (mb, K)
         return np.sum(kern.T * synth * sd.tau_weights[:, None], axis=0)
 
     blocks = column_blocks(len(sd.tau_grid), len(pts), min_width=2)

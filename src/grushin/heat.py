@@ -229,6 +229,8 @@ def heat_apply_grid(hp: HeatParams, fvals, urule: HalfLineRule,
     if fvals.shape != (len(urule.nodes), len(vrule.nodes)):
         raise ValueError("fvals must be sampled on urule.nodes x vrule.nodes")
     pts = _points_array(points)
+    if not len(pts):
+        return np.empty(0)
     trule = kernel_tau_rule(hp, freq=max(float(pts[:, 1].max()), 1.0))
     return _kernel_route(hp, fvals, urule, vrule, pts, trule)
 

@@ -179,6 +179,46 @@ class TestInverse:
         scattered = gtransform.g_inverse(sd, pts).reshape(2, 3)
         assert np.allclose(grid, scattered, rtol=1e-12)
 
+    def test_repeated_coordinates_match_per_point_reference(self, monkeypatch):
+        sd = gtransform.g_forward(TypePair(0.3, -0.4), packet_plane(), n_max=20)
+        phase = np.exp(1j * 0.4 * np.arange(sd.n_max))[:, None]
+        sd_complex = SpectralData(sd.alpha, sd.beta, sd.tau_grid, sd.tau_weights,
+                                  sd.values * phase)
+        pts = _repeated_lattice()
+        perm = np.random.default_rng(7).permutation(len(pts))
+        for data in (sd, sd_complex):
+            want = _per_point_inverse(data, pts)
+            for block, threads in ((_util.BLOCK, "1"), (_util.BLOCK, "4"), (1, "1"), (1, "4")):
+                monkeypatch.setattr(_util, "BLOCK", block)
+                monkeypatch.setenv("GRUSHIN_THREADS", threads)
+                got = gtransform.g_inverse(data, pts)
+                assert got.dtype == want.dtype and got.shape == (len(pts),)
+                assert np.array_equal(got, want), (data.values.dtype, block, threads)
+                assert np.array_equal(gtransform.g_inverse(data, pts[perm]), got[perm])
+        assert np.all(want.imag != 0.0)
+
+
+def _repeated_lattice():
+    """A shuffled 5 x 4 lattice (5 distinct r, 4 distinct s) plus exact
+    duplicates of two of its points."""
+    rs, ss = np.linspace(0.6, 3.2, 5), np.linspace(0.5, 4.0, 4)
+    pts = np.stack(np.meshgrid(rs, ss, indexing="ij"), axis=-1).reshape(-1, 2)
+    pts = pts[np.random.default_rng(5).permutation(len(pts))]
+    return np.concatenate([pts, pts[[3, 11]]])
+
+
+def _per_point_inverse(sd, pts):
+    """The inverse transform as plain per-order synthesis at every point, then
+    the tau sum over all points at once."""
+    taus = sd.tau_grid
+    synth = np.zeros((len(taus), len(pts)), dtype=sd.values.dtype)
+    xs = np.sqrt(taus)[:, None] * pts[:, 0]
+    for n, q in enumerate(laguerre_fn_seq(sd.alpha, xs, sd.n_max)):
+        synth += sd.values[n][:, None] * q
+    synth = synth * taus[:, None] ** 0.25
+    kern = _liouville_kernel(sd.beta, taus, pts[:, 1])
+    return np.sum(kern.T * synth * sd.tau_weights[:, None], axis=0)
+
 
 class TestLaguerreBlocks:
     """Column blocks and worker threads leave every bit of the result alone."""

@@ -220,6 +220,21 @@ class TestHeatApply:
         out = heat.heat_apply(hp, bump_plane(), [[1.5, 2.0]], route=route, n_max=16)
         assert isinstance(out, np.ndarray) and out.shape == (1,)
 
+    @pytest.mark.parametrize("route", ["kernel", "spectral"])
+    def test_no_points_give_an_empty_array(self, route):
+        hp = HeatParams(0.5, TypePair(0.3, 0.2))
+        out = heat.heat_apply(hp, bump_plane(), np.empty((0, 2)), route=route, n_max=16)
+        assert isinstance(out, np.ndarray) and out.shape == (0,)
+
+    def test_grid_variant_with_no_points_gives_an_empty_array(self):
+        hp = HeatParams(0.5, TypePair(0.3, 0.2))
+        rule = build_finite_rule(0.5, 3.0, 0.5)
+        fvals = np.ones((len(rule.nodes), len(rule.nodes)))
+        out = heat.heat_apply_grid(hp, fvals, rule, rule, np.empty((0, 2)))
+        assert isinstance(out, np.ndarray) and out.shape == (0,)
+        with pytest.raises(ValueError, match="fvals"):
+            heat.heat_apply_grid(hp, fvals[1:], rule, rule, np.empty((0, 2)))
+
     def test_thread_count_does_not_change_results(self, monkeypatch):
         hp = HeatParams(0.5, TypePair(0.3, 0.2))
         f = bump_plane()
