@@ -20,8 +20,8 @@ from typing import Callable, Optional, Tuple
 import numpy as np
 
 from ._util import column_blocks, parallel_map, real_value
-from .quadrature import (_MAX_FINITE_PANELS, HalfLineRule, TruncationPolicy, _composite_rule,
-                         _envelope_cap, truncation_point)
+from .quadrature import (_MAX_FINITE_PANELS, _PANEL_PHASE, _PANEL_POINTS, HalfLineRule,
+                         TruncationPolicy, _composite_rule, _envelope_cap, truncation_point)
 from .specfun import _bessel_j_scaled, _order_value
 
 __all__ = [
@@ -33,11 +33,6 @@ __all__ = [
     "profile_rule",
     "rule_for_function",
 ]
-
-# hankel quadrature resolves the J_beta(tau u) oscillation with panel width
-# <= pi/(4 tau_max): the quarter period of the frequency bound 2*tau_max
-_FREQ_FACTOR = 2.0
-
 
 @dataclass(frozen=True)
 class HalfLineFunction:
@@ -74,8 +69,8 @@ def as_half_line_function(f) -> HalfLineFunction:
 
 
 def profile_rule(f: HalfLineFunction, width: float, extra_exponent: float = 0.0,
-                 reach: float = np.inf, points_per_panel: int = 8) -> HalfLineRule:
-    """Rule of points_per_panel Gauss points on panels of width <= width over f's
+                 reach: float = np.inf) -> HalfLineRule:
+    """Rule of _PANEL_POINTS Gauss points on panels of width <= width over f's
     support, else (0, min(cut of f's decay, reach)); from 0 its first panel absorbs
     the power u^(f.endpoint_exponent + extra_exponent), extra_exponent being the
     kernel's.  When f declares its endpoint law, a rule from 0 has no geometric
@@ -92,17 +87,18 @@ def profile_rule(f: HalfLineFunction, width: float, extra_exponent: float = 0.0,
         cap = _envelope_cap(policy, width)
     real_value(cap(hi), "width")  # NaN, <= 0, or infinite with no envelope to cap it
     gamma = (f.endpoint_exponent or 0.0) + extra_exponent if lo == 0.0 else 0.0
-    return _composite_rule(lo, hi, cap, points_per_panel, gamma, _MAX_FINITE_PANELS,
+    return _composite_rule(lo, hi, cap, _PANEL_POINTS, gamma, _MAX_FINITE_PANELS,
                            octaves=not declared)
 
 
 def rule_for_function(f: HalfLineFunction, freq: float = 0.0,
                       extra_exponent: float = 0.0) -> HalfLineRule:
-    """profile_rule's rule for f against a kernel of frequency <= freq and
-    power u^extra_exponent at the origin."""
+    """profile_rule's rule for f against a kernel of wavenumber <= freq and power
+    u^extra_exponent at the origin: panels of phase _PANEL_PHASE at freq, and no wider than
+    a 64th of f's support, which declares nothing of f (a grid plane's spline needs it)."""
     freq = real_value(freq, "freq", closed=True)
-    a, b = f.support or (0.0, np.inf)  # at freq 0, f's envelope sets the width
-    width = np.pi / (2.0 * _FREQ_FACTOR * freq) if freq > 0.0 else (b - a) / 8.0
+    a, b = f.support or (0.0, np.inf)  # without one, f's envelope narrows the panels
+    width = min(_PANEL_PHASE / freq if freq > 0.0 else np.inf, (b - a) / 64.0)
     return profile_rule(f, width, extra_exponent)
 
 

@@ -31,7 +31,7 @@ from ._util import column_blocks, parallel_map, real_value
 from .gtransform import (DEFAULT_N_MAX, Multiplier, TypePair, _points_array,
                          as_plane_function, functional_calculus)
 from .hankel import _kernel_apply, _liouville_kernel, profile_rule
-from .quadrature import HalfLineRule, TruncationPolicy, build_rule
+from .quadrature import _PANEL_PHASE, HalfLineRule, TruncationPolicy, build_rule
 from .specfun import _bessel_j_scaled, bessel_i_normalized_exp, bessel_j_table
 
 __all__ = [
@@ -70,12 +70,12 @@ class HeatParams:
 
 
 def kernel_tau_rule(hp: HeatParams, freq: float) -> HalfLineRule:
-    """tau rule for the kernel integrals: oscillation at frequency <= freq
-    under the exponential envelope of rate 2t(1 + min(alpha, 0)), absorbing
-    the integrand's factor tau^(2b+1) at tau -> 0 when b < 0."""
+    """tau rule for the kernel integrals at s, v <= freq: J_b(tau s) J_b(tau v) has
+    wavenumber <= 2 freq, under the exponential envelope of rate 2t(1 + min(alpha, 0));
+    it absorbs the integrand's factor tau^(2b+1) at tau -> 0 when b < 0."""
     rate = 2.0 * hp.t * (1.0 + min(hp.alpha, 0.0))
     policy = TruncationPolicy(abs_tol=_KERNEL_TOL * 1e-4, decay_hint="exponential",
-                              rate=rate, freq_bound=max(freq, 1e-6),
+                              rate=rate, freq_bound=2.0 * max(freq, 1e-6),
                               endpoint_exponent=_tau_exponent(hp.beta))
     return build_rule(policy)
 
@@ -210,13 +210,14 @@ def heat_apply(hp: HeatParams, f, points, route: str = "kernel", n_max: int = DE
     if route != "kernel":
         raise ValueError("route must be 'kernel' or 'spectral'")
 
-    # the tau envelope drops below ~2e-8 past tau_half; the u and v rules only
-    # need to resolve gaussian width 1/sqrt(tau) and frequency tau up to there,
-    # and absorb the kernel's factors u^(a+1/2) and v^(b+1/2) at the origin
+    # the tau envelope drops below ~2e-8 past tau_half; the u and v rules need to resolve
+    # gaussian width 1/sqrt(tau) and, by the panel law, wavenumber tau up to there, on
+    # panels no wider than 0.3 and 0.15 (a grid plane's spline needs them), and absorb
+    # the kernel's u^(a+1/2) and v^(b+1/2) at the origin
     rate = 2.0 * hp.t * (1.0 + min(hp.alpha, 0.0))
     tau_half = 18.0 / rate
-    urule = profile_rule(f.axis_profile(0), min(0.15, 1.5 / np.sqrt(tau_half)), hp.alpha + 0.5)
-    vrule = profile_rule(f.axis_profile(1), min(0.15, np.pi / (2.0 * tau_half)), hp.beta + 0.5)
+    urule = profile_rule(f.axis_profile(0), min(0.3, 3.0 / np.sqrt(tau_half)), hp.alpha + 0.5)
+    vrule = profile_rule(f.axis_profile(1), min(0.15, _PANEL_PHASE / tau_half), hp.beta + 0.5)
     fvals = np.asarray(f(urule.nodes[:, None], vrule.nodes[None, :]))
     return heat_apply_grid(hp, fvals, urule, vrule, pts)
 
@@ -243,8 +244,10 @@ def _kernel_route(hp, fvals, urule, vrule, pts, trule):
     h *= urule.weights
 
     def contract_core(r):
-        b = np.empty(len(tau))
-        for rows in column_blocks(len(urule.nodes), len(tau)):
+        b = np.empty(len(tau), h.dtype)
+        # blocks of at most BLOCK doubles (column_blocks' own reach twice that):
+        # the core's temporaries are several times its block
+        for rows in column_blocks(2 * len(urule.nodes), len(tau)):
             tau_rows = tau[rows, None]
             core = _kernel_core(hp.alpha, hp.t, tau_rows, r, urule.nodes[None, :],
                                 2.0 * np.log(tau_rows))
@@ -257,7 +260,7 @@ def _kernel_route(hp, fvals, urule, vrule, pts, trule):
     r_unique, r_col = np.unique(pts[:, 0], return_inverse=True)
     s_unique, s_col = np.unique(pts[:, 1], return_inverse=True)
     b = np.stack(parallel_map(contract_core, r_unique), axis=1)  # (K, n_r)
-    out = np.empty(len(pts))
+    out = np.empty(len(pts), b.dtype)
     for cols in column_blocks(len(r_unique), len(s_unique), min_width=64):
         idx = np.flatnonzero((s_col >= cols.start) & (s_col < cols.stop))
         vals = _kernel_apply(liouville, tau, trule.weights / tau, b, s_unique[cols])

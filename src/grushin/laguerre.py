@@ -20,7 +20,7 @@ from scipy.special import gammaln
 
 from ._util import column_blocks, count_value, parallel_map, real_value
 from .hankel import HalfLineFunction, _sampled_values, profile_rule
-from .quadrature import HalfLineRule
+from .quadrature import _PANEL_PHASE, HalfLineRule
 from .specfun import _laguerre_steps, _order_value, laguerre_eigenvalue, laguerre_fn_seq
 
 __all__ = [
@@ -29,11 +29,6 @@ __all__ = [
     "laguerre_synthesize",
     "gaussian_coefficient",
 ]
-
-# Gauss points per r panel and the panel's phase at the top wavenumber.  Gauss-Legendre
-# on cos(w u + c) over (0, 1) errs by 2e-15 with 8 points at w = pi; with 16, by 7e-16,
-# 4e-16 and 1e-14 at w = 4, 5 and 6 pi.
-_PANEL_POINTS, _PANEL_PHASE = 16, 5.0 * np.pi
 
 
 @dataclass(frozen=True)
@@ -60,7 +55,7 @@ class LaguerreCoeffs:
 
 def analysis_rule(alpha, taus, f: HalfLineFunction, n_max) -> HalfLineRule:
     """r-rule for f and every l_{n,tau}^a, n < n_max, tau in taus = (tau_lo, tau_hi):
-    _PANEL_POINTS Gauss points a panel of phase _PANEL_PHASE at the top wavenumber
+    quadrature's panel law, a panel of phase _PANEL_PHASE at the top wavenumber
     sqrt(lam_N tau_hi), out to f's cut or the turning point sqrt(lam_N/tau_lo) + 6.
     The first panel absorbs the basis's r^(a+1/2) in full, so a profile that
     declares its endpoint law gets no octaves toward 0 (hankel.profile_rule)."""
@@ -70,8 +65,7 @@ def analysis_rule(alpha, taus, f: HalfLineFunction, n_max) -> HalfLineRule:
     tau_lo = real_value(tau_lo, "tau_lo")
     tau_hi = real_value(tau_hi, "tau_hi", tau_lo, closed=True)
     reach = np.ceil(np.sqrt(lam / tau_lo) + 6.0)
-    return profile_rule(f, _PANEL_PHASE / np.sqrt(lam * tau_hi), alpha + 0.5, reach=reach,
-                        points_per_panel=_PANEL_POINTS)
+    return profile_rule(f, _PANEL_PHASE / np.sqrt(lam * tau_hi), alpha + 0.5, reach=reach)
 
 
 def _laguerre_blocks(x, per_block) -> np.ndarray:

@@ -117,8 +117,6 @@ COUNT_SITES = [
                                                  packet_plane(), n_max=n), "n_max", 1),
     ("TruncationPolicy.max_panels", lambda n: quadrature.TruncationPolicy(max_panels=n),
      "max_panels", 1),
-    ("build_rule", lambda n: quadrature.build_rule(quadrature.TruncationPolicy(), n),
-     "points_per_panel", 4),
     ("build_finite_rule", lambda n: quadrature.build_finite_rule(0.0, 1.0, 0.5, n),
      "points_per_panel", 4),
     ("laguerre_fn_seq", lambda n: next(specfun.laguerre_fn_seq(0.3, [1.0, 2.0], n)),

@@ -360,7 +360,7 @@ def test_profiles_rejects_nan_grid(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("argv", [
-    ["profiles", "--kind", "F2", "--alpha", "-0.9", "--beta", "0.5",
+    ["profiles", "--kind", "F2", "--alpha", "-0.99", "--beta", "0.5",
      "--grid", "lin:10:40:4", "--output", "unused.csv"],
     ["heat-kernel", "--t", "1e-4", "--alpha", "0.3", "--beta", "0.45",
      "--point", "1,1,1,1"]])

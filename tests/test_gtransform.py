@@ -111,10 +111,11 @@ def test_plancherel_power_gaussian_at_negative_alpha():
 
 
 def test_declared_s_rule_has_no_octaves():
-    # 123 panels of width pi/48 on (0, 8) for freq 12; the 20 geometric octaves
-    # toward 0 took the rule to 1104 nodes
+    # 19 panels of width 8/19 on (0, 8) for freq 12, the envelope's cap 3.5/8
+    # binding below the phase's 5 pi/12; the 20 geometric octaves toward 0
+    # would take the rule to 32 panels, 512 nodes
     setup = gtransform._plane_setup(TypePair(0.5, 0.5), power_gaussian(0.5, 0.5), 96, None)
-    assert len(setup[3]) == 984
+    assert len(setup[3]) == 19 * 16
 
 
 class TestAxisProfiles:
@@ -298,7 +299,8 @@ class TestRescaledEntries:
 def test_forward_memory_stays_below_one_s_by_tau_kernel(monkeypatch):
     # the s step contracts f with the Liouville kernel in blocks of tau
     # nodes, so no (n_s, K) kernel is formed (n_s s nodes, K tau nodes); on a
-    # tau window reaching 100 that kernel outweighs the packet's samples
+    # tau window reaching 400, and a packet narrow in r, that kernel
+    # outweighs the packet's samples and the route's (n_r, K) tables
     import tracemalloc
     sizes = {}
     setup = gtransform._plane_setup
@@ -311,16 +313,16 @@ def test_forward_memory_stays_below_one_s_by_tau_kernel(monkeypatch):
     monkeypatch.setattr(gtransform, "_plane_setup", recording_setup)
     # the bound holds for two workers' blocks at a time
     monkeypatch.setenv("GRUSHIN_THREADS", "2")
-    tau_rule = default_tau_rule(upper=100, panels=64)
+    tau_rule = default_tau_rule(upper=400, panels=64)
     tracemalloc.start()
     try:
-        sd = gtransform.g_forward(TypePair(0.4, 0.25), packet_plane(), n_max=16,
+        sd = gtransform.g_forward(TypePair(0.4, 0.25), packet_plane(r_width=0.1), n_max=16,
                                   tau_rule=tau_rule)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert np.all(np.isfinite(sd.values))
-    assert (sizes["n_s"], sizes["K"]) == (8304, 624)
+    assert (sizes["n_s"], sizes["K"]) == (3328, 624)
     assert peak < sizes["f"] + 8 * sizes["n_s"] * sizes["K"]
 
 

@@ -158,9 +158,8 @@ def test_profile_rule_forwards_points_per_panel(support):
     prof = power_gaussian_profile(0.3)
     if support is not None:
         prof = hankel.HalfLineFunction(prof.fn, support=support)
-    panels = len(hankel.profile_rule(prof, 0.4, 0.8)) // 8
-    rule = hankel.profile_rule(prof, 0.4, 0.8, points_per_panel=16)
-    assert len(rule) == 16 * panels
+    # profile_rule forwards quadrature's _PANEL_POINTS = 16 to every panel
+    rule = hankel.profile_rule(prof, 0.4, 0.8)
     lo, hi = support or (0.0, rule.upper_cut)
     if support is None:  # the declared law from 0: even panels, no octaves
         want = _composite_rule(lo, hi, lambda top: 0.4, 16, 1.6, _MAX_FINITE_PANELS,
@@ -172,24 +171,24 @@ def test_profile_rule_forwards_points_per_panel(support):
 
 
 def test_supported_profile_at_high_tau():
-    # the default rule of a supported profile at tau = 800 has 8302 panels:
+    # the default rule of a supported profile at tau = 16000 has 8302 panels:
     # finite rules are capped by memory, not by the policy's 8192
     f = packet_plane().axis_profile(1)
-    assert len(hankel.rule_for_function(f, freq=800.0)) > 8 * 8192
+    assert len(hankel.rule_for_function(f, freq=16000.0)) > 16 * 8192
     for form in (hankel.hankel_modified, hankel.hankel_liouville):
-        values = form(0.4, f, [1.0, 800.0])
+        values = form(0.4, f, [1.0, 16000.0])
         assert values.shape == (2,) and np.all(np.isfinite(values))
 
 
 @pytest.mark.parametrize("form", [hankel.hankel_liouville, hankel.hankel_modified])
 def test_undeclared_profile_at_high_tau_matches_its_support(form):
-    # the bare gaussian's rule at tau = 1000 has 10198 panels, past the
+    # the bare gaussian's rule at tau = 20000 has 10198 panels, past the
     # policy cap of 8192; it is the rule of the same profile supported on
     # its cut (0, 8), with the same octaves
     def g(u):
         return np.exp(-u * u / 2)
 
-    taus = [1.0, 1000.0]
+    taus = [1.0, 20000.0]
     want = form(0.4, hankel.HalfLineFunction(g, support=(0.0, 8.0)), taus)
     assert np.array_equal(form(0.4, g, taus), want)
 
@@ -223,8 +222,8 @@ class TestUndeclaredRulesKeepTheirOctaves:
         hf = hankel.as_half_line_function(self.fn)
         assert hf.endpoint_exponent is None
         rule = hankel.rule_for_function(hf, freq=12.0, extra_exponent=0.75)
-        assert len(rule) == 1104
-        assert self.same(rule, build_rule(TruncationPolicy(freq_bound=24.0,
+        assert len(rule) == 512
+        assert self.same(rule, build_rule(TruncationPolicy(freq_bound=12.0,
                                                            endpoint_exponent=0.75)))
         width = laguerre._PANEL_PHASE / np.sqrt(laguerre_eigenvalue(0.5, 95) * 12.0)
         rule = laguerre.analysis_rule(0.5, (1e-3, 12.0), hf, 96)
@@ -241,7 +240,7 @@ class TestUndeclaredRulesKeepTheirOctaves:
                                    / np.sqrt(laguerre_eigenvalue(0.5, 95) * tg[-1]),
                                    16, endpoint_exponent=1.0)
         assert np.array_equal(rw, r_rule.weights)
-        assert self.same(s_rule, build_rule(TruncationPolicy(freq_bound=2.0 * tg[-1],
+        assert self.same(s_rule, build_rule(TruncationPolicy(freq_bound=tg[-1],
                                                              endpoint_exponent=beta + 0.5)))
 
     @pytest.mark.parametrize("support", [(0.0, 3.0), (0.5, 3.0)])
@@ -249,7 +248,12 @@ class TestUndeclaredRulesKeepTheirOctaves:
         hf = hankel.HalfLineFunction(self.fn, support=support)
         lo, hi = support
         gamma = 1.1 if lo == 0.0 else 0.0
-        assert self.same(hankel.profile_rule(hf, 0.07, 1.1, points_per_panel=16),
+        assert self.same(hankel.profile_rule(hf, 0.07, 1.1),
                          build_finite_rule(lo, hi, 0.07, 16, endpoint_exponent=gamma))
+        # a 64th of the support caps the panels at freq 3; at freq 1000 the
+        # phase 5 pi/1000 does
         assert self.same(hankel.rule_for_function(hf, freq=3.0, extra_exponent=1.1),
-                         build_finite_rule(lo, hi, np.pi / 12.0, endpoint_exponent=gamma))
+                         build_finite_rule(lo, hi, (hi - lo) / 64.0, 16, endpoint_exponent=gamma))
+        assert self.same(hankel.rule_for_function(hf, freq=1000.0, extra_exponent=1.1),
+                         build_finite_rule(lo, hi, 5.0 * np.pi / 1000.0, 16,
+                                           endpoint_exponent=gamma))

@@ -48,6 +48,17 @@ class TestKernelBasics:
         for field in ("decay_hint=", "rate=", "freq_bound=", "abs_tol=", "max_panels="):
             assert field in str(excinfo.value)
 
+    def test_large_s_and_v_under_the_panel_cap(self):
+        # at s = v = 1e3 the tau rule takes 4217 panels, under the cap of
+        # 8192; the value agrees with 6 times narrower panels on the same cut
+        hp = HeatParams(0.5, TypePair(0.3, 0.45))
+        val = heat.heat_kernel(hp, 1.0, 1e3, 1.0, 1e3)
+        cut = heat.kernel_tau_rule(hp, 1e3).upper_cut
+        fine = build_finite_rule(0.0, cut, 5.0 * np.pi / (6.0 * 2e3), 16)
+        assert val == pytest.approx(heat.heat_kernel(hp, 1.0, 1e3, 1.0, 1e3, rule=fine),
+                                    rel=1e-13)
+        assert val == pytest.approx(0.1568443784119, rel=1e-12)
+
     def test_negative_alpha_small_time(self):
         hp = HeatParams(0.05, TypePair(-0.9, -0.9))
         val = heat.heat_kernel(hp, 1.0, 1.0, 1.2, 0.8)
@@ -259,6 +270,25 @@ def test_kernel_route_absorbs_the_endpoint_exponents():
     assert np.max(np.abs(kern - spec)) / np.max(np.abs(spec)) < 1e-6
 
 
+def test_kernel_route_keeps_the_imaginary_part():
+    # the route is linear over the complex numbers: on (1+1j) times the packet
+    # it returns (1+1j) times the packet's values, and agrees with the
+    # spectral route to check 8's 1e-3.  Tolerance fixed before the code:
+    # 1e-15 of the largest value
+    from grushin.functions import packet_plane
+    from grushin.gtransform import PlaneFunction
+    hp = HeatParams(0.5, TypePair(0.3, 0.2))
+    packet = packet_plane()
+    f = PlaneFunction(lambda r, s: (1 + 1j) * packet(r, s), support=packet.support)
+    pts = np.array([[1.6, 2.4], [2.0, 3.0], [2.4, 3.6], [1.8, 2.2]])
+    kern = heat.heat_apply(hp, f, pts, route="kernel")
+    want = (1 + 1j) * heat.heat_apply(hp, packet, pts, route="kernel")
+    assert kern.dtype == complex
+    assert np.max(np.abs(kern - want)) <= 1e-15 * np.max(np.abs(want))
+    spec = heat.heat_apply(hp, f, pts, route="spectral")
+    assert np.max(np.abs(kern - spec) / np.abs(kern)) < 1e-3
+
+
 def test_kernel_route_memory_stays_below_one_tau_by_v_table(monkeypatch):
     # the route contracts f with the J_b(tau v) columns in tau-row blocks,
     # so no (K, n_v) table is ever formed (K tau nodes, n_v v nodes)
@@ -273,7 +303,9 @@ def test_kernel_route_memory_stays_below_one_tau_by_v_table(monkeypatch):
         return route(hp, fvals, urule, vrule, pts, trule)
 
     monkeypatch.setattr(heat, "_kernel_route", recording_route)
-    hp = HeatParams(0.3, TypePair(-0.5, 0.5))
+    # at t = 0.05 the tau envelope reaches 360 and the (K, n_v) table outweighs
+    # the route's own arrays; at t = 0.3 the panel law leaves it 944 x 512
+    hp = HeatParams(0.05, TypePair(-0.5, 0.5))
     tracemalloc.start()
     try:
         out = heat.heat_apply(hp, packet_plane(), [[1.5, 2.0], [2.5, 3.0]], route="kernel")
@@ -281,7 +313,7 @@ def test_kernel_route_memory_stays_below_one_tau_by_v_table(monkeypatch):
     finally:
         tracemalloc.stop()
     assert np.all(np.isfinite(out))
-    assert (sizes["K"], sizes["n_v"]) == (1776, 2496)
+    assert (sizes["K"], sizes["n_v"]) == (4176, 2992)
     assert peak < 8 * sizes["K"] * sizes["n_v"]
 
 
@@ -311,7 +343,7 @@ def test_kernel_route_memory_stays_below_the_s_by_r_and_tau_by_s_tables(monkeypa
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert sizes["K"] == 232
+    assert sizes["K"] == 464
     assert peak < 8 * min(sizes["K"] * n_s, n_s * n_r)
     # each point keeps its own (r, s) entry: the same points one at a time
     # share the tau rule (it follows max(s, 1) = 1) and differ by rounding

@@ -41,7 +41,7 @@ class TestBuildRule:
 
     def test_points_per_panel_minimum(self):
         with pytest.raises(ValueError):
-            build_rule(TruncationPolicy(), points_per_panel=3)
+            build_finite_rule(0.0, 1.0, 0.5, points_per_panel=3)
 
 
 class TestIntegrate:
@@ -91,9 +91,10 @@ class TestIntegrate:
 
 
 class TestInvariants:
-    def test_refinement_convergence(self):
-        # doubling points per panel moves the three reference integrals
-        # by less than the policy tolerance
+    def test_refinement_convergence(self, monkeypatch):
+        # doubling points per panel, on the same edges, moves the three
+        # reference integrals by less than the policy tolerance
+        from grushin import quadrature
         cases = [
             (lambda u: np.exp(-u), TruncationPolicy(decay_hint="exponential")),
             (lambda u: np.exp(-u * u),
@@ -103,8 +104,10 @@ class TestInvariants:
                               endpoint_exponent=1.5)),
         ]
         for f, policy in cases:
-            coarse = integrate(f, build_rule(policy, points_per_panel=8))
-            fine = integrate(f, build_rule(policy, points_per_panel=16))
+            coarse = integrate(f, build_rule(policy))
+            with monkeypatch.context() as m:
+                m.setattr(quadrature, "_PANEL_POINTS", 2 * quadrature._PANEL_POINTS)
+                fine = integrate(f, build_rule(policy))
             assert abs(coarse - fine) < policy.abs_tol
 
     def test_positivity(self):
@@ -171,7 +174,7 @@ def _reference_assemble(edges, points, gamma):
     return np.concatenate(nodes), np.concatenate(weights)
 
 
-def _reference_rule(policy, points=8):
+def _reference_rule(policy, points=16):
     upper = truncation_point(policy)
     base = np.concatenate([[0.0], upper * 2.0 ** (-np.arange(20, -1, -1.0))])
     edges = [0.0]
@@ -179,7 +182,7 @@ def _reference_rule(policy, points=8):
         local = policy.rate**2 * b if policy.decay_hint == "gaussian" else policy.rate
         cap = 3.5 / local
         if policy.freq_bound > 0.0:
-            cap = min(cap, np.pi / (2.0 * policy.freq_bound))
+            cap = min(cap, 5.0 * np.pi / policy.freq_bound)
         k = max(1, int(np.ceil((b - a) / cap)))
         edges.extend(np.linspace(a, b, k + 1)[1:])
     return _reference_assemble(np.asarray(edges), points, policy.endpoint_exponent)
@@ -263,6 +266,27 @@ def test_only_quadrature_and_heat_bind_build_rule():
         offenders += [f"{info.name}.{attr}" for attr, value in vars(mod).items()
                       if value is build_rule]
     assert offenders == []
+
+
+def test_only_quadrature_defines_the_panel_law():
+    # _PANEL_POINTS and _PANEL_PHASE are assigned in quadrature alone, and
+    # no rule builder takes a point count of its own
+    import ast
+    import importlib
+    import inspect
+    import pkgutil
+
+    import grushin
+    from grushin.hankel import profile_rule
+    owners = []
+    for info in pkgutil.iter_modules(grushin.__path__):
+        tree = ast.parse(inspect.getsource(importlib.import_module(f"grushin.{info.name}")))
+        owners += [info.name for node in ast.walk(tree) if isinstance(node, ast.Name)
+                   and isinstance(node.ctx, ast.Store)
+                   and node.id in ("_PANEL_POINTS", "_PANEL_PHASE")]
+    assert owners == ["quadrature", "quadrature"]
+    for fn in (build_rule, profile_rule):
+        assert "points_per_panel" not in inspect.signature(fn).parameters
 
 
 def test_only_quadrature_binds_the_gauss_node_generators():
