@@ -153,7 +153,7 @@ class Multiplier:
 
 def spectral_symbol(alpha, n, tau):
     """The diagonalizing symbol lam_n^a * tau."""
-    return laguerre_eigenvalue(alpha, n) * np.asarray(tau)
+    return laguerre_eigenvalue(alpha, n) * real_value(tau, "tau")
 
 
 def default_tau_rule(upper: float = 12.0, panels: int = 32,

@@ -32,7 +32,7 @@ from .gtransform import (DEFAULT_N_MAX, Multiplier, TypePair, _points_array,
                          as_plane_function, functional_calculus)
 from .hankel import _kernel_apply, _liouville_kernel, profile_rule
 from .quadrature import _PANEL_PHASE, HalfLineRule, TruncationPolicy, build_rule
-from .specfun import _bessel_j_scaled, bessel_i_normalized_exp, bessel_j_table
+from .specfun import _bessel_j_scaled, _order_value, bessel_i_normalized_exp, bessel_j_table
 
 __all__ = [
     "HeatParams",
@@ -73,6 +73,7 @@ def kernel_tau_rule(hp: HeatParams, freq: float) -> HalfLineRule:
     """tau rule for the kernel integrals at s, v <= freq: J_b(tau s) J_b(tau v) has
     wavenumber <= 2 freq, under the exponential envelope of rate 2t(1 + min(alpha, 0));
     it absorbs the integrand's factor tau^(2b+1) at tau -> 0 when b < 0."""
+    freq = real_value(freq, "freq", closed=True)
     rate = 2.0 * hp.t * (1.0 + min(hp.alpha, 0.0))
     policy = TruncationPolicy(abs_tol=_KERNEL_TOL * 1e-4, decay_hint="exponential",
                               rate=rate, freq_bound=2.0 * max(freq, 1e-6),
@@ -96,18 +97,17 @@ def _coth(y):
     return np.where(y < 300.0, 1.0 / np.tanh(np.minimum(y, 300.0)), 1.0)
 
 
-def _kernel_core(alpha, t, tau, r, u, log_scale):
+def _kernel_core(alpha, t, tau, r, u, log_scale, log_ru):
     """sqrt(r u) exp(-tau(r^2+u^2)/(2 tanh y)) I_a(x) exp(log_scale) / sinh y
-    for y = 2 t tau and x = tau r u / sinh y; the kernel's tau integrand
-    without its J_b factors at log_scale = log tau^2.  Broadcasts over tau,
-    r, u and log_scale.
+    for y = 2 t tau, x = tau r u / sinh y and log_ru = log r + log u; the
+    kernel's tau integrand without its J_b factors at log_scale = log tau^2.
+    log_ru = 0 leaves (r u)^(a+1/2) out, as the weighted kernel does.
 
-    x^a sqrt(r u) / sinh y is taken from log tau + log r + log u, so r u
-    below the double range keeps its power law; x itself only enters the
-    series of I_a(x)/x^a through x^2, where an underflow to 0 is exact."""
+    x^a sqrt(r u) / sinh y is taken from log tau + log_ru, so r u below the
+    double range keeps its power law; x only enters the series of I_a(x)/x^a
+    through x^2, so an underflow to 0 is exact and u = 0 gives the limit."""
     y = 2.0 * t * tau
     log_inv = math.log(2.0) - y - np.log(-np.expm1(-2.0 * y))  # log(1/sinh y), no overflow
-    log_ru = np.log(r) + np.log(u)
     x = tau * np.exp(log_inv) * (r * u)
     expo = -0.5 * tau * _coth(y) * (r * r + u * u) \
         + (alpha * np.log(tau) + (alpha + 1.0) * log_inv + log_scale) \
@@ -119,12 +119,20 @@ def heat_kernel(hp: HeatParams, r, s, u, v,
                 rule: Optional[HalfLineRule] = None) -> float:
     """Kernel value K_t((r,s),(u,v)) by tau quadrature."""
     r, s, u, v = map(real_value, (r, s, u, v), "rsuv")
+    return float(np.sqrt(s * v)) * _tau_sum(hp, r, s, u, v, rule, 0.0, 2.0,
+                                            np.log(r) + np.log(u))
+
+
+def _tau_sum(hp, r, s, u, v, rule, shift, power, log_ru):
+    # the plain and the weighted kernel's tau sum: x^shift J_b(x) at x = tau s
+    # and tau v, times the core at log_scale = power log tau
     if rule is None:
         rule = kernel_tau_rule(hp, freq=max(s, v))
     tau = rule.nodes
-    integrand = bessel_j_table(hp.beta, tau * s) * bessel_j_table(hp.beta, tau * v) \
-        * _kernel_core(hp.alpha, hp.t, tau, r, u, 2.0 * np.log(tau))
-    return float(np.sqrt(s * v) * np.dot(rule.weights, integrand))
+    integrand = _bessel_j_scaled(hp.beta, tau * s, shift) \
+        * _bessel_j_scaled(hp.beta, tau * v, shift) \
+        * _kernel_core(hp.alpha, hp.t, tau, r, u, power * np.log(tau), log_ru)
+    return float(np.dot(rule.weights, integrand))
 
 
 def heat_kernel_half(t: float, r, s, u, v, variant: str = "cosh") -> float:
@@ -159,29 +167,14 @@ def heat_kernel_weighted(hp: HeatParams, r, s, u, v,
         raise ValueError(f"u, v must be finite reals >= 0, got {u}, {v}")
     if (u == 0.0) != (v == 0.0):
         raise ValueError("only the joint limit u = v = 0 is defined")
-    return _weighted_kernel(hp, r, s, u, v, rule)
+    r, s = map(real_value, (r, s), "rs")
+    # (s v)^-b J_b(tau s) J_b(tau v) = tau^(2b) g_b(tau s) g_b(tau v), g_b = J_b/x^b
+    return _tau_sum(hp, r, s, u, v, rule, -hp.beta, 2.0 * hp.beta + 2.0, 0.0)
 
 
 def kernel_at_origin(hp: HeatParams, r, s) -> float:
     """Continuous extension of the weighted kernel at (u, v) = (0, 0)."""
-    return _weighted_kernel(hp, r, s, 0.0, 0.0, None)
-
-
-def _weighted_kernel(hp, r, s, u, v, rule):
-    r, s = map(real_value, (r, s), "rs")
-    if rule is None:
-        rule = kernel_tau_rule(hp, freq=max(s, v))
-    tau = rule.nodes
-    y = 2.0 * hp.t * tau
-    inv = _inv_sinh(y)
-    # at u = v = 0 the normalized Bessel factors take their limits
-    # 2^-b/Gamma(b+1) and 2^-a/Gamma(a+1)
-    expo = -0.5 * tau * (r * r + u * u) * _coth(y)
-    integrand = _bessel_j_scaled(hp.beta, tau * s, -hp.beta) \
-        * _bessel_j_scaled(hp.beta, tau * v, -hp.beta) \
-        * bessel_i_normalized_exp(hp.alpha, tau * r * u * inv, expo) \
-        * (tau * inv) ** (hp.alpha + 1.0) * tau ** (2.0 * hp.beta + 1.0)
-    return float(np.dot(rule.weights, integrand))
+    return heat_kernel_weighted(hp, r, s, 0.0, 0.0)
 
 
 def mehler_kernel(alpha, t, tau, r, u) -> float:
@@ -190,8 +183,10 @@ def mehler_kernel(alpha, t, tau, r, u) -> float:
         e^(2 t tau (a+1)) / sinh(2 t tau) * exp(-tau(r^2+u^2)/(2 tanh 2t tau))
         * sqrt(tau r u) * I_a(tau r u / sinh 2t tau).
     """
+    alpha = _order_value(alpha, "alpha")
+    t, tau, r, u = map(real_value, (t, tau, r, u), ("t", "tau", "r", "u"))
     log_scale = 2.0 * t * tau * (alpha + 1.0) + 0.5 * np.log(tau)
-    return float(_kernel_core(alpha, t, tau, r, u, log_scale))
+    return float(_kernel_core(alpha, t, tau, r, u, log_scale, np.log(r) + np.log(u)))
 
 
 def heat_apply(hp: HeatParams, f, points, route: str = "kernel", n_max: int = DEFAULT_N_MAX):
@@ -245,12 +240,13 @@ def _kernel_route(hp, fvals, urule, vrule, pts, trule):
 
     def contract_core(r):
         b = np.empty(len(tau), h.dtype)
+        log_ru = np.log(r) + np.log(urule.nodes[None, :])
         # blocks of at most BLOCK doubles (column_blocks' own reach twice that):
         # the core's temporaries are several times its block
         for rows in column_blocks(2 * len(urule.nodes), len(tau)):
             tau_rows = tau[rows, None]
             core = _kernel_core(hp.alpha, hp.t, tau_rows, r, urule.nodes[None, :],
-                                2.0 * np.log(tau_rows))
+                                2.0 * np.log(tau_rows), log_ru)
             b[rows] = np.einsum("ij,ij->i", core, h[rows])
         return b
 
@@ -294,8 +290,9 @@ def diagonal_profile(kind: str, tp: TypePair, x_grid) -> np.ndarray:
     for cols in column_blocks(len(tau), len(x_grid)):
         x = x_grid[cols, None]
         s, r = (x, 1.0) if kind == "F1" else (1.0, x)
+        log_r = np.log(r)
         # the core carries sqrt(r u) = r, which F2 leaves out
         table = bessel_j_table(tp.beta, tau * s) ** 2 \
-            * _kernel_core(tp.alpha, 0.5, tau, r, r, log_tau2 - np.log(r))
+            * _kernel_core(tp.alpha, 0.5, tau, r, r, log_tau2 - log_r, log_r + log_r)
         out[cols] = table @ rule.weights
     return out

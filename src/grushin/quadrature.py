@@ -86,7 +86,7 @@ class HalfLineRule:
 
     nodes: np.ndarray
     weights: np.ndarray
-    upper_cut: float = 0.0
+    upper_cut: float
 
     def __post_init__(self):
         object.__setattr__(self, "nodes", np.asarray(self.nodes, dtype=float))

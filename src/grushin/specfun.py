@@ -82,7 +82,7 @@ def log_gamma(x):
 def laguerre_eigenvalue(alpha, n):
     """Eigenvalue lam_n^a = 2(2n + a + 1) of the Laguerre-type operator."""
     alpha = _order_value(alpha)
-    return 2.0 * (2.0 * np.asarray(n) + alpha + 1.0)
+    return 2.0 * (2.0 * np.asarray(count_value(n, "n", 0)) + alpha + 1.0)
 
 
 def _bessel_args(nu, x, normalized=False):

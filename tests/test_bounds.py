@@ -12,11 +12,12 @@ import numpy as np
 import pytest
 
 import grushin
-from grushin import diffop, gtransform, hankel, laguerre, quadrature, specfun
+from grushin import diffop, gtransform, hankel, heat, laguerre, quadrature, specfun
 from grushin.functions import packet_plane, power_gaussian_profile
 from grushin.gtransform import SpectralData
 
 _PROFILE = power_gaussian_profile(0.4)
+_HEAT = heat.HeatParams(0.5, gtransform.TypePair(0.3, 0.45))
 
 
 def _grid(r0):
@@ -92,6 +93,16 @@ REAL_SITES = [
      "tau_lo", ">", "0", -1.0),
     ("analysis_rule tau_hi", lambda v: laguerre.analysis_rule(0.4, (1e-3, v), _PROFILE, 8),
      "tau_hi", ">=", "0.001", 5e-4),
+    ("mehler_kernel alpha", lambda v: heat.mehler_kernel(v, 0.3, 1.1, 0.9, 1.4),
+     "alpha", ">", "-1", -2.0),
+    ("mehler_kernel t", lambda v: heat.mehler_kernel(0.6, v, 1.1, 0.9, 1.4), "t", ">", "0", -1.0),
+    ("mehler_kernel tau", lambda v: heat.mehler_kernel(0.6, 0.3, v, 0.9, 1.4),
+     "tau", ">", "0", -1.0),
+    ("mehler_kernel r", lambda v: heat.mehler_kernel(0.6, 0.3, 1.1, v, 1.4), "r", ">", "0", -1.0),
+    ("mehler_kernel u", lambda v: heat.mehler_kernel(0.6, 0.3, 1.1, 0.9, v), "u", ">", "0", 0.0),
+    ("kernel_tau_rule", lambda v: heat.kernel_tau_rule(_HEAT, v), "freq", ">=", "0", -5.0),
+    ("spectral_symbol", lambda v: gtransform.spectral_symbol(0.3, 2, [1.0, v]),
+     "tau", ">", "0", -1.0),
 ]
 
 
@@ -123,6 +134,8 @@ COUNT_SITES = [
      "n_max", 1),
     ("default_tau_rule", lambda n: gtransform.default_tau_rule(panels=n), "panels", 1),
     ("GridFunction2D.interior", lambda n: _grid(1.0).interior(n), "margin", 1),
+    ("laguerre_eigenvalue", lambda n: specfun.laguerre_eigenvalue(0.3, n), "n", 0),
+    ("spectral_symbol", lambda n: gtransform.spectral_symbol(0.3, [1, n], 1.0), "n", 0),
 ]
 
 

@@ -101,15 +101,24 @@ class TestHalfIntegerKernel:
             heat.heat_kernel_half(0.5, 1, 1, 1, 1, variant="tanh")
 
 
+# the first 20 draws of rng(4), one (r, s, u, v) point per row
+_WEIGHTED_POINTS = np.random.default_rng(4).uniform(0.4, 2.0, (5, 4))
+
+
 class TestWeightedKernel:
-    def test_consistency_with_plain_kernel(self):
+    @pytest.mark.parametrize("t, ab, points", [
+        pytest.param(0.6, (0.4, 0.7), _WEIGHTED_POINTS, id="t0.6-a0.4-b0.7"),
+        pytest.param(0.6, (-0.9, 0.5), _WEIGHTED_POINTS, id="t0.6-a-0.9-b0.5"),
+        pytest.param(0.6, (0.4, -0.9), _WEIGHTED_POINTS, id="t0.6-a0.4-b-0.9"),
+        pytest.param(0.6, (-0.6, -0.7), _WEIGHTED_POINTS, id="t0.6-a-0.6-b-0.7"),
+        # y = 2 t tau passes 700 inside this rule
+        pytest.param(40.0, (-0.99, 0.3), [(1.0, 1.0, 1.0, 1.0)], id="t40-a-0.99-b0.3")])
+    def test_consistency_with_plain_kernel(self, t, ab, points):
         # algebraic identity K_weighted (ru)^(a+1/2) (sv)^(b+1/2) = K, checked
         # with a shared rule so only rounding separates the two paths
-        tp = TypePair(0.4, 0.7)
-        hp = HeatParams(0.6, tp)
-        rng = np.random.default_rng(4)
-        for _ in range(5):
-            r, s, u, v = rng.uniform(0.4, 2.0, 4)
+        tp = TypePair(*ab)
+        hp = HeatParams(t, tp)
+        for r, s, u, v in points:
             rule = heat.kernel_tau_rule(hp, freq=max(s, v))
             plain = heat.heat_kernel(hp, r, s, u, v, rule=rule)
             weighted = heat.heat_kernel_weighted(hp, r, s, u, v, rule=rule)
@@ -147,14 +156,19 @@ class TestWeightedKernel:
             want = t ** -(tp.alpha + 2 * tp.beta + 3) * k_1
             assert k_t == pytest.approx(want, rel=1e-6)
 
-    def test_origin_limit(self):
-        tp = TypePair(0.4, 0.7)
-        hp = HeatParams(0.6, tp)
-        r, s = 1.3, 0.9
+    @pytest.mark.parametrize("t, ab, r, s, eps, rel", [
+        pytest.param(0.6, (0.4, 0.7), 1.3, 0.9, 1e-6, 1e-4, id="t0.6-a0.4-b0.7"),
+        # y = 2 t tau passes 700 inside the default rule
+        pytest.param(40.0, (-0.99, 0.3), 1.0, 1.0, 1e-5, 1e-8, id="t40-a-0.99-b0.3")])
+    def test_origin_limit(self, t, ab, r, s, eps, rel):
+        tp = TypePair(*ab)
+        hp = HeatParams(t, tp)
         at_origin = heat.kernel_at_origin(hp, r, s)
-        eps = 1e-6
         near = heat.heat_kernel_weighted(hp, r, s, eps, eps)
-        assert near == pytest.approx(at_origin, rel=1e-4)
+        assert near == pytest.approx(at_origin, rel=rel)
+        plain = heat.heat_kernel(hp, r, s, eps, eps) \
+            / ((r * eps) ** (tp.alpha + 0.5) * (s * eps) ** (tp.beta + 0.5))
+        assert plain == pytest.approx(at_origin, rel=rel)
         assert at_origin > 0.0
 
     def test_origin_dispatch(self):

@@ -137,6 +137,8 @@ class TestRuleValidation:
     def test_upper_cut_covers_nodes(self):
         with pytest.raises(ValueError):
             HalfLineRule(np.array([0.5, 1.0]), np.array([1.0, 1.0]), upper_cut=0.9)
+        with pytest.raises(TypeError):  # no default cut to fall back on
+            HalfLineRule(np.array([0.5, 1.0]), np.array([1.0, 1.0]))
 
     def test_policy_validation(self):
         with pytest.raises(ValueError):
@@ -266,6 +268,34 @@ def test_only_quadrature_and_heat_bind_build_rule():
         offenders += [f"{info.name}.{attr}" for attr, value in vars(mod).items()
                       if value is build_rule]
     assert offenders == []
+
+
+def test_one_kernel_integrand():
+    # the kernel's tau integrand is written once, in heat._kernel_core: no
+    # second copy takes the I_a factor, and the floored 1/sinh y serves only
+    # the closed-form oracle heat_kernel_half
+    import ast
+    import importlib
+    import inspect
+    import pkgutil
+
+    import grushin
+    users = {"bessel_i_normalized_exp": set(), "_inv_sinh": set()}
+    defined = set()
+    for info in pkgutil.iter_modules(grushin.__path__):
+        tree = ast.parse(inspect.getsource(importlib.import_module(f"grushin.{info.name}")))
+        for fn in ast.walk(tree):
+            if not isinstance(fn, ast.FunctionDef):
+                continue
+            defined.add(f"{info.name}.{fn.name}")
+            for node in ast.walk(fn):
+                name = getattr(node, "id", getattr(node, "attr", None))
+                if isinstance(node, (ast.Name, ast.Attribute)) and name in users:
+                    users[name].add(f"{info.name}.{fn.name}")
+    assert {f for f in users["bessel_i_normalized_exp"] if not f.startswith("specfun.")} \
+        == {"heat._kernel_core"}
+    assert users["_inv_sinh"] == {"heat.heat_kernel_half"}
+    assert "heat._weighted_kernel" not in defined
 
 
 def test_only_quadrature_defines_the_panel_law():
