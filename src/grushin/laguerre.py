@@ -80,8 +80,10 @@ def _laguerre_blocks(x, per_block) -> np.ndarray:
 
 def _analyze_columns(alpha, x, weighted, n_max) -> np.ndarray:
     """sum_j weighted[j, k] l_n^a(x[j, k]) for n < n_max, as (n_max, K): each
-    order is contracted inside the recurrence, in the summation order (and
-    with the bits) of np.sum(weighted * l_n^a(x), axis=0)."""
+    order is contracted inside the recurrence, in the summation order of
+    np.sum(weighted * l_n^a(x), axis=0) and with its bits where the scale is
+    1; a rescaled entry's product is (weight * scale) * cur, which can differ
+    from weight * (cur * scale) in the last bit."""
     def analyze(cols):
         rows = np.empty((n_max, cols.stop - cols.start), np.result_type(weighted, 1.0))
         last = None

@@ -457,49 +457,76 @@ def laguerre_poly(n, alpha, x):
     return float(cur) if cur.ndim == 0 else cur
 
 
+_RESCALE_PERIOD = 8
+_RESCALE_ALPHA = 1e30  # for a >= this, overflow is tested at every n
+
+
 def _laguerre_steps(alpha, x, n_max) -> Iterator[tuple]:
     """Yield (cur, scale) with l_n^a(x) = cur * scale for n < n_max, x > 0: the
-    orthonormal three-term recurrence run directly on the weighted functions,
-    with a per-element log-scale so that no intermediate value overflows or
-    underflows.  cur is a rotating buffer that the next step overwrites;
-    scale is exactly 1 where no entry was rescaled, and a new array only
-    after a rescale."""
-    alpha = _order_value(alpha)
-    x = np.asarray(real_value(x, "x"))
+    orthonormal three-term recurrence (DLMF 18.9.1) run directly on the
+    weighted functions, with a per-element log-scale so that no intermediate
+    value overflows or underflows.  cur is a rotating buffer that the next
+    step overwrites; scale is exactly 1 where no entry was rescaled, and a
+    new array only after a rescale.  The arguments are checked at the call.
+
+    A step is ((2n + a + 1 - x^2) cur - c_dn prev) * (1/c_up).  Overflow is
+    tested at order 0 and then every _RESCALE_PERIOD orders (every order for
+    a >= _RESCALE_ALPHA), on cur and prev: where either passes 1e150 both are
+    multiplied by 1e-300.  The schedule depends on n alone, so an entry
+    rescales at the same orders whatever its block.  Between two tests an
+    entry grows by at most prod rho_n, rho_n = (|2n + a + 1 - x^2| + c_dn)/c_up,
+    and a step's products by c_up rho_n more; from 1e150, eight steps stay
+    below 10^306.7 < DBL_MAX for every x^2 <= X = 1e19 + 4a and every double
+    a in (-1, 1e30), the worst case being n = 0 at a = -1 + 2^-53, where
+    c_up = sqrt(1 + a).  So x is clamped to sqrt(X).  That moves no value:
+    there l_0^a < e^(-4.9e18), so the scale exp(off) is 0 and stays 0 (off
+    gains at most 690.8 per test) for any n_max that can run, and past the
+    turning point x^2 = 4n + 2a + 2 |l_n^a| falls with x; every l_n^a at or
+    past the clamp is an exact zero."""
+    alpha = _order_value(alpha, "alpha")
+    x = np.minimum(real_value(x, "x"), math.sqrt(1e19 + 4.0 * alpha))
+    n_max = count_value(n_max, "n_max", 1)
+    return _recurrence(alpha, x, n_max, _RESCALE_PERIOD if alpha < _RESCALE_ALPHA else 1)
+
+
+def _recurrence(alpha, x, n_max, period) -> Iterator[tuple]:
+    """_laguerre_steps on checked arguments, testing at every period-th n."""
     x2 = x * x
     g0 = 0.5 * np.log(2.0) - 0.5 * sp.gammaln(alpha + 1.0) - 0.5 * x2 \
         + (alpha + 0.5) * np.log(x)
     off = np.where(g0 < -600.0, g0 + 300.0, 0.0)
     scale = np.exp(off)
-    # three rotating buffers; the in-place steps keep the operation order of
-    # ((2n + a + 1 - x^2) cur - c_dn prev) / c_up, so every value is unchanged
+    # three rotating buffers, stepped in place
     prev = np.zeros_like(x2)
     cur = np.asarray(np.exp(g0 - off))  # an array even for a scalar x
-    del g0  # the generator's frame would hold it through every order
+    del g0, x  # the generator's frame would hold them through every order
     nxt = np.empty_like(x2)
     rescale = 300.0 * np.log(10.0)
-    for n in range(count_value(n_max, "n_max", 1)):
-        yield cur, scale
-        c_up = np.sqrt((n + 1.0) * (n + alpha + 1.0))
-        c_dn = np.sqrt(n * (n + alpha)) if n > 0 else 0.0
-        np.subtract(2 * n + alpha + 1.0, x2, out=nxt)
-        nxt *= cur
-        prev *= c_dn
-        nxt -= prev
-        nxt /= c_up
-        prev, cur, nxt = cur, nxt, prev
-        if max(cur.max(initial=0.0), -cur.min(initial=0.0)) > 1e150:
-            big = np.abs(cur) > 1e150
+    for n in range(n_max):
+        if n % period == 0 and max(cur.max(initial=0.0), -cur.min(initial=0.0),
+                                   prev.max(initial=0.0), -prev.min(initial=0.0)) > 1e150:
+            big = (np.abs(cur) > 1e150) | (np.abs(prev) > 1e150)
             np.multiply(prev, 1e-300, out=prev, where=big)
             np.multiply(cur, 1e-300, out=cur, where=big)
             np.add(off, rescale, out=off, where=big)
             scale = np.exp(off)
+        yield cur, scale
+        if n + 1 == n_max:
+            return
+        c_dn = math.sqrt(n * (n + alpha)) if n else 0.0
+        np.subtract(2 * n + alpha + 1.0, x2, out=nxt)
+        nxt *= cur
+        prev *= c_dn
+        nxt -= prev
+        nxt *= 1.0 / math.sqrt((n + 1.0) * (n + alpha + 1.0))
+        prev, cur, nxt = cur, nxt, prev
 
 
 def laguerre_fn_seq(alpha, x, n_max) -> Iterator[np.ndarray]:
     """Yield l_0^a(x), ..., l_{n_max-1}^a(x) for an array of arguments x > 0,
     each freshly allocated and safe to retain; entries whose true magnitude
-    is below the double-precision floor come out as exact zeros."""
+    is below the double-precision floor come out as exact zeros.  The
+    arguments are checked at the call, before any order is asked for."""
     return (cur * scale for cur, scale in _laguerre_steps(alpha, x, n_max))
 
 

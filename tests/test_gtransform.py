@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from scipy.special import gammaln
 
-from grushin import _util, diffop, gtransform
+from grushin import _util, diffop, gtransform, specfun
 from grushin.functions import packet_plane, power_gaussian, smooth_bump
 from grushin.gtransform import (Multiplier, PlaneFunction, SpectralData,
                                 TypePair, default_tau_rule)
@@ -294,6 +294,83 @@ class TestRescaledEntries:
             # entry's rounding shows here before the tau integral hides it
             assert np.array_equal(gtransform._synthesis(sd, pts[:, 0]), synth), (block, threads)
             assert np.array_equal(gtransform.g_inverse(sd, pts), want_inv), (block, threads)
+
+
+def _overflow_events(alpha, x, n_max):
+    """Entries of the recurrence that pass 1e150 between two overflow tests,
+    and entries rescaled at a test where only prev had passed 1e150 (cur is
+    then at most 1e150 * 1e-300 after the rescale)."""
+    between = np.zeros(x.shape, bool)
+    only_prev = np.zeros(x.shape, bool)
+    last_cur, last_scale = None, np.ones(x.shape)
+    for n, (cur, scale) in enumerate(specfun._laguerre_steps(alpha, x, n_max)):
+        if n % specfun._RESCALE_PERIOD:
+            between |= np.abs(cur) > 1e150
+        elif last_cur is not None:
+            only_prev |= (scale != last_scale) & (np.abs(last_cur) > 1e150) \
+                & (np.abs(cur) <= 1e-150)
+        last_cur, last_scale = cur.copy(), np.broadcast_to(scale, x.shape).copy()
+    return between, only_prev
+
+
+class TestSparseOverflowTests:
+    """The recurrence tests for overflow only every _RESCALE_PERIOD orders, on
+    cur and prev.  At a = -0.9999 on a tau window reaching 64 its entries pass
+    1e150 between two tests, and some are rescaled where only prev is large;
+    every value stays finite, no bit of the analysis depends on the block size
+    or thread count, and the synthesis keeps the bits of plain per-order loops."""
+
+    TP, N_MAX = TypePair(-0.9999, 0.5), 336
+
+    def test_every_yield_is_finite(self):
+        lim = np.sqrt(1e19 + 4.0 * self.TP.alpha)  # the clamp of _laguerre_steps
+        x = np.concatenate([np.linspace(34.0, 80.0, 47), [35.785, 0.999 * lim, lim, 1e200]])
+        between, only_prev = _overflow_events(self.TP.alpha, x, self.N_MAX)
+        assert between.any() and only_prev[-4]
+        vals = np.array(list(laguerre_fn_seq(self.TP.alpha, x, self.N_MAX)))
+        assert np.all(np.isfinite(vals))
+        assert np.all(vals[:, -3:] == 0.0)
+
+    def test_every_order_is_tested_past_the_bound_on_a(self):
+        # at a = 1e60 an entry grows by up to ~sqrt(a) per order, so eight
+        # orders between two tests would overflow
+        assert 1e60 >= specfun._RESCALE_ALPHA
+        vals = list(laguerre_fn_seq(1e60, np.geomspace(1e-3, 1e12, 400), 64))
+        assert np.all(np.isfinite(vals))
+
+    def test_block_and_thread_independent(self, monkeypatch):
+        tp, n_max = self.TP, self.N_MAX
+        f = power_gaussian(tp.alpha, tp.beta)
+        setup = gtransform._plane_setup(tp, f, n_max, default_tau_rule(upper=64, panels=8))
+        monkeypatch.setattr(gtransform, "_plane_setup", lambda *args: setup)
+        tau_rule, x = setup[0], setup[4]
+        between, only_prev = _overflow_events(tp.alpha, x, n_max)
+        assert between.any() and only_prev.any()
+        # the whole table as one block, on one thread
+        monkeypatch.setattr(_util, "BLOCK", 10**12)
+        monkeypatch.setenv("GRUSHIN_THREADS", "1")
+        sd = gtransform.g_forward(tp, f, n_max=n_max)
+
+        # r from the deep entries out to just inside the clamp at the top tau
+        rs = np.array([0.8, 3.0, 4.47, 5.2, 6.5, 8.1, 0.999 * np.sqrt(1e19) / 8.0])
+        pts = np.stack([rs, np.linspace(0.6, 3.0, len(rs))], axis=-1)
+        taus = tau_rule.nodes
+        synth = np.zeros((len(taus), len(pts)))
+        for n, q in enumerate(laguerre_fn_seq(tp.alpha, np.sqrt(taus)[:, None] * rs, n_max)):
+            synth += sd.values[n][:, None] * q
+        synth = synth * taus[:, None] ** 0.25
+        kern = _liouville_kernel(tp.beta, taus, pts[:, 1])
+        want_inv = np.sum(kern.T * synth * tau_rule.weights[:, None], axis=0)
+        assert np.all(np.isfinite(sd.values)) and np.all(np.isfinite(want_inv))
+        assert np.all(synth[:, -1] == 0.0)
+
+        for block, threads in ((_util.BLOCK, "1"), (_util.BLOCK, "4"), (1, "1"), (1, "4")):
+            monkeypatch.setattr(_util, "BLOCK", block)
+            monkeypatch.setenv("GRUSHIN_THREADS", threads)
+            got = gtransform.g_forward(tp, f, n_max=n_max)
+            assert np.array_equal(got.values, sd.values), (block, threads)
+            assert np.array_equal(gtransform._synthesis(got, rs), synth), (block, threads)
+            assert np.array_equal(gtransform.g_inverse(got, pts), want_inv), (block, threads)
 
 
 def test_forward_memory_stays_below_one_s_by_tau_kernel(monkeypatch):

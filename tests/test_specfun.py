@@ -425,9 +425,49 @@ class TestLaguerreFn:
             specfun.laguerre_fn(specfun.LaguerreIndex(0, 0.0, 1.0), 0.0)
 
 
+def laguerre_fn_mpmath(n, alpha, x):
+    """l_n^a(x) = sqrt(2 n!/Gamma(n+a+1)) x^(a+1/2) e^(-x^2/2) L_n^a(x^2) in
+    40-digit arithmetic, from mpmath's own Laguerre polynomial."""
+    with mpmath.workdps(40):
+        a, x = mpmath.mpf(alpha), mpmath.mpf(x)
+        return float(mpmath.sqrt(2 * mpmath.factorial(n) / mpmath.gamma(n + a + 1))
+                     * x ** (a + 0.5) * mpmath.exp(-x * x / 2)
+                     * mpmath.laguerre(n, a, x * x))
+
+
+class TestLaguerreSeqAgainstMpmath:
+    """The recurrence against the closed form: absolute error within 5e-13 of
+    the table's sup, across the deep start (x^2/2 > 600), the rescales and
+    the turning point 4n ~ x^2, at the orders the transforms run (n_max up
+    to 256) and at x = 55 up to order 900."""
+
+    @staticmethod
+    def assert_close(alpha, x, orders):
+        vals = list(specfun.laguerre_fn_seq(alpha, x, orders[-1] + 1))
+        got = np.array([vals[n] for n in orders])
+        want = np.array([[laguerre_fn_mpmath(n, alpha, xj) for xj in x] for n in orders])
+        assert np.all(np.isfinite(got))
+        assert np.max(np.abs(got - want)) <= 5e-13 * np.max(np.abs(want))
+
+    @pytest.mark.parametrize("alpha", [-0.9, 0.0, 0.5])
+    def test_up_to_x_40(self, alpha):
+        x = np.array([0.01, 0.4, 1.3, 3.0, 6.5, 11.0, 17.0, 24.0, 31.0, 36.0, 40.0])
+        self.assert_close(alpha, x, list(range(0, 256, 9)) + [255])
+
+    def test_deep_rescale(self):
+        self.assert_close(0.0, np.array([55.0]), list(range(0, 900, 13)) + [899])
+
+    @pytest.mark.xfail(strict=True, reason="far inside the turning point each step "
+                       "cancels about log10(2n) digits, so the error grows like n^2 eps: "
+                       "1.5e-11 relative at x = 0.2, n = 459")
+    def test_small_argument_high_order(self):
+        self.assert_close(0.0, np.array([0.01, 0.05, 0.2, 0.4, 3.0]), list(range(0, 700, 9)))
+
+
 def laguerre_fn_seq_reference(alpha, x, n_max):
     """The allocating form of specfun.laguerre_fn_seq: new arrays at every
-    order and the scale factor exp(off) recomputed for every yield."""
+    order, the scale factor exp(off) recomputed for every yield, and the
+    overflow test at every 8th order, on cur and prev, as a whole-array mask."""
     x = np.asarray(x, dtype=float)
     x2 = x * x
     g0 = 0.5 * np.log(2.0) - 0.5 * sp.gammaln(alpha + 1.0) - 0.5 * x2 \
@@ -437,15 +477,15 @@ def laguerre_fn_seq_reference(alpha, x, n_max):
     cur = np.exp(g0 - off)
     rescale = 300.0 * np.log(10.0)
     for n in range(int(n_max)):
-        yield cur * np.exp(off)
-        c_up = np.sqrt((n + 1.0) * (n + alpha + 1.0))
-        c_dn = np.sqrt(n * (n + alpha)) if n > 0 else 0.0
-        prev, cur = cur, ((2 * n + alpha + 1.0 - x2) * cur - c_dn * prev) / c_up
-        if np.abs(cur).max(initial=0.0) > 1e150:
-            big = np.abs(cur) > 1e150
+        if n % 8 == 0:
+            big = (np.abs(cur) > 1e150) | (np.abs(prev) > 1e150)
             prev = np.where(big, prev * 1e-300, prev)
             cur = np.where(big, cur * 1e-300, cur)
             off = np.where(big, off + rescale, off)
+        yield cur * np.exp(off)
+        c_up = np.sqrt((n + 1.0) * (n + alpha + 1.0))
+        c_dn = np.sqrt(n * (n + alpha)) if n > 0 else 0.0
+        prev, cur = cur, ((2 * n + alpha + 1.0 - x2) * cur - c_dn * prev) * (1.0 / c_up)
 
 
 class TestLaguerreSeqMatchesReference:
@@ -522,6 +562,15 @@ class TestValidation:
             specfun._order_value(np.nan, "beta")
         with pytest.raises(ValueError, match="^order must be a finite real > -1"):
             specfun.Order(np.nan)
+
+    @pytest.mark.parametrize("args, named", [
+        ((np.nan, [1.0], 3), "alpha"), ((-1.0, [1.0], 3), "alpha"),
+        ((0.3, [1.0, 0.0], 3), r"x\[1\]"), ((0.3, [np.inf], 3), r"x\[0\]"),
+        ((0.3, [1.0], 0), "n_max"), ((0.3, [1.0], 2.5), "n_max")])
+    def test_laguerre_fn_seq_checks_at_the_call(self, args, named):
+        # before the first order is asked for, not at the first next()
+        with pytest.raises(ValueError, match=f"^{named} must be"):
+            specfun.laguerre_fn_seq(*args)
 
     def test_orders_accept_order_objects(self):
         assert specfun.bessel_j(specfun.Order(0.5), 1.0) == specfun.bessel_j(0.5, 1.0)
