@@ -31,19 +31,20 @@ def column_blocks(rows, cols, min_width=1) -> list:
     return [slice(lo, hi) for lo, hi in zip(edges[:-1], edges[1:])]
 
 
-def real_value(value, name, lower=0.0, closed=False):
+def real_value(value, name, lower=0.0, closed=False, upper=math.inf):
     """value as a float, or as a float array, after checking that it is
-    finite and > lower (>= lower when closed); for an array the message
-    names the first bad index."""
-    # the bound's shortest round-trip repr (":g" prints 0.9999999 as "1")
-    op = (">= " if closed else "> ") + repr(float(lower)).removesuffix(".0")
+    finite, > lower (>= lower when closed) and <= upper; for an array the
+    message names the first bad index."""
+    # the bounds' shortest round-trip repr (":g" prints 0.9999999 as "1")
+    op = (">= " if closed else "> ") + repr(float(lower)).removesuffix(".0") \
+        + ("" if upper == math.inf else " and <= " + repr(float(upper)).removesuffix(".0"))
     if isinstance(value, (float, int)) or np.ndim(value) == 0:
         v = float(value)
-        if not ((v >= lower if closed else v > lower) and v < math.inf):
+        if not ((v >= lower if closed else v > lower) and v <= upper and v < math.inf):
             raise ValueError(f"{name} must be a finite real {op}, got {v}")
         return v
     arr = np.asarray(value, dtype=float)
-    ok = np.isfinite(arr)
+    ok = np.isfinite(arr) & (arr <= upper)
     ok &= arr >= lower if closed else arr > lower
     if not ok.all():
         i = int(np.argmin(ok))

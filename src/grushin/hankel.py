@@ -20,8 +20,9 @@ from typing import Callable, Optional, Tuple
 import numpy as np
 
 from ._util import column_blocks, parallel_map, real_value
-from .quadrature import (_MAX_FINITE_PANELS, _PANEL_PHASE, _PANEL_POINTS, HalfLineRule,
-                         TruncationPolicy, _composite_rule, _envelope_cap, truncation_point)
+from .quadrature import (_DECAY_HINTS, _MAX_FINITE_PANELS, _PANEL_PHASE, _PANEL_POINTS,
+                         HalfLineRule, TruncationPolicy, _composite_rule, _envelope_cap,
+                         truncation_point)
 from .specfun import _bessel_j_scaled, _order_value
 
 __all__ = [
@@ -38,8 +39,9 @@ __all__ = [
 class HalfLineFunction:
     """Evaluable profile on (0, inf) with integration hints.
 
-    fn must accept numpy arrays.  When support is None the decay hint and
-    rate choose the truncation.  endpoint_exponent declares the law at the
+    fn must accept numpy arrays.  When support is None the decay hint (one of
+    quadrature's _DECAY_HINTS) and rate choose the truncation; both are checked
+    with or without a support.  endpoint_exponent declares the law at the
     origin: a float gamma > -1 says that f is exactly u^gamma times a smooth
     function, so a rule from 0 absorbs u^gamma in its first panel and needs
     no geometric octaves; None declares nothing, and such rules keep their
@@ -53,6 +55,9 @@ class HalfLineFunction:
     endpoint_exponent: Optional[float] = None
 
     def __post_init__(self):
+        if self.decay not in _DECAY_HINTS:
+            raise ValueError(f"unknown decay hint {self.decay!r}")
+        real_value(self.rate, "rate")
         if self.endpoint_exponent is not None:
             real_value(self.endpoint_exponent, "endpoint_exponent", -1.0)
 

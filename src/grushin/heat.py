@@ -32,7 +32,7 @@ from .gtransform import (DEFAULT_N_MAX, Multiplier, TypePair, _points_array,
                          as_plane_function, functional_calculus)
 from .hankel import _kernel_apply, _liouville_kernel, profile_rule
 from .quadrature import _PANEL_PHASE, HalfLineRule, TruncationPolicy, build_rule
-from .specfun import _bessel_j_scaled, _order_value, bessel_i_normalized_exp, bessel_j_table
+from .specfun import _bessel_j_scaled, _order_value, bessel_i_normalized_exp
 
 __all__ = [
     "HeatParams",
@@ -70,21 +70,25 @@ class HeatParams:
 
 
 def kernel_tau_rule(hp: HeatParams, freq: float) -> HalfLineRule:
-    """tau rule for the kernel integrals at s, v <= freq: J_b(tau s) J_b(tau v) has
-    wavenumber <= 2 freq, under the exponential envelope of rate 2t(1 + min(alpha, 0));
-    it absorbs the integrand's factor tau^(2b+1) at tau -> 0 when b < 0."""
-    freq = real_value(freq, "freq", closed=True)
-    rate = 2.0 * hp.t * (1.0 + min(hp.alpha, 0.0))
-    policy = TruncationPolicy(abs_tol=_KERNEL_TOL * 1e-4, decay_hint="exponential",
-                              rate=rate, freq_bound=2.0 * max(freq, 1e-6),
-                              endpoint_exponent=_tau_exponent(hp.beta))
+    """tau rule for the kernel integrals at s, v <= freq, at the worst-case rate."""
+    return _tau_rule(hp.beta, _kernel_rate(hp), real_value(freq, "freq", closed=True),
+                     _KERNEL_TOL * 1e-4)
+
+
+def _kernel_rate(hp):
+    # the kernel's envelope rate as r, u -> 0, where a < 0 adds growth e^(-2at tau)
+    return 2.0 * hp.t * (1.0 + min(hp.alpha, 0.0))
+
+
+def _tau_rule(beta, rate, freq, abs_tol):
+    """The one tau rule of the kernel integrals at s, v <= freq: panels for the
+    wavenumber 2 freq of J_b(tau s) J_b(tau v) under the envelope e^(-rate tau),
+    the first absorbing the integrand's tau^(2b+1) when b < 0 (not for b >= 0,
+    where the first panel's h^(2b+2) underflows past b ~ 33)."""
+    policy = TruncationPolicy(abs_tol=abs_tol, decay_hint="exponential", rate=rate,
+                              freq_bound=2.0 * max(freq, 1e-6),
+                              endpoint_exponent=2.0 * beta + 1.0 if beta < 0.0 else 0.0)
     return build_rule(policy)
-
-
-def _tau_exponent(beta):
-    # the tau integrand goes as tau^(2b+1) at 0, with an unbounded derivative
-    # when b < 0; for b >= 0 the first panel's h^(2b+2) underflows past b ~ 33
-    return 2.0 * beta + 1.0 if beta < 0.0 else 0.0
 
 
 def _inv_sinh(y):
@@ -119,20 +123,20 @@ def heat_kernel(hp: HeatParams, r, s, u, v,
                 rule: Optional[HalfLineRule] = None) -> float:
     """Kernel value K_t((r,s),(u,v)) by tau quadrature."""
     r, s, u, v = map(real_value, (r, s, u, v), "rsuv")
-    return float(np.sqrt(s * v)) * _tau_sum(hp, r, s, u, v, rule, 0.0, 2.0,
-                                            np.log(r) + np.log(u))
+    rule = rule or kernel_tau_rule(hp, freq=max(s, v))
+    return float(np.sqrt(s * v) * _tau_sum(hp, r, s, u, v, rule, 0.0, 2.0 * np.log(rule.nodes),
+                                           np.log(r) + np.log(u)))
 
 
-def _tau_sum(hp, r, s, u, v, rule, shift, power, log_ru):
-    # the plain and the weighted kernel's tau sum: x^shift J_b(x) at x = tau s
-    # and tau v, times the core at log_scale = power log tau
-    if rule is None:
-        rule = kernel_tau_rule(hp, freq=max(s, v))
+def _tau_sum(hp, r, s, u, v, rule, shift, log_scale, log_ru):
+    # the one tau sum of every kernel integral: x^shift J_b(x) at x = tau s and
+    # tau v, times the core at log_scale, contracted with the rule's weights; a
+    # block of points broadcasts against the nodes along the last axis
     tau = rule.nodes
     integrand = _bessel_j_scaled(hp.beta, tau * s, shift) \
         * _bessel_j_scaled(hp.beta, tau * v, shift) \
-        * _kernel_core(hp.alpha, hp.t, tau, r, u, power * np.log(tau), log_ru)
-    return float(np.dot(rule.weights, integrand))
+        * _kernel_core(hp.alpha, hp.t, tau, r, u, log_scale, log_ru)
+    return integrand @ rule.weights
 
 
 def heat_kernel_half(t: float, r, s, u, v, variant: str = "cosh") -> float:
@@ -168,8 +172,10 @@ def heat_kernel_weighted(hp: HeatParams, r, s, u, v,
     if (u == 0.0) != (v == 0.0):
         raise ValueError("only the joint limit u = v = 0 is defined")
     r, s = map(real_value, (r, s), "rs")
+    rule = rule or kernel_tau_rule(hp, freq=max(s, v))
     # (s v)^-b J_b(tau s) J_b(tau v) = tau^(2b) g_b(tau s) g_b(tau v), g_b = J_b/x^b
-    return _tau_sum(hp, r, s, u, v, rule, -hp.beta, 2.0 * hp.beta + 2.0, 0.0)
+    return float(_tau_sum(hp, r, s, u, v, rule, -hp.beta,
+                          (2.0 * hp.beta + 2.0) * np.log(rule.nodes), 0.0))
 
 
 def kernel_at_origin(hp: HeatParams, r, s) -> float:
@@ -209,8 +215,7 @@ def heat_apply(hp: HeatParams, f, points, route: str = "kernel", n_max: int = DE
     # gaussian width 1/sqrt(tau) and, by the panel law, wavenumber tau up to there, on
     # panels no wider than 0.3 and 0.15 (a grid plane's spline needs them), and absorb
     # the kernel's u^(a+1/2) and v^(b+1/2) at the origin
-    rate = 2.0 * hp.t * (1.0 + min(hp.alpha, 0.0))
-    tau_half = 18.0 / rate
+    tau_half = 18.0 / _kernel_rate(hp)
     urule = profile_rule(f.axis_profile(0), min(0.3, 3.0 / np.sqrt(tau_half)), hp.alpha + 0.5)
     vrule = profile_rule(f.axis_profile(1), min(0.15, _PANEL_PHASE / tau_half), hp.beta + 0.5)
     fvals = np.asarray(f(urule.nodes[:, None], vrule.nodes[None, :]))
@@ -271,28 +276,21 @@ def diagonal_profile(kind: str, tp: TypePair, x_grid) -> np.ndarray:
     F2(r) = same with J_b(tau)^2, arguments tau r^2 in the exponential and I_a.
 
     As the argument tends to 0, F1 scales like s^(2b) and F2 like r^(2a).
-    Both are the kernel core at t = 1/2 (r = u = 1 for F1, r = u for F2)
-    times J_b^2, tabulated over blocks of grid points.
+    Both are the kernel's tau sum at t = 1/2 (r = u = 1, s = v for F1; s = v = 1,
+    r = u for F2), taken over blocks of grid points.
     """
     if kind not in ("F1", "F2"):
         raise ValueError("kind must be 'F1' or 'F2'")
     x_grid = real_value(np.atleast_1d(x_grid), "x_grid")
     # envelope: exp(-tau) from coth, tau^2/sinh ~ e^(-tau), and for a < 0 the
     # Bessel factor contributes growth e^(|a| tau) through its small argument
-    rate = (2.0 if kind == "F1" else 1.0) + min(tp.alpha, 0.0)
-    freq = 2.0 * max(float(x_grid.max()), 1.0)
-    policy = TruncationPolicy(abs_tol=1e-12, decay_hint="exponential", rate=rate,
-                              freq_bound=freq, endpoint_exponent=_tau_exponent(tp.beta))
-    rule = build_rule(policy)
-    tau = rule.nodes
-    log_tau2 = 2.0 * np.log(tau)
+    rule = _tau_rule(tp.beta, (2.0 if kind == "F1" else 1.0) + min(tp.alpha, 0.0),
+                     max(float(x_grid.max()), 1.0), 1e-12)
+    hp, log_tau2 = HeatParams(0.5, tp), 2.0 * np.log(rule.nodes)
     out = np.empty(len(x_grid))
-    for cols in column_blocks(len(tau), len(x_grid)):
+    for cols in column_blocks(len(rule.nodes), len(x_grid)):
         x = x_grid[cols, None]
-        s, r = (x, 1.0) if kind == "F1" else (1.0, x)
-        log_r = np.log(r)
-        # the core carries sqrt(r u) = r, which F2 leaves out
-        table = bessel_j_table(tp.beta, tau * s) ** 2 \
-            * _kernel_core(tp.alpha, 0.5, tau, r, r, log_tau2 - log_r, log_r + log_r)
-        out[cols] = table @ rule.weights
+        # F2 leaves out the core's sqrt(r u) = r
+        out[cols] = _tau_sum(hp, 1.0, x, 1.0, x, rule, 0.0, log_tau2, 0.0) if kind == "F1" \
+            else _tau_sum(hp, x, 1.0, x, 1.0, rule, 0.0, log_tau2 - np.log(x), 2.0 * np.log(x))
     return out

@@ -21,7 +21,8 @@ from scipy.special import gammaln
 from ._util import column_blocks, count_value, parallel_map, real_value
 from .hankel import HalfLineFunction, _sampled_values, profile_rule
 from .quadrature import _PANEL_PHASE, HalfLineRule
-from .specfun import _laguerre_steps, _order_value, laguerre_eigenvalue, laguerre_fn_seq
+from .specfun import (_laguerre_alpha, _laguerre_steps, _order_value, laguerre_eigenvalue,
+                      laguerre_fn_seq)
 
 __all__ = [
     "LaguerreCoeffs",
@@ -59,7 +60,7 @@ def analysis_rule(alpha, taus, f: HalfLineFunction, n_max) -> HalfLineRule:
     sqrt(lam_N tau_hi), out to f's cut or the turning point sqrt(lam_N/tau_lo) + 6.
     The first panel absorbs the basis's r^(a+1/2) in full, so a profile that
     declares its endpoint law gets no octaves toward 0 (hankel.profile_rule)."""
-    alpha = _order_value(alpha)
+    alpha = _laguerre_alpha(alpha)
     lam = laguerre_eigenvalue(alpha, count_value(n_max, "n_max", 1) - 1)
     tau_lo, tau_hi = taus
     tau_lo = real_value(tau_lo, "tau_lo")
@@ -118,7 +119,7 @@ def _synthesize_columns(alpha, taus, values, rs) -> np.ndarray:
 def laguerre_analyze(alpha, tau, f, n_max: int = 128,
                      rule: HalfLineRule | None = None) -> LaguerreCoeffs:
     """Coefficients <f, l_{n,tau}^a> for n < n_max, by quadrature."""
-    alpha = _order_value(alpha)
+    alpha = _laguerre_alpha(alpha)
     tau = real_value(tau, "tau")
     n_max = count_value(n_max, "n_max", 1)
     vals, rule = _sampled_values(f, rule,

@@ -1,8 +1,7 @@
 """Composite Gauss-Legendre quadrature over (0, inf) and finite intervals.
 
 Rules are built from a truncation policy that knows how the integrand decays
-(gaussian, exponential, or oscillatory with an exponential envelope) and, when
-relevant, how fast it oscillates.  Panels double geometrically toward zero so
+(gaussian or exponential) and, when relevant, how fast it oscillates.  Panels double geometrically toward zero so
 that integrable endpoint singularities are resolved; a known power-law factor
 u^gamma at the origin can additionally be absorbed exactly by a Gauss-Jacobi
 first panel, which for an integrand known to be u^gamma times a smooth
@@ -43,6 +42,8 @@ _PANEL_POINTS, _PANEL_PHASE = 16, 5.0 * np.pi
 # panel cap of every finite rule, sized by memory, not by accuracy: 2^20
 # panels of 16 points are 16.8M nodes, whose nodes and weights take 268 MB
 _MAX_FINITE_PANELS = 1 << 20
+# the envelopes that a truncation policy or a profile may declare
+_DECAY_HINTS = ("gaussian", "exponential")
 
 
 class QuadratureError(RuntimeError):
@@ -54,10 +55,8 @@ class TruncationPolicy:
     """How to truncate and resolve an integral over (0, inf).
 
     decay_hint describes the integrand envelope far out:
-      "gaussian"               ~ exp(-(rate*u)^2/2)
-      "exponential"            ~ exp(-rate*u)
-      "algebraic_oscillatory"  the same envelope exp(-rate*u), so its rules are
-                               truncated and capped exactly as "exponential"'s
+      "gaussian"     ~ exp(-(rate*u)^2/2)
+      "exponential"  ~ exp(-rate*u)
     freq_bound > 0 bounds the integrand's wavenumber under every hint, and
     narrows every panel to _PANEL_PHASE/freq_bound; endpoint_exponent
     gamma > -1 declares a known u^gamma factor at u = 0.
@@ -71,7 +70,7 @@ class TruncationPolicy:
     endpoint_exponent: float = 0.0
 
     def __post_init__(self):
-        if self.decay_hint not in ("gaussian", "exponential", "algebraic_oscillatory"):
+        if self.decay_hint not in _DECAY_HINTS:
             raise ValueError(f"unknown decay hint {self.decay_hint!r}")
         real_value(self.abs_tol, "abs_tol")
         real_value(self.rate, "rate")

@@ -69,8 +69,15 @@ class LaguerreIndex:
         real_value(self.tau, "tau")
 
 
-def _order_value(nu, name="order") -> float:
-    return real_value(nu.nu if isinstance(nu, Order) else nu, name, -1.0)
+def _order_value(nu, name="order", upper=math.inf) -> float:
+    return real_value(nu.nu if isinstance(nu, Order) else nu, name, -1.0, upper=upper)
+
+
+def _laguerre_alpha(alpha) -> float:
+    """The order of the Laguerre recurrence, in (-1, 1e4].  Its start takes
+    lnGamma(a+1), whose rounding grows with a: at the peak x^2 = a + 1/2, l_0^a
+    is off by 3.1e-12 relative at a = 1e4 and 9.7e-10 at 1e6."""
+    return _order_value(alpha, "alpha", 1e4)
 
 
 def log_gamma(x):
@@ -458,7 +465,6 @@ def laguerre_poly(n, alpha, x):
 
 
 _RESCALE_PERIOD = 8
-_RESCALE_ALPHA = 1e30  # for a >= this, overflow is tested at every n
 
 
 def _laguerre_steps(alpha, x, n_max) -> Iterator[tuple]:
@@ -470,27 +476,26 @@ def _laguerre_steps(alpha, x, n_max) -> Iterator[tuple]:
     new array only after a rescale.  The arguments are checked at the call.
 
     A step is ((2n + a + 1 - x^2) cur - c_dn prev) * (1/c_up).  Overflow is
-    tested at order 0 and then every _RESCALE_PERIOD orders (every order for
-    a >= _RESCALE_ALPHA), on cur and prev: where either passes 1e150 both are
-    multiplied by 1e-300.  The schedule depends on n alone, so an entry
-    rescales at the same orders whatever its block.  Between two tests an
-    entry grows by at most prod rho_n, rho_n = (|2n + a + 1 - x^2| + c_dn)/c_up,
-    and a step's products by c_up rho_n more; from 1e150, eight steps stay
-    below 10^306.7 < DBL_MAX for every x^2 <= X = 1e19 + 4a and every double
-    a in (-1, 1e30), the worst case being n = 0 at a = -1 + 2^-53, where
+    tested at order 0 and then every _RESCALE_PERIOD orders, on cur and
+    prev: where either passes 1e150 both are multiplied by 1e-300.  The
+    schedule depends on n alone, so an entry rescales at the same orders
+    whatever its block.  Between two tests an entry grows by at most
+    prod rho_n, rho_n = (|2n + a + 1 - x^2| + c_dn)/c_up, and a step's products
+    by c_up rho_n more; from 1e150, eight steps stay below 10^306.7 < DBL_MAX
+    for every x^2 <= X = 1e19 + 4a and every double a in (-1, 1e4] (the range
+    of _laguerre_alpha), the worst case being n = 0 at a = -1 + 2^-53, where
     c_up = sqrt(1 + a).  So x is clamped to sqrt(X).  That moves no value:
     there l_0^a < e^(-4.9e18), so the scale exp(off) is 0 and stays 0 (off
     gains at most 690.8 per test) for any n_max that can run, and past the
     turning point x^2 = 4n + 2a + 2 |l_n^a| falls with x; every l_n^a at or
     past the clamp is an exact zero."""
-    alpha = _order_value(alpha, "alpha")
+    alpha = _laguerre_alpha(alpha)
     x = np.minimum(real_value(x, "x"), math.sqrt(1e19 + 4.0 * alpha))
-    n_max = count_value(n_max, "n_max", 1)
-    return _recurrence(alpha, x, n_max, _RESCALE_PERIOD if alpha < _RESCALE_ALPHA else 1)
+    return _recurrence(alpha, x, count_value(n_max, "n_max", 1))
 
 
-def _recurrence(alpha, x, n_max, period) -> Iterator[tuple]:
-    """_laguerre_steps on checked arguments, testing at every period-th n."""
+def _recurrence(alpha, x, n_max) -> Iterator[tuple]:
+    """_laguerre_steps on checked arguments."""
     x2 = x * x
     g0 = 0.5 * np.log(2.0) - 0.5 * sp.gammaln(alpha + 1.0) - 0.5 * x2 \
         + (alpha + 0.5) * np.log(x)
@@ -503,8 +508,9 @@ def _recurrence(alpha, x, n_max, period) -> Iterator[tuple]:
     nxt = np.empty_like(x2)
     rescale = 300.0 * np.log(10.0)
     for n in range(n_max):
-        if n % period == 0 and max(cur.max(initial=0.0), -cur.min(initial=0.0),
-                                   prev.max(initial=0.0), -prev.min(initial=0.0)) > 1e150:
+        if n % _RESCALE_PERIOD == 0 and max(cur.max(initial=0.0), -cur.min(initial=0.0),
+                                            prev.max(initial=0.0),
+                                            -prev.min(initial=0.0)) > 1e150:
             big = (np.abs(cur) > 1e150) | (np.abs(prev) > 1e150)
             np.multiply(prev, 1e-300, out=prev, where=big)
             np.multiply(cur, 1e-300, out=cur, where=big)

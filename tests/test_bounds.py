@@ -47,6 +47,8 @@ REAL_SITES = [
      "x", ">=", "0", -1e-3),
     ("laguerre_fn_seq", lambda v: next(specfun.laguerre_fn_seq(0.3, [1.0, v], 3)),
      "x", ">", "0", 0.0),
+    ("laguerre_fn_seq alpha", lambda v: specfun.laguerre_fn_seq(v, [1.0], 3),
+     "alpha", "> -1 and <=", "10000", 2e4),
     ("TruncationPolicy.abs_tol", lambda v: quadrature.TruncationPolicy(abs_tol=v),
      "abs_tol", ">", "0", 0.0),
     ("TruncationPolicy.rate", lambda v: quadrature.TruncationPolicy(rate=v),
@@ -72,6 +74,9 @@ REAL_SITES = [
     ("HalfLineFunction.endpoint_exponent",
      lambda v: hankel.HalfLineFunction(np.exp, endpoint_exponent=v),
      "endpoint_exponent", ">", "-1", -1.0),
+    ("HalfLineFunction.rate",
+     lambda v: hankel.HalfLineFunction(np.exp, support=(0.0, 1.0), rate=v), "rate", ">", "0",
+     -1.0),
     ("HalfLineRule.upper_cut",
      lambda v: quadrature.HalfLineRule([0.5, 1.0], [1.0, 1.0], v), "upper_cut", ">=", "1", 0.9),
     ("default_tau_rule", lambda v: gtransform.default_tau_rule(upper=v), "upper", ">", "0", 0.0),
@@ -149,7 +154,7 @@ def test_count_rejected_with_name_and_least_value(call, name, least, probe):
 
 
 def test_nan_max_panels_does_not_lift_the_cap():
-    policy = dict(abs_tol=1e-12, decay_hint="algebraic_oscillatory", freq_bound=500.0)
+    policy = dict(abs_tol=1e-12, decay_hint="exponential", freq_bound=500.0)
     with pytest.raises(quadrature.QuadratureError):
         quadrature.build_rule(quadrature.TruncationPolicy(max_panels=100, **policy))
     with pytest.raises(ValueError, match="^max_panels must be an integer >= 1, got nan"):

@@ -10,7 +10,7 @@ from grushin.functions import packet_plane, power_gaussian, smooth_bump
 from grushin.gtransform import (Multiplier, PlaneFunction, SpectralData,
                                 TypePair, default_tau_rule)
 from grushin.hankel import HalfLineFunction, _liouville_kernel
-from grushin.laguerre import gaussian_coefficient
+from grushin.laguerre import analysis_rule, gaussian_coefficient
 from grushin.quadrature import build_finite_rule
 from grushin.specfun import laguerre_eigenvalue, laguerre_fn_seq
 
@@ -331,12 +331,16 @@ class TestSparseOverflowTests:
         assert np.all(np.isfinite(vals))
         assert np.all(vals[:, -3:] == 0.0)
 
-    def test_every_order_is_tested_past_the_bound_on_a(self):
-        # at a = 1e60 an entry grows by up to ~sqrt(a) per order, so eight
-        # orders between two tests would overflow
-        assert 1e60 >= specfun._RESCALE_ALPHA
-        vals = list(laguerre_fn_seq(1e60, np.geomspace(1e-3, 1e12, 400), 64))
-        assert np.all(np.isfinite(vals))
+    def test_a_past_the_bound_is_rejected(self):
+        # the 8-order schedule is bounded for a <= 1e4, the recurrence's bound on
+        # a; past it the recurrence, the r rule and the transform reject the call
+        x, f = np.geomspace(1e-3, 1e12, 400), power_gaussian(0.4, 0.25)
+        for call in (lambda a: laguerre_fn_seq(a, x, 64),
+                     lambda a: analysis_rule(a, (0.1, 12.0), f.axis_profile(0), 64),
+                     lambda a: gtransform.g_forward(TypePair(a, 0.25), f, n_max=64)):
+            with pytest.raises(ValueError, match=r"^alpha must be a finite real > -1 and "
+                               r"<= 10000, got 1e\+60$"):
+                call(1e60)
 
     def test_block_and_thread_independent(self, monkeypatch):
         tp, n_max = self.TP, self.N_MAX

@@ -26,7 +26,7 @@ class TestBuildRule:
     def test_oscillatory_rule(self):
         # frequency bound 10 caps the panel width; validated on the
         # closed-form integral of e^-u sin(10u) = 10/101
-        policy = TruncationPolicy(abs_tol=1e-12, decay_hint="algebraic_oscillatory",
+        policy = TruncationPolicy(abs_tol=1e-12, decay_hint="exponential",
                                   rate=1.0, freq_bound=10.0)
         rule = build_rule(policy)
         widths = np.diff(np.concatenate([[0.0], rule.nodes]))  # crude bound check
@@ -34,7 +34,7 @@ class TestBuildRule:
         assert val == pytest.approx(10.0 / 101.0, abs=1e-12)
 
     def test_max_panels_failure(self):
-        policy = TruncationPolicy(abs_tol=1e-12, decay_hint="algebraic_oscillatory",
+        policy = TruncationPolicy(abs_tol=1e-12, decay_hint="exponential",
                                   freq_bound=500.0, max_panels=100)
         with pytest.raises(QuadratureError):
             build_rule(policy)
@@ -144,9 +144,13 @@ class TestRuleValidation:
         with pytest.raises(ValueError):
             TruncationPolicy(abs_tol=0.0)
         with pytest.raises(ValueError):
-            TruncationPolicy(decay_hint="bogus")
-        with pytest.raises(ValueError):
             TruncationPolicy(endpoint_exponent=-1.0)
+        # a policy and a profile check the same hints, with or without a support
+        for hint in ("bogus", "algebraic_oscillatory"):
+            with pytest.raises(ValueError, match=f"^unknown decay hint '{hint}'$"):
+                TruncationPolicy(decay_hint=hint)
+            with pytest.raises(ValueError, match=f"^unknown decay hint '{hint}'$"):
+                HalfLineFunction(np.exp, support=(0.0, 1.0), decay=hint)
 
     def test_finite_rule_validation(self):
         with pytest.raises(ValueError):
@@ -206,7 +210,7 @@ class TestAgainstReference:
     @pytest.mark.parametrize("policy", [
         TruncationPolicy(decay_hint="gaussian", rate=np.sqrt(2.0)),
         TruncationPolicy(decay_hint="exponential", rate=0.7, abs_tol=1e-14),
-        TruncationPolicy(decay_hint="algebraic_oscillatory", rate=1.3, freq_bound=9.0),
+        TruncationPolicy(decay_hint="exponential", rate=1.3, freq_bound=9.0),
         TruncationPolicy(decay_hint="gaussian", rate=0.4, freq_bound=2.5,
                          endpoint_exponent=-0.8),
         TruncationPolicy(decay_hint="exponential", rate=np.sqrt(2.0), endpoint_exponent=1.5),
@@ -296,6 +300,28 @@ def test_one_kernel_integrand():
         == {"heat._kernel_core"}
     assert users["_inv_sinh"] == {"heat.heat_kernel_half"}
     assert "heat._weighted_kernel" not in defined
+
+
+def test_one_tau_path():
+    # heat builds its tau rules in _tau_rule alone, and forms the product
+    # J_b J_b core in _tau_sum alone: the point kernels and the diagonal
+    # profiles sum through it, and the core is otherwise called only by the
+    # closed Mehler factor and the kernel route (heat_kernel_half keeps its
+    # own integrand, the independent oracle of verify)
+    import ast
+    import inspect
+
+    from grushin import heat, specfun
+    callers = {"TruncationPolicy": [], "_kernel_core": [], "_bessel_j_scaled": []}
+    for fn in ast.parse(inspect.getsource(heat)).body:
+        if isinstance(fn, ast.FunctionDef):
+            for node in ast.walk(fn):
+                if isinstance(node, ast.Call) and getattr(node.func, "id", None) in callers:
+                    callers[node.func.id].append(fn.name)
+    assert callers["TruncationPolicy"] == ["_tau_rule"]
+    assert set(callers["_kernel_core"]) == {"_tau_sum", "mehler_kernel", "_kernel_route"}
+    assert set(callers["_bessel_j_scaled"]) == {"_tau_sum"}
+    assert not any(value is specfun.bessel_j_table for value in vars(heat).values())
 
 
 def test_only_quadrature_defines_the_panel_law():

@@ -442,12 +442,12 @@ class TestLaguerreSeqAgainstMpmath:
     to 256) and at x = 55 up to order 900."""
 
     @staticmethod
-    def assert_close(alpha, x, orders):
+    def assert_close(alpha, x, orders, tol=5e-13):
         vals = list(specfun.laguerre_fn_seq(alpha, x, orders[-1] + 1))
         got = np.array([vals[n] for n in orders])
         want = np.array([[laguerre_fn_mpmath(n, alpha, xj) for xj in x] for n in orders])
         assert np.all(np.isfinite(got))
-        assert np.max(np.abs(got - want)) <= 5e-13 * np.max(np.abs(want))
+        assert np.max(np.abs(got - want)) <= tol * np.max(np.abs(want))
 
     @pytest.mark.parametrize("alpha", [-0.9, 0.0, 0.5])
     def test_up_to_x_40(self, alpha):
@@ -456,6 +456,13 @@ class TestLaguerreSeqAgainstMpmath:
 
     def test_deep_rescale(self):
         self.assert_close(0.0, np.array([55.0]), list(range(0, 900, 13)) + [899])
+
+    def test_at_the_bound_on_a(self):
+        # a = 1e4 is the largest order the recurrence takes; around the peak
+        # x^2 = a + 1/2 the start's lnGamma(a+1) rounds to 3.9e-12 of the sup.
+        # Tolerance fixed before the bound: 1e-11
+        x = np.sqrt(1e4 + 0.5) + np.array([-3.0, -1.0, -0.3, 0.0, 0.4, 1.5, 3.0])
+        self.assert_close(1e4, x, [0, 1, 2, 5, 11, 24], tol=1e-11)
 
     @pytest.mark.xfail(strict=True, reason="far inside the turning point each step "
                        "cancels about log10(2n) digits, so the error grows like n^2 eps: "
