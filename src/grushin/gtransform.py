@@ -29,7 +29,7 @@ from .hankel import (HalfLineFunction, _kernel_apply, _liouville_kernel,
                      as_half_line_function, rule_for_function)
 from .laguerre import _analyze_columns, _synthesize_columns, analysis_rule
 from .quadrature import HalfLineRule, build_finite_rule
-from .specfun import _order_value, laguerre_eigenvalue, laguerre_fn_seq
+from .specfun import _laguerre_alpha, _order_value, laguerre_eigenvalue, laguerre_fn_seq
 
 __all__ = [
     "TypePair",
@@ -123,7 +123,7 @@ class SpectralData:
         object.__setattr__(self, "tau_grid", np.asarray(self.tau_grid, dtype=float))
         object.__setattr__(self, "tau_weights", np.asarray(self.tau_weights, dtype=float))
         object.__setattr__(self, "values", np.asarray(self.values))
-        _order_value(self.alpha, "alpha")
+        _laguerre_alpha(self.alpha)
         _order_value(self.beta, "beta")
         real_value(self.tau_grid, "tau_grid")
         if self.tau_grid.ndim != 1 or np.any(np.diff(self.tau_grid) <= 0.0):

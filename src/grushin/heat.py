@@ -123,20 +123,20 @@ def heat_kernel(hp: HeatParams, r, s, u, v,
                 rule: Optional[HalfLineRule] = None) -> float:
     """Kernel value K_t((r,s),(u,v)) by tau quadrature."""
     r, s, u, v = map(real_value, (r, s, u, v), "rsuv")
-    rule = rule or kernel_tau_rule(hp, freq=max(s, v))
+    if rule is None:
+        rule = kernel_tau_rule(hp, freq=max(s, v))
     return float(np.sqrt(s * v) * _tau_sum(hp, r, s, u, v, rule, 0.0, 2.0 * np.log(rule.nodes),
                                            np.log(r) + np.log(u)))
 
 
 def _tau_sum(hp, r, s, u, v, rule, shift, log_scale, log_ru):
     # the one tau sum of every kernel integral: x^shift J_b(x) at x = tau s and
-    # tau v, times the core at log_scale, contracted with the rule's weights; a
-    # block of points broadcasts against the nodes along the last axis
+    # tau v (one table when v is s), times the core at log_scale, contracted with
+    # the rule's weights; a block of points broadcasts against the nodes
     tau = rule.nodes
-    integrand = _bessel_j_scaled(hp.beta, tau * s, shift) \
-        * _bessel_j_scaled(hp.beta, tau * v, shift) \
-        * _kernel_core(hp.alpha, hp.t, tau, r, u, log_scale, log_ru)
-    return integrand @ rule.weights
+    js = _bessel_j_scaled(hp.beta, tau * s, shift)
+    jv = js if v is s else _bessel_j_scaled(hp.beta, tau * v, shift)
+    return (js * jv * _kernel_core(hp.alpha, hp.t, tau, r, u, log_scale, log_ru)) @ rule.weights
 
 
 def heat_kernel_half(t: float, r, s, u, v, variant: str = "cosh") -> float:
@@ -172,7 +172,8 @@ def heat_kernel_weighted(hp: HeatParams, r, s, u, v,
     if (u == 0.0) != (v == 0.0):
         raise ValueError("only the joint limit u = v = 0 is defined")
     r, s = map(real_value, (r, s), "rs")
-    rule = rule or kernel_tau_rule(hp, freq=max(s, v))
+    if rule is None:
+        rule = kernel_tau_rule(hp, freq=max(s, v))
     # (s v)^-b J_b(tau s) J_b(tau v) = tau^(2b) g_b(tau s) g_b(tau v), g_b = J_b/x^b
     return float(_tau_sum(hp, r, s, u, v, rule, -hp.beta,
                           (2.0 * hp.beta + 2.0) * np.log(rule.nodes), 0.0))

@@ -42,7 +42,7 @@ class LaguerreCoeffs:
 
     def __post_init__(self):
         object.__setattr__(self, "values", np.asarray(self.values))
-        _order_value(self.alpha, "alpha")
+        _laguerre_alpha(self.alpha)
         real_value(self.tau, "tau")
         if self.values.ndim != 1 or self.values.size < 1:
             raise ValueError("values must be a nonempty 1-d array")

@@ -10,7 +10,7 @@ from grushin.functions import packet_plane, power_gaussian, smooth_bump
 from grushin.gtransform import (Multiplier, PlaneFunction, SpectralData,
                                 TypePair, default_tau_rule)
 from grushin.hankel import HalfLineFunction, _liouville_kernel
-from grushin.laguerre import analysis_rule, gaussian_coefficient
+from grushin.laguerre import LaguerreCoeffs, analysis_rule, gaussian_coefficient
 from grushin.quadrature import build_finite_rule
 from grushin.specfun import laguerre_eigenvalue, laguerre_fn_seq
 
@@ -333,11 +333,16 @@ class TestSparseOverflowTests:
 
     def test_a_past_the_bound_is_rejected(self):
         # the 8-order schedule is bounded for a <= 1e4, the recurrence's bound on
-        # a; past it the recurrence, the r rule and the transform reject the call
+        # a; past it the recurrence, the r rule, the transform and the two
+        # containers of Laguerre coefficients reject the call
         x, f = np.geomspace(1e-3, 1e12, 400), power_gaussian(0.4, 0.25)
+        rule = default_tau_rule(upper=4.0, panels=1)
         for call in (lambda a: laguerre_fn_seq(a, x, 64),
                      lambda a: analysis_rule(a, (0.1, 12.0), f.axis_profile(0), 64),
-                     lambda a: gtransform.g_forward(TypePair(a, 0.25), f, n_max=64)):
+                     lambda a: gtransform.g_forward(TypePair(a, 0.25), f, n_max=64),
+                     lambda a: LaguerreCoeffs(a, 1.0, np.ones(4)),
+                     lambda a: SpectralData(a, 0.25, rule.nodes, rule.weights,
+                                            np.ones((2, len(rule.nodes))))):
             with pytest.raises(ValueError, match=r"^alpha must be a finite real > -1 and "
                                r"<= 10000, got 1e\+60$"):
                 call(1e60)

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from scipy.special import iv
 
-from grushin import heat, quadrature
+from grushin import _util, heat, quadrature
 from grushin.functions import bump_plane
 from grushin.gtransform import TypePair
 from grushin.heat import HeatParams
@@ -427,6 +427,25 @@ class TestDiagonalProfiles:
         assert np.all(np.isfinite(want))
         assert rel[small].max() < 1e-14
         assert rel.max() < 1e-13
+
+    def test_f1_builds_one_bessel_table_per_block(self, monkeypatch):
+        # F1's core is one row (r = u = 1), so its J_b(tau s) table is nearly
+        # all of its cost: the table of s serves as the table of v = s
+        shapes = []
+
+        def recording(beta, x, shift):
+            shapes.append(np.shape(x))
+            return bessel_j_scaled(beta, x, shift)
+
+        bessel_j_scaled = heat._bessel_j_scaled
+        monkeypatch.setattr(heat, "_bessel_j_scaled", recording)
+        monkeypatch.setattr(_util, "BLOCK", 4096)
+        xs = np.logspace(-3, np.log10(20.0), 40)
+        want = diagonal_profile_per_x_reference("F1", TypePair(0.25, 0.4), xs)
+        got = heat.diagonal_profile("F1", TypePair(0.25, 0.4), xs)
+        # every grid point in exactly one table, over more than one block
+        assert len(shapes) > 1 and sum(shape[0] for shape in shapes) == len(xs)
+        assert np.max(np.abs(got - want) / want) < 1e-14
 
     @pytest.mark.parametrize("ab", [(0.4, -0.9), (0.25, -0.4), (0.25, 0.25), (-0.9, 0.5)])
     def test_sections_of_the_point_kernel(self, ab):
