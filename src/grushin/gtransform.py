@@ -25,8 +25,7 @@ from typing import Callable, Optional, Tuple
 import numpy as np
 
 from ._util import column_blocks, count_value, parallel_map, real_value
-from .hankel import (HalfLineFunction, _kernel_apply, _liouville_kernel,
-                     as_half_line_function, rule_for_function)
+from .hankel import HalfLineFunction, _kernel_apply, _liouville_kernel, rule_for_function
 from .laguerre import _analyze_columns, _synthesize_columns, analysis_rule
 from .quadrature import HalfLineRule, build_finite_rule
 from .specfun import _laguerre_alpha, _order_value, laguerre_eigenvalue, laguerre_fn_seq
@@ -35,11 +34,9 @@ __all__ = [
     "TypePair",
     "PlaneFunction",
     "SpectralData",
-    "Multiplier",
     "default_tau_rule",
     "spectral_symbol",
     "g_forward",
-    "g_forward_separated",
     "g_forward_hat",
     "g_inverse",
     "g_inverse_grid",
@@ -141,16 +138,6 @@ class SpectralData:
         return self.values.shape[0]
 
 
-@dataclass(frozen=True)
-class Multiplier:
-    """Spectral multiplier applied to the symbol lam_n^a * tau."""
-
-    phi: Callable[[np.ndarray], np.ndarray]
-
-    def __call__(self, y):
-        return self.phi(y)
-
-
 def spectral_symbol(alpha, n, tau):
     """The diagonalizing symbol lam_n^a * tau."""
     return laguerre_eigenvalue(alpha, n) * real_value(tau, "tau")
@@ -196,13 +183,6 @@ def g_forward(tp: TypePair, f, n_max: int = DEFAULT_N_MAX,
     return SpectralData(tp.alpha, tp.beta, tau_rule.nodes, tau_rule.weights, values)
 
 
-def g_forward_separated(tp: TypePair, f1, f2, n_max: int = DEFAULT_N_MAX) -> SpectralData:
-    """Forward transform of f(r, s) = f1(r) f2(s): g_forward of the product,
-    on rules built from the hints of the two factors."""
-    f1, f2 = as_half_line_function(f1), as_half_line_function(f2)
-    return g_forward(tp, PlaneFunction(lambda r, s: f1(r) * f2(s), profiles=(f1, f2)), n_max)
-
-
 def g_forward_hat(tp: TypePair, f, n_max: int = DEFAULT_N_MAX,
                   tau_rule: Optional[HalfLineRule] = None) -> SpectralData:
     """Order-exchanged transform: scaled Laguerre in r first, Hankel in s
@@ -228,7 +208,8 @@ def _synthesis(sd: SpectralData, rs) -> np.ndarray:
 
 def _points_array(points) -> np.ndarray:
     """Points [(r_1, s_1), ...] in the open quarter plane as an (m, 2) array."""
-    pts = np.atleast_2d(np.asarray(points, dtype=float))
+    pts = np.asarray(points, dtype=float)
+    pts = pts.reshape(0, 2) if pts.shape == (0,) else np.atleast_2d(pts)
     if pts.shape[1] != 2:
         raise ValueError("points must have shape (m, 2)")
     real_value(pts[:, 0], "r")
@@ -274,7 +255,6 @@ def plancherel_norm(sd: SpectralData) -> float:
 
 def apply_multiplier(sd: SpectralData, phi) -> SpectralData:
     """Multiply the data by phi(lam_n^a tau_k) entrywise."""
-    phi = phi if isinstance(phi, Multiplier) else Multiplier(phi)
     symbol = spectral_symbol(sd.alpha, np.arange(sd.n_max)[:, None], sd.tau_grid[None, :])
     scaled = np.asarray(phi(symbol))
     if not np.all(np.isfinite(scaled)):

@@ -18,6 +18,7 @@ from functools import partial
 from typing import Callable, Optional, Tuple
 
 import numpy as np
+from scipy.special import gammaincc
 
 from ._util import column_blocks, parallel_map, real_value
 from .quadrature import (_DECAY_HINTS, _MAX_FINITE_PANELS, _PANEL_PHASE, _PANEL_POINTS,
@@ -143,13 +144,31 @@ def _kernel_apply(kernel, nodes, weights, values, points):
     return out
 
 
+# a rule from f's decay hint stops at the envelope's cut U whatever the weight u^(2a+1);
+# the weighted envelope's share past U, Q(a+1, (rate U)^2/2) for a gaussian hint and
+# Q(2a+2, rate U) for an exponential one, predicts its error and is held to verify's 1e-8
+_TAIL_TOL = 1e-8
+
+
+def _modified_rule(alpha, f: HalfLineFunction, freq):
+    """rule_for_function's rule, once a rule from f's hint is known to reach."""
+    x = f.rate * truncation_point(TruncationPolicy(decay_hint=f.decay, rate=f.rate))
+    k, y = (1.0, 0.5 * x * x) if f.decay == "gaussian" else (2.0, x)
+    if f.support is None and gammaincc(k * (alpha + 1.0), y) > _TAIL_TOL:
+        from scipy.optimize import brentq  # the share grows with the order
+        top = brentq(lambda a: gammaincc(k * (a + 1.0), y) - _TAIL_TOL, -1.0, alpha)
+        raise ValueError(f"alpha must be <= {np.floor(top * 1e3) / 1e3:g} for a rule cut at "
+                         f"u = {x / f.rate:g} by f's {f.decay} decay hint, got {alpha}")
+    return rule_for_function(f, freq, 2.0 * alpha + 1.0)
+
+
 def hankel_modified(alpha, f, taus, rule: Optional[HalfLineRule] = None):
-    """Modified-form transform of f at the points taus (taus >= 0 allowed),
-    as an array of the length of taus."""
+    """Modified-form transform of f at the points taus (taus >= 0 allowed), as an
+    array of the length of taus; raises where the rule from f's decay hint cannot reach."""
     alpha = _order_value(alpha)
     taus = real_value(np.atleast_1d(taus), "tau", closed=True)
-    vals, rule = _sampled_values(f, rule, lambda hf: rule_for_function(
-        hf, float(taus.max(initial=0.0)), 2.0 * alpha + 1.0))
+    vals, rule = _sampled_values(
+        f, rule, lambda hf: _modified_rule(alpha, hf, float(taus.max(initial=0.0))))
     return _kernel_apply(lambda u, t: _bessel_j_scaled(alpha, np.outer(t, u), -alpha), rule.nodes,
                          rule.weights * rule.nodes ** (2.0 * alpha + 1.0), vals, taus)
 

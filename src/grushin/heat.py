@@ -28,8 +28,8 @@ from typing import Optional
 import numpy as np
 
 from ._util import column_blocks, parallel_map, real_value
-from .gtransform import (DEFAULT_N_MAX, Multiplier, TypePair, _points_array,
-                         as_plane_function, functional_calculus)
+from .gtransform import (DEFAULT_N_MAX, TypePair, _points_array, as_plane_function,
+                         functional_calculus)
 from .hankel import _kernel_apply, _liouville_kernel, profile_rule
 from .quadrature import _PANEL_PHASE, HalfLineRule, TruncationPolicy, build_rule
 from .specfun import _bessel_j_scaled, _order_value, bessel_i_normalized_exp
@@ -207,8 +207,7 @@ def heat_apply(hp: HeatParams, f, points, route: str = "kernel", n_max: int = DE
     f = as_plane_function(f)
     pts = _points_array(points)
     if route == "spectral":
-        phi = Multiplier(lambda y: np.exp(-hp.t * y))
-        return functional_calculus(hp.tp, phi, f, pts, n_max=n_max)
+        return functional_calculus(hp.tp, lambda y: np.exp(-hp.t * y), f, pts, n_max=n_max)
     if route != "kernel":
         raise ValueError("route must be 'kernel' or 'spectral'")
 

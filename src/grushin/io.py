@@ -130,6 +130,14 @@ def _write_records(path, header, columns, formats=None):
         fh.writelines(map(record.format, *(np.asarray(c).tolist() for c in columns)))
 
 
+def _checked(path, error, fn, *args, what=""):
+    """fn(*args), a ValueError of its checks raised as error("{path}: {what}{message}")."""
+    try:
+        return fn(*args)
+    except ValueError as exc:
+        raise error(f"{path}: {what}{exc}") from None
+
+
 def _header_float(header, key, path):
     if key not in header:
         raise HeaderError(f"{path}: missing header field {key!r}")
@@ -142,11 +150,8 @@ def _header_float(header, key, path):
 
 def _header_int(header, key, path):
     """A header count: an integer >= 1."""
-    v = _header_float(header, key, path)
-    try:
-        return count_value(v, key, 1)
-    except ValueError as exc:
-        raise HeaderError(f"{path}: header field {exc}") from None
+    return _checked(path, HeaderError, count_value, _header_float(header, key, path), key, 1,
+                    what="header field ")
 
 
 def _header_array(header, key, path):
@@ -157,10 +162,7 @@ def _header_array(header, key, path):
         values = np.array([float(tok) for tok in header[key].split(",")])
     except ValueError:
         raise HeaderError(f"{path}: header field {key!r} holds a non-numeric entry")
-    try:
-        return real_value(values, key)
-    except ValueError as exc:
-        raise HeaderError(f"{path}: header field {exc}") from None
+    return _checked(path, HeaderError, real_value, values, key, what="header field ")
 
 
 def _header_types(header, path):
@@ -197,8 +199,9 @@ def read_grid(path):
     _check_rows(path, line_nos, bad, FileFormatError, lambda k: (
         f"coordinates ({data['r'][k]!r}, {data['s'][k]!r}) are not the r-major grid "
         f"point ({r_nodes[k // ns]!r}, {s_nodes[k % ns]!r})"))
-    values = data["value"].reshape(nr, ns)
-    return GridFunction2D(r_nodes, s_nodes, values), alpha, beta
+    grid = _checked(path, FileFormatError, GridFunction2D, r_nodes, s_nodes,
+                    data["value"].reshape(nr, ns))
+    return grid, alpha, beta
 
 
 def write_spectral(path, sd: SpectralData) -> None:
@@ -237,7 +240,7 @@ def read_spectral(path) -> SpectralData:
     _check_rows(path, line_nos, ~np.isfinite(data["value"]))
     values = np.empty((n_max, n_tau))
     values[data["n"], data["tau_index"]] = data["value"]
-    return SpectralData(alpha, beta, tau_grid, tau_weights, values)
+    return _checked(path, ParameterError, SpectralData, alpha, beta, tau_grid, tau_weights, values)
 
 
 def read_points(path):

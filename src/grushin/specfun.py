@@ -29,13 +29,11 @@ from scipy.special import ive, jv
 from ._util import column_blocks, count_value, real_value
 
 __all__ = [
-    "Order",
     "LaguerreIndex",
     "log_gamma",
     "bessel_j",
     "bessel_j_table",
     "bessel_i",
-    "bessel_i_scaled",
     "bessel_j_normalized",
     "bessel_i_normalized",
     "laguerre_poly",
@@ -43,16 +41,6 @@ __all__ = [
     "laguerre_fn_seq",
     "laguerre_eigenvalue",
 ]
-
-
-@dataclass(frozen=True)
-class Order:
-    """Real order parameter, restricted to nu > -1."""
-
-    nu: float
-
-    def __post_init__(self):
-        _order_value(self.nu)
 
 
 @dataclass(frozen=True)
@@ -70,7 +58,7 @@ class LaguerreIndex:
 
 
 def _order_value(nu, name="order", upper=math.inf) -> float:
-    return real_value(nu.nu if isinstance(nu, Order) else nu, name, -1.0, upper=upper)
+    return real_value(nu, name, -1.0, upper=upper)
 
 
 def _laguerre_alpha(alpha) -> float:
@@ -349,23 +337,17 @@ def _bessel_j_scaled(nu, x, shift):
 
 
 def bessel_j_table(nu, x):
-    """J_nu(x) for the kernel tables, the shape of x kept: _bessel_j_scaled
-    at shift 0.  Against 30-digit mpmath, J_nu is within 2e-15 absolute and
-    sqrt(x) J_nu(x) on [1e-4, 30] within 4e-15 (scipy is off by up to 5e-14
-    there at non-integer orders)."""
-    return _bessel_j_scaled(_order_value(nu), x, 0.0)
+    """J_nu(x), the shape of x kept: _bessel_j_scaled at shift 0, after the
+    argument checks of bessel_j.  Against 30-digit mpmath, J_nu is within
+    2e-15 absolute and sqrt(x) J_nu(x) on [1e-4, 30] within 4e-15 (scipy is
+    off by up to 5e-14 there at non-integer orders)."""
+    return _bessel_j_scaled(*_bessel_args(nu, x), 0.0)
 
 
 def bessel_i(nu, x):
     """Modified Bessel function of the first kind I_nu(x), nu > -1, x >= 0."""
     nu, x = _bessel_args(nu, x)
     return _at_zero(nu, x, sp.iv(nu, x))
-
-
-def bessel_i_scaled(nu, x):
-    """Overflow-safe exp(-x) I_nu(x); pairs with decaying exponentials."""
-    nu, x = _bessel_args(nu, x)
-    return _at_zero(nu, x, sp.ive(nu, x))
 
 
 def bessel_j_normalized(nu, x):

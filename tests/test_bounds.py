@@ -32,15 +32,19 @@ def _spectral(tau0, weight0):
 # (site, call with the probed value, parameter name, comparison, bound, a
 # finite value on the wrong side of the bound)
 REAL_SITES = [
-    ("Order", lambda v: specfun.Order(v), "order", ">", "-1", -1.0),
+    ("laguerre_eigenvalue", lambda v: specfun.laguerre_eigenvalue(v, 2), "order", ">", "-1",
+     -1.0),
     ("TypePair", lambda v: gtransform.TypePair(0.0, v), "beta", ">", "-1", -1.5),
     ("log_gamma", lambda v: specfun.log_gamma(v), "x", ">", "0", 0.0),
     ("log_gamma array", lambda v: specfun.log_gamma([1.0, v]), "x", ">", "0", -2.0),
     ("bessel_j", lambda v: specfun.bessel_j(0.5, v), "x", ">=", "0", -1.0),
     ("bessel_j at a negative order", lambda v: specfun.bessel_j(-0.5, [1.0, v]),
      "x", ">", "0", 0.0),
+    ("bessel_j_table", lambda v: specfun.bessel_j_table(0.25, v), "x", ">=", "0", -1.0),
+    ("bessel_j_table at a negative order", lambda v: specfun.bessel_j_table(-0.5, [1.0, v]),
+     "x", ">", "0", 0.0),
     ("bessel_i", lambda v: specfun.bessel_i(0.25, v), "x", ">=", "0", -1.0),
-    ("bessel_i_scaled", lambda v: specfun.bessel_i_scaled(-0.25, v), "x", ">", "0", 0.0),
+    ("bessel_i at nu < 0", lambda v: specfun.bessel_i(-0.25, v), "x", ">", "0", 0.0),
     ("bessel_j_normalized", lambda v: specfun.bessel_j_normalized(-0.5, [0.0, v]),
      "x", ">=", "0", -1e-3),
     ("bessel_i_normalized", lambda v: specfun.bessel_i_normalized(0.5, v),

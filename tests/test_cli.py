@@ -407,6 +407,22 @@ def test_igtransform_rejects_bad_spectral_header(tmp_path, capsys, spectral_file
     assert not opath.exists()
 
 
+def test_igtransform_names_the_file_of_an_unordered_tau_grid(tmp_path, capsys, spectral_file):
+    # used to print "ValueError: tau_grid must be strictly increasing", with no file
+    lines = spectral_file.read_text().splitlines()
+    i = next(i for i, line in enumerate(lines) if line.startswith("# tau_grid="))
+    taus = lines[i][len("# tau_grid="):].split(",")
+    lines[i] = "# tau_grid=" + ",".join([taus[1], taus[0]] + taus[2:])
+    spectral_file.write_text("\n".join(lines) + "\n")
+    ppath = tmp_path / "pts.csv"
+    ppath.write_text("1.0,2.0\n")
+    code = main(["igtransform", "--input", str(spectral_file), "--points", str(ppath),
+                 "--output", str(tmp_path / "g.csv")])
+    assert code == 2
+    assert capsys.readouterr().err == ("error [igtransform]: grushin.io.ParameterError: "
+                                       f"{spectral_file}: tau_grid must be strictly increasing\n")
+
+
 # ------------------------------------------------------------ --config grammar
 # A config file's lines are parsed as flags, so they are typed and checked
 # like flags; keys of no command used to be dropped silently (exit 0).

@@ -7,12 +7,16 @@ from scipy.special import gammaln
 
 from grushin import _util, diffop, gtransform, specfun
 from grushin.functions import packet_plane, power_gaussian, smooth_bump
-from grushin.gtransform import (Multiplier, PlaneFunction, SpectralData,
-                                TypePair, default_tau_rule)
+from grushin.gtransform import PlaneFunction, SpectralData, TypePair, default_tau_rule
 from grushin.hankel import HalfLineFunction, _liouville_kernel
 from grushin.laguerre import LaguerreCoeffs, analysis_rule, gaussian_coefficient
 from grushin.quadrature import build_finite_rule
 from grushin.specfun import laguerre_eigenvalue, laguerre_fn_seq
+
+
+def _product(f1, f2):
+    """f(r, s) = f1(r) f2(s), on rules built from the hints of the two factors."""
+    return PlaneFunction(lambda r, s: f1(r) * f2(s), profiles=(f1, f2))
 
 
 class TestForward:
@@ -36,7 +40,7 @@ class TestForward:
         full = gtransform.g_forward(
             tp, PlaneFunction(fn=lambda r, s: f1(r) * f2(s),
                               support=((0.2, 3.4), (0.2, 4.2))), n_max=24)
-        sep = gtransform.g_forward_separated(tp, f1, f2, n_max=24)
+        sep = gtransform.g_forward(tp, _product(f1, f2), n_max=24)
         scale = np.max(np.abs(full.values))
         assert np.max(np.abs(full.values - sep.values)) / scale < 1e-9
 
@@ -44,7 +48,7 @@ class TestForward:
         tp = TypePair(0.0, 0.0)
         zero = HalfLineFunction(lambda r: np.zeros_like(r), support=(0.5, 1.5))
         f2 = HalfLineFunction(lambda s: np.exp(-s), decay="exponential")
-        sd = gtransform.g_forward_separated(tp, zero, f2, n_max=8)
+        sd = gtransform.g_forward(tp, _product(zero, f2), n_max=8)
         assert np.all(sd.values == 0.0)
 
     def test_basis_factor_selects_a_row(self):
@@ -62,7 +66,7 @@ class TestForward:
             endpoint_exponent=tp.alpha + 0.5)
         f2 = HalfLineFunction(lambda s: np.exp(-((s - 2.0) / 0.8) ** 2),
                               support=(1e-8, 6.0))
-        sd = gtransform.g_forward_separated(tp, f1, f2, n_max=8)
+        sd = gtransform.g_forward(tp, _product(f1, f2), n_max=8)
         h2 = hankel_liouville(tp.beta, f2, [tau_star])
         col = sd.values[:, k_star]
         want = np.zeros(8)
@@ -144,14 +148,6 @@ class TestAxisProfiles:
         with pytest.raises(TypeError, match="profiles"):
             self.plane(profiles=bad)
 
-    @pytest.mark.parametrize("alpha, beta", [(0.4, 0.6), (-0.9, 0.5)])
-    def test_separated_is_forward_of_the_product(self, alpha, beta):
-        tp = TypePair(alpha, beta)
-        sep = gtransform.g_forward_separated(tp, self.F1, self.F2, n_max=12)
-        full = gtransform.g_forward(tp, self.plane(profiles=(self.F1, self.F2)), n_max=12)
-        assert np.array_equal(sep.tau_grid, full.tau_grid)
-        assert np.array_equal(sep.values, full.values)
-
 
 class TestInverse:
     def test_zero_data_gives_zero(self):
@@ -169,6 +165,14 @@ class TestInverse:
             assert isinstance(out, np.ndarray) and out.shape == (1,)
         two = gtransform.g_inverse(sd, [[1.0, 1.0], [2.0, 0.5]])
         assert out[0] == pytest.approx(two[0], rel=1e-12)
+
+    def test_an_empty_list_is_zero_points(self):
+        # [] used to raise "points must have shape (m, 2)"; [[]] still does
+        sd = gtransform.g_forward(TypePair(0.3, 0.2), packet_plane(), n_max=16)
+        out = gtransform.g_inverse(sd, [])
+        assert isinstance(out, np.ndarray) and out.shape == (0,)
+        with pytest.raises(ValueError, match=r"^points must have shape \(m, 2\)$"):
+            gtransform.g_inverse(sd, [[]])
 
     def test_grid_and_scattered_agree(self):
         tp = TypePair(0.3, 0.2)
@@ -554,14 +558,13 @@ class TestFunctionalCalculus:
         tp = TypePair(0.4, 0.25)
         f = packet_plane()
         pts = np.array([[1.8, 3.0], [2.2, 3.5], [2.0, 2.6]])
-        got = gtransform.functional_calculus(tp, Multiplier(lambda y: np.ones_like(y)),
-                                             f, pts)
+        got = gtransform.functional_calculus(tp, lambda y: np.ones_like(y), f, pts)
         want = f(pts[:, 0], pts[:, 1])
         assert np.max(np.abs(got - want)) / np.max(np.abs(want)) < 1e-3
 
     def test_one_point_gives_one_element_array(self):
         out = gtransform.functional_calculus(
-            TypePair(0.4, 0.25), Multiplier(lambda y: np.exp(-y)), packet_plane(),
+            TypePair(0.4, 0.25), lambda y: np.exp(-y), packet_plane(),
             [[1.8, 3.0]], n_max=16)
         assert isinstance(out, np.ndarray) and out.shape == (1,)
 
@@ -576,8 +579,7 @@ class TestFunctionalCalculus:
         s_nodes = np.arange(s0, s0 + 1.0 + 0.5 * h, h)
         pts = np.stack(np.meshgrid(r_nodes, s_nodes, indexing="ij"),
                        axis=-1).reshape(-1, 2)
-        u = gtransform.functional_calculus(tp, Multiplier(lambda y: 1.0 / (1.0 + y)),
-                                           f, pts)
+        u = gtransform.functional_calculus(tp, lambda y: 1.0 / (1.0 + y), f, pts)
         grid = diffop.GridFunction2D(r_nodes, s_nodes,
                                      np.asarray(u).reshape(len(r_nodes),
                                                            len(s_nodes)))
@@ -594,7 +596,7 @@ class TestFunctionalCalculus:
                           np.ones((4, len(rule.nodes))))
         with pytest.raises(OverflowError):
             with np.errstate(over="ignore"):
-                gtransform.apply_multiplier(sd, Multiplier(lambda y: np.exp(8.0 * y)))
+                gtransform.apply_multiplier(sd, lambda y: np.exp(8.0 * y))
 
 
 class TestValidation:

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from scipy.special import gamma
 
 from grushin import gtransform, hankel, laguerre
 from grushin.functions import packet_plane, power_gaussian_profile, smooth_bump
@@ -58,6 +59,48 @@ class TestModifiedForm:
         twice = hankel.hankel_modified_inverse(alpha, np.asarray(once_at_outer),
                                                xs, rule=outer)
         assert np.allclose(twice, np.exp(-xs**2 / 2), atol=1e-8)
+
+
+class TestModifiedFormReach:
+    """A rule from the decay hint stops at the envelope's cut U whatever the
+    weight u^(2a+1), so an order past the hint's reach fails up front."""
+
+    GAUSSIAN = hankel.HalfLineFunction(lambda u: np.exp(-u * u / 2), decay="gaussian")
+    EXPONENTIAL = hankel.HalfLineFunction(lambda u: np.exp(-u), decay="exponential")
+    TAUS = np.array([0.5, 1.0, 2.0])
+
+    @staticmethod
+    def exact(prof, alpha, taus):
+        if prof.decay == "gaussian":  # the fixed point
+            return np.exp(-taus**2 / 2)
+        # int e^-u J_a(tau u) (tau u)^-a u^(2a+1) du (DLMF 10.22.49)
+        return 2.0**(alpha + 1.0) * gamma(alpha + 1.5) \
+            / (np.sqrt(np.pi) * (1.0 + taus**2)**(alpha + 1.5))
+
+    @pytest.mark.parametrize("prof, limit, cut", [
+        (GAUSSIAN, 5.499, "8 by f's gaussian"), (EXPONENTIAL, 1.311, "28 by f's exponential")],
+        ids=["gaussian", "exponential"])
+    def test_order_past_the_reach_is_rejected(self, prof, limit, cut):
+        # at alpha = 30 the gaussian's rule used to overflow and then raise
+        # "weights[0] must be a finite real > 0, got nan"
+        for alpha in (30.0, limit + 1e-3):
+            with pytest.raises(ValueError, match=rf"^alpha must be <= {limit} for a rule cut "
+                                                 rf"at u = {cut} decay hint, got {alpha}"):
+                hankel.hankel_modified(alpha, prof, self.TAUS)
+        # just inside the limit, the error stays below the 1e-8 it is drawn at
+        want = self.exact(prof, limit, self.TAUS)
+        got = hankel.hankel_modified(limit, prof, self.TAUS)
+        assert np.max(np.abs(got - want) / want) < 1e-8
+
+    def test_only_a_rule_from_the_hint_is_checked(self):
+        with pytest.raises(ValueError, match="^alpha must be <= 5.499 "):
+            hankel.hankel_modified(12.0, self.GAUSSIAN, self.TAUS)
+        supported = hankel.HalfLineFunction(self.GAUSSIAN.fn, support=(0.0, 20.0))
+        got = hankel.hankel_modified(12.0, supported, self.TAUS)
+        assert np.max(np.abs(got - self.exact(supported, 12.0, self.TAUS))) < 1e-10
+        rule = hankel.rule_for_function(supported, 2.0, 25.0)
+        assert np.array_equal(hankel.hankel_modified(12.0, self.GAUSSIAN, self.TAUS, rule=rule),
+                              got)
 
 
 class TestLiouvilleForm:

@@ -248,8 +248,9 @@ class TestHeatApply:
     @pytest.mark.parametrize("route", ["kernel", "spectral"])
     def test_no_points_give_an_empty_array(self, route):
         hp = HeatParams(0.5, TypePair(0.3, 0.2))
-        out = heat.heat_apply(hp, bump_plane(), np.empty((0, 2)), route=route, n_max=16)
-        assert isinstance(out, np.ndarray) and out.shape == (0,)
+        for pts in (np.empty((0, 2)), []):  # [] used to raise "points must have shape (m, 2)"
+            out = heat.heat_apply(hp, bump_plane(), pts, route=route, n_max=16)
+            assert isinstance(out, np.ndarray) and out.shape == (0,)
 
     def test_grid_variant_with_no_points_gives_an_empty_array(self):
         hp = HeatParams(0.5, TypePair(0.3, 0.2))

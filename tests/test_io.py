@@ -238,6 +238,41 @@ def test_spectral_file_of_zero_orders_is_rejected(grid, spectral, tmp_path):
         gio.read_spectral(path)
 
 
+# the checks of GridFunction2D and SpectralData used to escape the readers as
+# bare ValueErrors that named no file
+@pytest.mark.parametrize("r, message", [
+    ([0.5, 0.6, 0.8, 0.9, 1.0], "r_nodes must be uniformly spaced"),
+    ([0.5, 1.0, 1.5], "r_nodes must be 1-d with at least 5 nodes"),
+    ([-1.0, 0.0, 1.0, 2.0, 3.0], "r_nodes[0] must be a finite real > 0, got -1.0")],
+    ids=["non-uniform r", "three r nodes", "negative r"])
+def test_grid_node_checks_name_the_file(tmp_path, r, message):
+    path = tmp_path / "g.csv"
+    s = np.linspace(1.0, 2.0, 5)
+    rows = [f"{x},{y:.16e},1.0" for x in r for y in s]
+    path.write_text(f"# alpha=0\n# beta=0\n# nr={len(r)}\n# ns=5\n" + "\n".join(rows) + "\n")
+    with pytest.raises(gio.FileFormatError, match=f"^{re.escape(f'{path}: {message}')}$"):
+        gio.read_grid(path)
+
+
+def _swap_first_taus(spectral, path):
+    taus = spectral.tau_grid.copy()
+    taus[[0, 1]] = taus[[1, 0]]
+    _write_with_field(None, spectral, path, "spectral", "tau_grid",
+                      ",".join(f"{t:.16e}" for t in taus))
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda sd, path: _write_with_field(None, sd, path, "spectral", "alpha", "2e4"),
+     "alpha must be a finite real > -1 and <= 10000, got 20000.0"),
+    (_swap_first_taus, "tau_grid must be strictly increasing")],
+    ids=["alpha past the bound", "tau_grid out of order"])
+def test_spectral_header_checks_name_the_file(spectral, tmp_path, edit, message):
+    path = tmp_path / "sd.csv"
+    edit(spectral, path)
+    with pytest.raises(gio.ParameterError, match=f"^{re.escape(f'{path}: {message}')}$"):
+        gio.read_spectral(path)
+
+
 # ------------------------------------------------------------ reference code
 # The per-row readers and the writers that the shared record reader and writer
 # replaced, kept to pin down their messages and bytes.
