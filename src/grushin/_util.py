@@ -12,8 +12,8 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
-__all__ = ["BLOCK", "column_blocks", "real_value", "count_value", "thread_count",
-           "parallel_map", "pin_numpy_blas"]
+__all__ = ["BLOCK", "column_blocks", "real_value", "span_value", "count_value",
+           "thread_count", "parallel_map", "pin_numpy_blas"]
 
 # doubles per column block of every table (Laguerre, Bessel J, Hankel
 # kernel, diagonal profile): a block's working arrays stay cache-resident
@@ -51,6 +51,14 @@ def real_value(value, name, lower=0.0, closed=False, upper=math.inf):
         raise ValueError(f"{name}[{i}] must be a finite real {op}, "
                          f"got {arr.flat[i]}")
     return arr
+
+
+def span_value(span, name):
+    """The ends (lo, hi) of an interval as floats, after checking that both
+    are finite and 0 <= lo < hi; the message names name[0] or name[1]."""
+    lo, hi = span
+    lo = real_value(lo, f"{name}[0]", closed=True)
+    return lo, real_value(hi, f"{name}[1]", lo)
 
 
 def count_value(value, name, least):

@@ -76,14 +76,20 @@ def _add_flags(parser, flags):
     return parser
 
 
-def _plane_from_grid(path):
-    return grid_plane(gio.read_grid(path)[0])
+def _plane_from_grid(path, tp):
+    """The grid plane of a grid file, whose alpha and beta header must equal tp's."""
+    grid, *header = gio.read_grid(path)
+    for flag, value, written in zip(("alpha", "beta"), (tp.alpha, tp.beta), header):
+        if value != written:
+            raise UsageError(f"--{flag} {value!r} disagrees with {flag}={written!r} "
+                             f"in the header of {path}")
+    return grid_plane(grid)
 
 
 def _cmd_gtransform(args):
-    f = _plane_from_grid(args.input)
-    sd = g_forward(TypePair(args.alpha, args.beta), f, n_max=args.nmax)
-    gio.write_spectral(args.output, sd)
+    tp = TypePair(args.alpha, args.beta)
+    gio.write_spectral(args.output, g_forward(tp, _plane_from_grid(args.input, tp),
+                                              n_max=args.nmax))
     return 0
 
 
@@ -105,9 +111,9 @@ def _cmd_heat_kernel(args):
 
 
 def _cmd_heat_apply(args):
-    f = _plane_from_grid(args.input)
-    pts = gio.read_points(args.points)
     hp = HeatParams(args.t, TypePair(args.alpha, args.beta))
+    f = _plane_from_grid(args.input, hp.tp)
+    pts = gio.read_points(args.points)
     gio.write_points(args.output, pts, heat_apply(hp, f, pts, route=args.route))
     return 0
 

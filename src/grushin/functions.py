@@ -20,7 +20,7 @@ from scipy.interpolate import make_interp_spline
 
 from .diffop import GridFunction2D
 from .gtransform import PlaneFunction
-from .hankel import HalfLineFunction
+from .quadrature import HalfLineFunction
 
 __all__ = [
     "smooth_bump",

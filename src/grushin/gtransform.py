@@ -24,10 +24,10 @@ from typing import Callable, Optional, Tuple
 
 import numpy as np
 
-from ._util import column_blocks, count_value, parallel_map, real_value
-from .hankel import HalfLineFunction, _kernel_apply, _liouville_kernel, rule_for_function
+from ._util import column_blocks, count_value, parallel_map, real_value, span_value
+from .hankel import _kernel_apply, _liouville_kernel
 from .laguerre import _analyze_columns, _synthesize_columns, analysis_rule
-from .quadrature import HalfLineRule, build_finite_rule
+from .quadrature import HalfLineFunction, HalfLineRule, build_finite_rule, rule_for_function
 from .specfun import _laguerre_alpha, _order_value, laguerre_eigenvalue, laguerre_fn_seq
 
 __all__ = [
@@ -68,7 +68,8 @@ class PlaneFunction:
     grid plane of a grid file (functions.grid_plane) accepts only that.
     support is a box ((r_lo, r_hi), (s_lo, s_hi)); profiles, a pair of
     HalfLineFunction with the hints for f in r and in s (not both).  With
-    neither, f is truncated as a unit gaussian in both variables.
+    neither, f is truncated as a unit gaussian in both variables.  Each span
+    of the box has finite ends, 0 <= lo < hi.
     """
 
     fn: Callable[[np.ndarray, np.ndarray], np.ndarray]
@@ -82,6 +83,8 @@ class PlaneFunction:
         if pair is not None and not (isinstance(pair, tuple) and len(pair) == 2
                                      and all(isinstance(p, HalfLineFunction) for p in pair)):
             raise TypeError("profiles must be a pair (r, s) of HalfLineFunction")
+        for axis, span in enumerate(self.support or ()):
+            span_value(span, f"support[{axis}]")
 
     def __call__(self, r, s):
         return self.fn(r, s)

@@ -13,115 +13,23 @@ equals U_a H_a U_a^{-1} with U_a f = u^(a+1/2) f.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import partial
-from typing import Callable, Optional, Tuple
+from typing import Optional
 
 import numpy as np
 from scipy.special import gammaincc
 
 from ._util import column_blocks, parallel_map, real_value
-from .quadrature import (_DECAY_HINTS, _MAX_FINITE_PANELS, _PANEL_PHASE, _PANEL_POINTS,
-                         HalfLineRule, TruncationPolicy, _composite_rule, _envelope_cap,
-                         truncation_point)
+from .quadrature import (HalfLineFunction, HalfLineRule, TruncationPolicy, _sampled_values,
+                         rule_for_function, truncation_point)
 from .specfun import _bessel_j_scaled, _order_value
 
 __all__ = [
-    "HalfLineFunction",
     "hankel_modified",
     "hankel_liouville",
     "hankel_modified_inverse",
     "hankel_liouville_inverse",
-    "profile_rule",
-    "rule_for_function",
 ]
-
-@dataclass(frozen=True)
-class HalfLineFunction:
-    """Evaluable profile on (0, inf) with integration hints.
-
-    fn must accept numpy arrays.  When support is None the decay hint (one of
-    quadrature's _DECAY_HINTS) and rate choose the truncation; both are checked
-    with or without a support.  endpoint_exponent declares the law at the
-    origin: a float gamma > -1 says that f is exactly u^gamma times a smooth
-    function, so a rule from 0 absorbs u^gamma in its first panel and needs
-    no geometric octaves; None declares nothing, and such rules keep their
-    octaves.
-    """
-
-    fn: Callable[[np.ndarray], np.ndarray]
-    support: Optional[Tuple[float, float]] = None
-    decay: str = "gaussian"
-    rate: float = 1.0
-    endpoint_exponent: Optional[float] = None
-
-    def __post_init__(self):
-        if self.decay not in _DECAY_HINTS:
-            raise ValueError(f"unknown decay hint {self.decay!r}")
-        real_value(self.rate, "rate")
-        if self.endpoint_exponent is not None:
-            real_value(self.endpoint_exponent, "endpoint_exponent", -1.0)
-
-    def __call__(self, u):
-        return self.fn(u)
-
-
-def as_half_line_function(f) -> HalfLineFunction:
-    if isinstance(f, HalfLineFunction):
-        return f
-    if callable(f):
-        return HalfLineFunction(f)
-    raise TypeError("expected a callable or HalfLineFunction")
-
-
-def profile_rule(f: HalfLineFunction, width: float, extra_exponent: float = 0.0,
-                 reach: float = np.inf) -> HalfLineRule:
-    """Rule of _PANEL_POINTS Gauss points on panels of width <= width over f's
-    support, else (0, min(cut of f's decay, reach)); from 0 its first panel absorbs
-    the power u^(f.endpoint_exponent + extra_exponent), extra_exponent being the
-    kernel's.  When f declares its endpoint law, a rule from 0 has no geometric
-    octaves, so the caller must pass the kernel's whole power, not only its
-    singular part.  A rule cut by f's decay also narrows the panels of each
-    piece (each octave, or the one even split) to resolve f's envelope at the
-    piece's top, so width may be infinite there."""
-    declared = f.endpoint_exponent is not None
-    if f.support is not None:
-        (lo, hi), cap = f.support, lambda top: width
-    else:
-        policy = TruncationPolicy(decay_hint=f.decay, rate=f.rate)
-        lo, hi = 0.0, min(truncation_point(policy), reach)
-        cap = _envelope_cap(policy, width)
-    real_value(cap(hi), "width")  # NaN, <= 0, or infinite with no envelope to cap it
-    gamma = (f.endpoint_exponent or 0.0) + extra_exponent if lo == 0.0 else 0.0
-    return _composite_rule(lo, hi, cap, _PANEL_POINTS, gamma, _MAX_FINITE_PANELS,
-                           octaves=not declared)
-
-
-def rule_for_function(f: HalfLineFunction, freq: float = 0.0,
-                      extra_exponent: float = 0.0) -> HalfLineRule:
-    """profile_rule's rule for f against a kernel of wavenumber <= freq and power
-    u^extra_exponent at the origin: panels of phase _PANEL_PHASE at freq, and no wider than
-    a 64th of f's support, which declares nothing of f (a grid plane's spline needs it)."""
-    freq = real_value(freq, "freq", closed=True)
-    a, b = f.support or (0.0, np.inf)  # without one, f's envelope narrows the panels
-    width = min(_PANEL_PHASE / freq if freq > 0.0 else np.inf, (b - a) / 64.0)
-    return profile_rule(f, width, extra_exponent)
-
-
-def _sampled_values(f, rule, default_rule):
-    """(values, rule) for f on the nodes of rule: f is either an array
-    already sampled on an explicit rule, or a profile evaluated on rule
-    (default_rule(profile) when rule is None)."""
-    if isinstance(f, np.ndarray):
-        if rule is None:
-            raise ValueError("passing sampled values requires an explicit rule")
-        if f.shape != rule.nodes.shape:
-            raise ValueError("sampled values must match the rule nodes")
-        return f, rule
-    hf = as_half_line_function(f)
-    if rule is None:
-        rule = default_rule(hf)
-    return np.asarray(hf(rule.nodes)), rule
 
 
 def _liouville_kernel(beta, taus, pts):

@@ -30,8 +30,8 @@ import numpy as np
 from ._util import column_blocks, parallel_map, real_value
 from .gtransform import (DEFAULT_N_MAX, TypePair, _points_array, as_plane_function,
                          functional_calculus)
-from .hankel import _kernel_apply, _liouville_kernel, profile_rule
-from .quadrature import _PANEL_PHASE, HalfLineRule, TruncationPolicy, build_rule
+from .hankel import _kernel_apply, _liouville_kernel
+from .quadrature import HalfLineRule, TruncationPolicy, build_rule, panel_width, profile_rule
 from .specfun import _bessel_j_scaled, _order_value, bessel_i_normalized_exp
 
 __all__ = [
@@ -44,7 +44,6 @@ __all__ = [
     "kernel_at_origin",
     "diagonal_profile",
     "mehler_kernel",
-    "kernel_tau_rule",
 ]
 
 _KERNEL_TOL = 1e-10
@@ -217,7 +216,7 @@ def heat_apply(hp: HeatParams, f, points, route: str = "kernel", n_max: int = DE
     # the kernel's u^(a+1/2) and v^(b+1/2) at the origin
     tau_half = 18.0 / _kernel_rate(hp)
     urule = profile_rule(f.axis_profile(0), min(0.3, 3.0 / np.sqrt(tau_half)), hp.alpha + 0.5)
-    vrule = profile_rule(f.axis_profile(1), min(0.15, _PANEL_PHASE / tau_half), hp.beta + 0.5)
+    vrule = profile_rule(f.axis_profile(1), min(0.15, panel_width(tau_half)), hp.beta + 0.5)
     fvals = np.asarray(f(urule.nodes[:, None], vrule.nodes[None, :]))
     return heat_apply_grid(hp, fvals, urule, vrule, pts)
 

@@ -13,6 +13,8 @@ Points file:   rows r,s (finite, > 0).  Outputs: rows r,s,value or x,value.
 
 from __future__ import annotations
 
+from itertools import islice
+
 import numpy as np
 
 from ._util import count_value, real_value
@@ -59,6 +61,8 @@ _GRID = np.dtype([("r", float), ("s", float), ("value", float)])
 _SPECTRAL = np.dtype([("n", np.int64), ("tau_index", np.int64), ("value", float)])
 _POINTS = np.dtype([("r", float), ("s", float)])
 _fmt = "{:.16e}".format
+# the error and message of a row holding NaN or infinity, for _check_rows
+_NONFINITE = (NonFiniteEntryError, lambda k: f"non-finite entry in row {k}")
 
 
 def read_lines(path):
@@ -74,7 +78,7 @@ def split_entry(entry):
 
 
 def _read_records(path):
-    """The header dict, the non-blank body rows and the file line of each."""
+    """The header dict, the non-blank body rows, and line_of(k), the file line of row k."""
     lines = read_lines(path)
     body = next((i for i, ln in enumerate(lines) if not ln.startswith("#")), len(lines))
     header = {}
@@ -84,41 +88,52 @@ def _read_records(path):
             header[key_val[0]] = key_val[1]
         elif line[1:].strip():
             raise HeaderError(f"{path}:{i + 1}: header line without '=': {line!r}")
-    line_nos = [i for i, ln in enumerate(lines[body:], body + 1) if ln.strip()]
-    return header, [lines[i - 1] for i in line_nos], np.array(line_nos, dtype=int)
+
+    def line_of(k):  # counted only for a row that is reported
+        return next(islice((i for i, ln in enumerate(lines[body:], body + 1) if ln.strip()),
+                           k, None))
+
+    return header, [ln for ln in lines[body:] if ln.strip()], line_of
 
 
-def _parse_records(path, rows, line_nos, dtype, nrows):
-    """Parse `nrows` rows into the structured `dtype` with one numpy call; only if
-    that fails, a per-row loop names the first bad row (or parses "1_0" as Python does)."""
+def _parse_records(path, rows, line_of, dtype, nrows):
+    """Parse `nrows` rows into the structured `dtype` with one numpy call; only if that
+    fails, a per-row loop parses them (and "1_0" as Python does) up to the first row of
+    the wrong field count or a non-numeric field.  Returns (the parsed rows, None), or
+    (the rows before that one, its error), which the caller raises after checking them."""
     if len(rows) != nrows:
         raise RowCountError(f"{path}: expected {nrows} rows, found {len(rows)}")
     try:
         return (np.loadtxt(rows, dtype, delimiter=",", comments=None, ndmin=1)
-                if rows else np.empty(0, dtype))
+                if rows else np.empty(0, dtype)), None
     except ValueError:
         pass
     types = [dtype[name].type for name in dtype.names]
     parsed = []
-    for line_no, row in zip(line_nos, rows):
+    for k, row in enumerate(rows):
         parts = row.split(",")
         if len(parts) != len(types):
-            raise FileFormatError(
-                f"{path}:{line_no}: expected {len(types)} fields, found {len(parts)}")
+            return np.array(parsed, dtype), FileFormatError(
+                f"{path}:{line_of(k)}: expected {len(types)} fields, found {len(parts)}")
         try:
             parsed.append(tuple(t(p) for t, p in zip(types, parts)))
         except (ValueError, OverflowError):
-            raise FileFormatError(f"{path}:{line_no}: non-numeric field")
-    return np.array(parsed, dtype)
+            return np.array(parsed, dtype), FileFormatError(
+                f"{path}:{line_of(k)}: non-numeric field")
+    return np.array(parsed, dtype), None
 
 
-def _check_rows(path, line_nos, bad, error=NonFiniteEntryError,
-                message=lambda k: f"non-finite entry in row {k}"):
-    """Raise error(message(k)) citing the file line of the first row k where
-    `bad` holds; by default the error of a row holding NaN or infinity."""
+def _check_rows(path, line_of, checks, error=None):
+    """Raise at the first row where one of `checks`, (bad, error class, message(k))
+    in the order a row is checked, holds: the first such check's error, citing the
+    row's file line.  With no such row, raise `error` if there is one."""
+    bad = np.logical_or.reduce([check[0] for check in checks])
     if np.any(bad):
         k = int(np.argmax(bad))
-        raise error(f"{path}:{line_nos[k]}: {message(k)}")
+        _, cls, message = next(check for check in checks if check[0][k])
+        raise cls(f"{path}:{line_of(k)}: {message(k)}")
+    if error is not None:
+        raise error
 
 
 def _write_records(path, header, columns, formats=None):
@@ -188,17 +203,18 @@ def write_grid(path, grid: GridFunction2D, alpha: float = 0.0,
 
 def read_grid(path):
     """Read a grid file; returns (GridFunction2D, alpha, beta)."""
-    header, rows, line_nos = _read_records(path)
+    header, rows, line_of = _read_records(path)
     alpha, beta = _header_types(header, path)
     nr = _header_int(header, "nr", path)
     ns = _header_int(header, "ns", path)
-    data = _parse_records(path, rows, line_nos, _GRID, nr * ns)
-    _check_rows(path, line_nos, ~np.isfinite(data.view((float, 3))).all(axis=1))
+    data, error = _parse_records(path, rows, line_of, _GRID, nr * ns)
+    _check_rows(path, line_of, [(~np.isfinite(data.view((float, 3))).all(axis=1), *_NONFINITE)],
+                error)
     r_nodes, s_nodes = data["r"][::ns], data["s"][:ns]
     bad = (data["r"] != np.repeat(r_nodes, ns)) | (data["s"] != np.tile(s_nodes, nr))
-    _check_rows(path, line_nos, bad, FileFormatError, lambda k: (
+    _check_rows(path, line_of, [(bad, FileFormatError, lambda k: (
         f"coordinates ({data['r'][k]!r}, {data['s'][k]!r}) are not the r-major grid "
-        f"point ({r_nodes[k // ns]!r}, {s_nodes[k % ns]!r})"))
+        f"point ({r_nodes[k // ns]!r}, {s_nodes[k % ns]!r})"))])
     grid = _checked(path, FileFormatError, GridFunction2D, r_nodes, s_nodes,
                     data["value"].reshape(nr, ns))
     return grid, alpha, beta
@@ -219,7 +235,7 @@ def write_spectral(path, sd: SpectralData) -> None:
 
 
 def read_spectral(path) -> SpectralData:
-    header, rows, line_nos = _read_records(path)
+    header, rows, line_of = _read_records(path)
     alpha, beta = _header_types(header, path)
     n_max = _header_int(header, "n_max", path)
     n_tau = _header_int(header, "n_tau", path)
@@ -227,17 +243,18 @@ def read_spectral(path) -> SpectralData:
     tau_weights = _header_array(header, "tau_weights", path)
     if len(tau_grid) != n_tau or len(tau_weights) != n_tau:
         raise HeaderError(f"{path}: tau grid/weights do not match n_tau={n_tau}")
-    data = _parse_records(path, rows, line_nos, _SPECTRAL, n_max * n_tau)
+    data, error = _parse_records(path, rows, line_of, _SPECTRAL, n_max * n_tau)
     n, idx = data["n"], data["tau_index"]
-    _check_rows(path, line_nos, ~((0 <= n) & (n < n_max) & (0 <= idx) & (idx < n_tau)),
-                FileFormatError, lambda k: f"index ({n[k]}, {idx[k]}) out of range")
     # row on which each row's pair first appears; with the row count right, a
     # repeated pair means another one is missing
     _, first, pair = np.unique(n * n_tau + idx, return_index=True, return_inverse=True)
     first = first[pair]
-    _check_rows(path, line_nos, first < np.arange(len(n)), FileFormatError,
-                lambda k: f"pair ({n[k]}, {idx[k]}) repeats line {line_nos[first[k]]}")
-    _check_rows(path, line_nos, ~np.isfinite(data["value"]))
+    _check_rows(path, line_of, [
+        (~((0 <= n) & (n < n_max) & (0 <= idx) & (idx < n_tau)), FileFormatError,
+         lambda k: f"index ({n[k]}, {idx[k]}) out of range"),
+        (first < np.arange(len(n)), FileFormatError,
+         lambda k: f"pair ({n[k]}, {idx[k]}) repeats line {line_of(first[k])}"),
+        (~np.isfinite(data["value"]), *_NONFINITE)], error)
     values = np.empty((n_max, n_tau))
     values[data["n"], data["tau_index"]] = data["value"]
     return _checked(path, ParameterError, SpectralData, alpha, beta, tau_grid, tau_weights, values)
@@ -245,14 +262,15 @@ def read_spectral(path) -> SpectralData:
 
 def read_points(path):
     """Read r,s rows of points in the open quarter plane; returns an (m, 2) array."""
-    _, rows, line_nos = _read_records(path)
+    _, rows, line_of = _read_records(path)
     if not rows:
         raise RowCountError(f"{path}: no points found")
-    pts = _parse_records(path, rows, line_nos, _POINTS, len(rows)).view((float, 2))
-    for j, name in enumerate(_POINTS.names):
-        _check_rows(path, line_nos, ~(np.isfinite(pts[:, j]) & (pts[:, j] > 0.0)),
-                    FileFormatError,
-                    lambda k: f"coordinate {name}={pts[k, j]} is not finite and > 0")
+    data, error = _parse_records(path, rows, line_of, _POINTS, len(rows))
+    pts = data.view((float, 2))
+    _check_rows(path, line_of, [
+        (~(np.isfinite(pts[:, j]) & (pts[:, j] > 0.0)), FileFormatError,
+         lambda k, j=j: f"coordinate {_POINTS.names[j]}={pts[k, j]} is not finite and > 0")
+        for j in range(2)], error)
     return pts
 
 

@@ -19,8 +19,7 @@ import numpy as np
 from scipy.special import gammaln
 
 from ._util import column_blocks, count_value, parallel_map, real_value
-from .hankel import HalfLineFunction, _sampled_values, profile_rule
-from .quadrature import _PANEL_PHASE, HalfLineRule
+from .quadrature import HalfLineFunction, HalfLineRule, _sampled_values, panel_width, profile_rule
 from .specfun import (_laguerre_alpha, _laguerre_steps, _order_value, laguerre_eigenvalue,
                       laguerre_fn_seq)
 
@@ -56,17 +55,17 @@ class LaguerreCoeffs:
 
 def analysis_rule(alpha, taus, f: HalfLineFunction, n_max) -> HalfLineRule:
     """r-rule for f and every l_{n,tau}^a, n < n_max, tau in taus = (tau_lo, tau_hi):
-    quadrature's panel law, a panel of phase _PANEL_PHASE at the top wavenumber
+    quadrature's panel law, panels of panel_width at the top wavenumber
     sqrt(lam_N tau_hi), out to f's cut or the turning point sqrt(lam_N/tau_lo) + 6.
     The first panel absorbs the basis's r^(a+1/2) in full, so a profile that
-    declares its endpoint law gets no octaves toward 0 (hankel.profile_rule)."""
+    declares its endpoint law gets no octaves toward 0 (quadrature.profile_rule)."""
     alpha = _laguerre_alpha(alpha)
     lam = laguerre_eigenvalue(alpha, count_value(n_max, "n_max", 1) - 1)
     tau_lo, tau_hi = taus
     tau_lo = real_value(tau_lo, "tau_lo")
     tau_hi = real_value(tau_hi, "tau_hi", tau_lo, closed=True)
     reach = np.ceil(np.sqrt(lam / tau_lo) + 6.0)
-    return profile_rule(f, _PANEL_PHASE / np.sqrt(lam * tau_hi), alpha + 0.5, reach=reach)
+    return profile_rule(f, panel_width(np.sqrt(lam * tau_hi)), alpha + 0.5, reach=reach)
 
 
 def _laguerre_blocks(x, per_block) -> np.ndarray:

@@ -12,21 +12,21 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Optional, Tuple
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 from scipy.special import roots_jacobi
 
-from ._util import count_value, real_value
+from ._util import count_value, real_value, span_value
 
 __all__ = [
     "TruncationPolicy",
     "HalfLineRule",
+    "HalfLineFunction",
     "QuadratureError",
     "build_rule",
     "build_finite_rule",
-    "truncation_point",
     "integrate",
 ]
 
@@ -48,6 +48,12 @@ _DECAY_HINTS = ("gaussian", "exponential")
 
 class QuadratureError(RuntimeError):
     """Rule construction or evaluation failed."""
+
+
+def panel_width(freq) -> float:
+    """Width of a panel of the panel law at wavenumber freq: phase _PANEL_PHASE,
+    unbounded at freq 0."""
+    return _PANEL_PHASE / freq if freq > 0.0 else np.inf
 
 
 @dataclass(frozen=True)
@@ -100,6 +106,37 @@ class HalfLineRule:
 
     def __len__(self):
         return len(self.nodes)
+
+
+@dataclass(frozen=True)
+class HalfLineFunction:
+    """Evaluable profile on (0, inf) with integration hints.
+
+    fn must accept numpy arrays.  support, if given, is a box (lo, hi) with
+    finite ends, 0 <= lo < hi, out of which f vanishes; when it is None the
+    decay hint (one of _DECAY_HINTS) and rate choose the truncation; both are
+    checked with or without a support.  endpoint_exponent declares the law at
+    the origin: a float gamma > -1 says that f is exactly u^gamma times a
+    smooth function, so a rule from 0 absorbs u^gamma in its first panel and
+    needs no geometric octaves; None declares nothing, and such rules keep
+    their octaves.
+    """
+
+    fn: Callable[[np.ndarray], np.ndarray]
+    support: Optional[Tuple[float, float]] = None
+    decay: str = "gaussian"
+    rate: float = 1.0
+    endpoint_exponent: Optional[float] = None
+
+    def __post_init__(self):
+        TruncationPolicy(decay_hint=self.decay, rate=self.rate)  # checks the hint and rate
+        if self.support is not None:
+            span_value(self.support, "support")
+        if self.endpoint_exponent is not None:
+            real_value(self.endpoint_exponent, "endpoint_exponent", -1.0)
+
+    def __call__(self, u):
+        return self.fn(u)
 
 
 def truncation_point(policy: TruncationPolicy) -> float:
@@ -180,8 +217,8 @@ def build_rule(policy: TruncationPolicy) -> HalfLineRule:
     """Composite Gauss-Legendre rule on (0, U) honoring a truncation policy:
     _PANEL_POINTS points on panels of phase _PANEL_PHASE at the wavenumber
     bound, if any, narrowed to resolve the decay envelope."""
-    width = _PANEL_PHASE / policy.freq_bound if policy.freq_bound > 0.0 else np.inf
-    return _composite_rule(0.0, truncation_point(policy), _envelope_cap(policy, width),
+    return _composite_rule(0.0, truncation_point(policy),
+                           _envelope_cap(policy, panel_width(policy.freq_bound)),
                            _PANEL_POINTS, policy.endpoint_exponent, policy.max_panels, policy)
 
 
@@ -194,6 +231,58 @@ def build_finite_rule(a: float, b: float, max_width: float,
     max_width = real_value(max_width, "max_width")
     return _composite_rule(a, b, lambda top: max_width, points_per_panel,
                            endpoint_exponent, _MAX_FINITE_PANELS)
+
+
+def profile_rule(f: HalfLineFunction, width: float, extra_exponent: float = 0.0,
+                 reach: float = np.inf) -> HalfLineRule:
+    """Rule of _PANEL_POINTS Gauss points on panels of width <= width over f's
+    support, else (0, min(cut of f's decay, reach)); from 0 its first panel absorbs
+    the power u^(f.endpoint_exponent + extra_exponent), extra_exponent being the
+    kernel's.  When f declares its endpoint law, a rule from 0 has no geometric
+    octaves, so the caller must pass the kernel's whole power, not only its
+    singular part.  A rule cut by f's decay also narrows the panels of each
+    piece (each octave, or the one even split) to resolve f's envelope at the
+    piece's top, so width may be infinite there."""
+    declared = f.endpoint_exponent is not None
+    if f.support is not None:
+        (lo, hi), cap = f.support, lambda top: width
+    else:
+        policy = TruncationPolicy(decay_hint=f.decay, rate=f.rate)
+        lo, hi = 0.0, min(truncation_point(policy), reach)
+        cap = _envelope_cap(policy, width)
+    real_value(cap(hi), "width")  # NaN, <= 0, or infinite with no envelope to cap it
+    gamma = (f.endpoint_exponent or 0.0) + extra_exponent if lo == 0.0 else 0.0
+    return _composite_rule(lo, hi, cap, _PANEL_POINTS, gamma, _MAX_FINITE_PANELS,
+                           octaves=not declared)
+
+
+def rule_for_function(f: HalfLineFunction, freq: float = 0.0,
+                      extra_exponent: float = 0.0) -> HalfLineRule:
+    """profile_rule's rule for f against a kernel of wavenumber <= freq and power
+    u^extra_exponent at the origin: panels of panel_width(freq), and no wider than
+    a 64th of f's support, which declares nothing of f (a grid plane's spline needs it)."""
+    freq = real_value(freq, "freq", closed=True)
+    a, b = f.support or (0.0, np.inf)  # without one, f's envelope narrows the panels
+    return profile_rule(f, min(panel_width(freq), (b - a) / 64.0), extra_exponent)
+
+
+def _sampled_values(f, rule, default_rule):
+    """(values, rule) for f on the nodes of rule: f is either an array already
+    sampled on an explicit rule, or a profile (a bare callable declares nothing)
+    evaluated on rule (default_rule(profile) when rule is None)."""
+    if isinstance(f, np.ndarray):
+        if rule is None:
+            raise ValueError("passing sampled values requires an explicit rule")
+        if f.shape != rule.nodes.shape:
+            raise ValueError("sampled values must match the rule nodes")
+        return f, rule
+    if not isinstance(f, HalfLineFunction):
+        if not callable(f):
+            raise TypeError("expected a callable or HalfLineFunction")
+        f = HalfLineFunction(f)
+    if rule is None:
+        rule = default_rule(f)
+    return np.asarray(f(rule.nodes)), rule
 
 
 def integrate(f: Callable[[np.ndarray], np.ndarray] | np.ndarray,

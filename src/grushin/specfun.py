@@ -32,7 +32,6 @@ __all__ = [
     "LaguerreIndex",
     "log_gamma",
     "bessel_j",
-    "bessel_j_table",
     "bessel_i",
     "bessel_j_normalized",
     "bessel_i_normalized",

@@ -81,6 +81,14 @@ REAL_SITES = [
     ("HalfLineFunction.rate",
      lambda v: hankel.HalfLineFunction(np.exp, support=(0.0, 1.0), rate=v), "rate", ">", "0",
      -1.0),
+    ("HalfLineFunction.support lo",
+     lambda v: quadrature.HalfLineFunction(np.exp, support=(v, 2.0)), "support", ">=", "0",
+     -1.0),
+    ("HalfLineFunction.support hi",
+     lambda v: quadrature.HalfLineFunction(np.exp, support=(3.0, v)), "support", ">", "3", 1.0),
+    ("PlaneFunction.support",
+     lambda v: gtransform.PlaneFunction(np.add, support=((3.0, v), (1.0, 2.0))),
+     r"support\[0\]", ">", "3", 1.0),
     ("HalfLineRule.upper_cut",
      lambda v: quadrature.HalfLineRule([0.5, 1.0], [1.0, 1.0], v), "upper_cut", ">=", "1", 0.9),
     ("default_tau_rule", lambda v: gtransform.default_tau_rule(upper=v), "upper", ">", "0", 0.0),

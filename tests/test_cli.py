@@ -381,6 +381,22 @@ def test_missing_required_flags_are_named(capsys):
         "error: heat-apply: missing required flag(s): --beta, --input, --points, --output\n")
 
 
+@pytest.mark.parametrize("command, extra", [
+    ("gtransform", []),
+    ("heat-apply", ["--t", "0.5", "--points", "pts.csv"])])
+def test_type_pair_must_match_the_grid_header(tmp_path, capsys, monkeypatch, packet_grid_file,
+                                             command, extra):
+    # the file was written at (0.4, 0.25); a transform at another alpha used to exit 0
+    monkeypatch.chdir(tmp_path)
+    fpath, _ = packet_grid_file
+    (tmp_path / "pts.csv").write_text("2.0,3.0\n")
+    code = main([command, "--alpha", "0.3", "--beta", "0.25", "--input", str(fpath),
+                 "--output", "out.csv"] + extra)
+    assert code == 2 and not (tmp_path / "out.csv").exists()
+    assert capsys.readouterr().err == (
+        f"error: --alpha 0.3 disagrees with alpha=0.4 in the header of {fpath}\n")
+
+
 def _set_first_entry(path, field, token):
     lines = path.read_text().splitlines()
     prefix = f"# {field}="

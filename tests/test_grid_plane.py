@@ -29,7 +29,7 @@ def forward_samples(packet_grid, tmp_path_factory):
     at which g_forward samples it."""
     path = tmp_path_factory.mktemp("grid") / "f.csv"
     gio.write_grid(path, packet_grid, alpha=0.4, beta=0.25)
-    f = _plane_from_grid(path)
+    f = _plane_from_grid(path, TypePair(0.4, 0.25))
     seen = []
     recorder = PlaneFunction(fn=lambda r, s: seen.append((r, s)) or f(r, s),
                              support=f.support)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.special import gamma
 
-from grushin import gtransform, hankel, laguerre
+from grushin import gtransform, hankel, laguerre, quadrature
 from grushin.functions import packet_plane, power_gaussian_profile, smooth_bump
 from grushin.gtransform import PlaneFunction, TypePair, default_tau_rule
 from grushin.quadrature import (_MAX_FINITE_PANELS, TruncationPolicy, _composite_rule,
@@ -202,7 +202,7 @@ def test_profile_rule_forwards_points_per_panel(support):
     if support is not None:
         prof = hankel.HalfLineFunction(prof.fn, support=support)
     # profile_rule forwards quadrature's _PANEL_POINTS = 16 to every panel
-    rule = hankel.profile_rule(prof, 0.4, 0.8)
+    rule = quadrature.profile_rule(prof, 0.4, 0.8)
     lo, hi = support or (0.0, rule.upper_cut)
     if support is None:  # the declared law from 0: even panels, no octaves
         want = _composite_rule(lo, hi, lambda top: 0.4, 16, 1.6, _MAX_FINITE_PANELS,
@@ -261,14 +261,14 @@ class TestUndeclaredRulesKeepTheirOctaves:
         assert np.array_equal(hankel.hankel_modified(beta, self.fn, taus),
                               hankel.hankel_modified(beta, self.fn, taus, rule=want))
 
-    def test_as_half_line_function(self):
-        hf = hankel.as_half_line_function(self.fn)
+    def test_bare_profile(self):
+        hf = hankel.HalfLineFunction(self.fn)
         assert hf.endpoint_exponent is None
         rule = hankel.rule_for_function(hf, freq=12.0, extra_exponent=0.75)
         assert len(rule) == 512
         assert self.same(rule, build_rule(TruncationPolicy(freq_bound=12.0,
                                                            endpoint_exponent=0.75)))
-        width = laguerre._PANEL_PHASE / np.sqrt(laguerre_eigenvalue(0.5, 95) * 12.0)
+        width = quadrature._PANEL_PHASE / np.sqrt(laguerre_eigenvalue(0.5, 95) * 12.0)
         rule = laguerre.analysis_rule(0.5, (1e-3, 12.0), hf, 96)
         assert len(rule) == 848
         assert self.same(rule, build_finite_rule(0.0, 8.0, width, 16, endpoint_exponent=1.0))
@@ -279,7 +279,7 @@ class TestUndeclaredRulesKeepTheirOctaves:
         tau_rule = default_tau_rule()
         tg = tau_rule.nodes
         _, rw, _, s_rule, _ = gtransform._plane_setup(TypePair(0.5, beta), f, 96, tau_rule)
-        r_rule = build_finite_rule(0.0, 8.0, laguerre._PANEL_PHASE
+        r_rule = build_finite_rule(0.0, 8.0, quadrature._PANEL_PHASE
                                    / np.sqrt(laguerre_eigenvalue(0.5, 95) * tg[-1]),
                                    16, endpoint_exponent=1.0)
         assert np.array_equal(rw, r_rule.weights)
@@ -291,7 +291,7 @@ class TestUndeclaredRulesKeepTheirOctaves:
         hf = hankel.HalfLineFunction(self.fn, support=support)
         lo, hi = support
         gamma = 1.1 if lo == 0.0 else 0.0
-        assert self.same(hankel.profile_rule(hf, 0.07, 1.1),
+        assert self.same(quadrature.profile_rule(hf, 0.07, 1.1),
                          build_finite_rule(lo, hi, 0.07, 16, endpoint_exponent=gamma))
         # a 64th of the support caps the panels at freq 3; at freq 1000 the
         # phase 5 pi/1000 does

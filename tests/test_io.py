@@ -480,6 +480,8 @@ GRID_EDITS = {
         _set_field(lines, 34, 0, "9.0"), _set_field(lines, 34, 1, "7.0")),
     "underscore digits": lambda lines: _set_field(lines, 12, 2, "1_0"),
     "type parameter": lambda lines: lines.__setitem__(0, "# alpha=-2"),
+    "inf before a non-numeric field": lambda lines: (
+        _set_field(lines, 11, 2, "inf"), _set_field(lines, 30, 2, "abc")),
 }
 
 
@@ -514,6 +516,8 @@ SPECTRAL_EDITS = {
     "two fields": lambda lines: lines.__setitem__(20, "0,1"),
     "shuffled rows": lambda lines: lines.__setitem__(
         slice(6, None), lines[:5:-1]),
+    "nan before n out of range": lambda lines: (
+        _set_field(lines, 8, 2, "nan"), _set_field(lines, 12, 0, "6")),
 }
 
 
@@ -566,6 +570,13 @@ class TestPointsFiles:
         path = tmp_path / "pts.csv"
         path.write_text(f"1.0,2.0\n\n{row}\n4.0,5.0\n")
         with pytest.raises(error, match=f"^{path}:3: .*{named}"):
+            gio.read_points(path)
+
+    def test_first_bad_row_is_reported(self, tmp_path):
+        # line 2's s is checked before line 3's r
+        path = tmp_path / "pts.csv"
+        path.write_text("1.0,2.0\n1.0,-2.0\nnan,5.0\n")
+        with pytest.raises(gio.FileFormatError, match=f"^{path}:2: coordinate s=-2.0 "):
             gio.read_points(path)
 
     def test_free_form_leading_comment_is_a_header_error(self, tmp_path):

@@ -103,8 +103,10 @@ class TestSynthesize:
 
 
 class TestMatchesPerOrderLoop:
-    """Analysis and synthesis run on the blocked table path; their values are
-    those of a plain loop over the recurrence, bit for bit."""
+    """Analysis is a per-order loop over laguerre_fn_seq (the benchmark's trace
+    hook counts its orders there) and synthesis runs on the blocked table
+    path; the values of both are those of a plain loop over the recurrence,
+    bit for bit."""
 
     def test_analyze(self):
         alpha, tau = 0.4, 2.7

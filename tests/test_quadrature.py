@@ -241,8 +241,9 @@ def test_r_rule_turning_point_cap():
 
 
 def test_only_quadrature_and_hankel_bind_truncation_point():
-    # every profile's finite rule comes from hankel.profile_rule, so no
-    # other module truncates a profile on its own
+    # every profile's finite rule comes from quadrature.profile_rule, so no
+    # other module truncates a profile on its own (hankel's reach check of
+    # the modified form reads the cut, but builds no rule from it)
     import importlib
     import pkgutil
 
@@ -258,8 +259,8 @@ def test_only_quadrature_and_hankel_bind_truncation_point():
 
 
 def test_only_quadrature_and_heat_bind_build_rule():
-    # every profile's rule comes from hankel.profile_rule; build_rule is left
-    # to the policy-driven tau rules of heat
+    # every profile's rule comes from quadrature.profile_rule; build_rule is
+    # left to the policy-driven tau rules of heat
     import importlib
     import pkgutil
 
@@ -333,7 +334,7 @@ def test_only_quadrature_defines_the_panel_law():
     import pkgutil
 
     import grushin
-    from grushin.hankel import profile_rule
+    from grushin.quadrature import profile_rule
     owners = []
     for info in pkgutil.iter_modules(grushin.__path__):
         tree = ast.parse(inspect.getsource(importlib.import_module(f"grushin.{info.name}")))
@@ -343,6 +344,37 @@ def test_only_quadrature_defines_the_panel_law():
     assert owners == ["quadrature", "quadrature"]
     for fn in (build_rule, profile_rule):
         assert "points_per_panel" not in inspect.signature(fn).parameters
+
+
+def test_quadrature_owns_the_rule_builders():
+    # the panel law, the envelope cap, the composite rule, the finite panel cap and
+    # the decay hints are read in quadrature alone; laguerre and functions take
+    # profiles and their rules from it, not through hankel; and the package's API
+    # is written once, as the __all__ of the modules it re-exports
+    import ast
+    import importlib
+    import inspect
+    import pkgutil
+    import types
+
+    import grushin
+    private = {"_composite_rule", "_envelope_cap", "_PANEL_PHASE", "_PANEL_POINTS",
+               "_MAX_FINITE_PANELS", "_DECAY_HINTS"}
+    readers, imported = set(), {}
+    for info in pkgutil.iter_modules(grushin.__path__):
+        tree = ast.parse(inspect.getsource(importlib.import_module(f"grushin.{info.name}")))
+        nodes = list(ast.walk(tree))
+        if private & {getattr(n, key, None) for n in nodes for key in ("id", "attr", "name")}:
+            readers.add(info.name)
+        imported[info.name] = {n.module or a.name for n in nodes
+                               if isinstance(n, ast.ImportFrom) for a in n.names}
+    assert readers == {"quadrature"}
+    assert "hankel" not in imported["laguerre"] | imported["functions"]
+    modules = ("specfun", "quadrature", "hankel", "laguerre", "gtransform", "heat", "diffop")
+    api = set().union(*(importlib.import_module(f"grushin.{m}").__all__ for m in modules))
+    public = {name for name, value in vars(grushin).items()
+              if not name.startswith("_") and not isinstance(value, types.ModuleType)}
+    assert public == api and len(api) == 52
 
 
 def test_only_quadrature_binds_the_gauss_node_generators():
