@@ -20,7 +20,7 @@ from scipy.interpolate import make_interp_spline
 
 from .diffop import GridFunction2D
 from .gtransform import PlaneFunction
-from .quadrature import HalfLineFunction
+from .quadrature import HalfLineFunction, panel_width
 
 __all__ = [
     "smooth_bump",
@@ -72,30 +72,28 @@ def power_gaussian(alpha: float, beta: float) -> PlaneFunction:
         profiles=(power_gaussian_profile(a), power_gaussian_profile(b)))
 
 
-def _boxed(fr, fs, r_span, s_span) -> PlaneFunction:
-    return PlaneFunction(fn=lambda r, s: fr(r) * fs(s),
-                         support=(tuple(r_span), tuple(s_span)))
-
-
 def packet_plane(r_center=2.0, r_width=0.6, r_freq=3.0,
                  s_center=3.2, s_width=0.9, s_freq=5.5,
                  window: float = 5.5) -> PlaneFunction:
-    """Product of wave packets on the box center +- window*width, clamped at 1e-8: it cuts
-    the windows at exp(-window^2), 7.3e-14, above the centers, but the defaults' box is
-    clamped in both variables, where the windows are still 1.5e-5 in r and 3.2e-6 in s."""
-    fr = wave_packet(r_center, r_width, r_freq)
-    fs = wave_packet(s_center, s_width, s_freq)
-    r_span = (max(r_center - window * r_width, 1e-8), r_center + window * r_width)
-    s_span = (max(s_center - window * s_width, 1e-8), s_center + window * s_width)
-    return _boxed(fr, fs, r_span, s_span)
+    """Product of wave packets, each declared as a profile on (0, center + window*width),
+    smooth at the origin (endpoint_exponent 0), resolved on panels no wider than the
+    panel law's 5 pi/freq or the width: the box cuts the windows at exp(-window^2),
+    7.3e-14, above the centers and nothing below them."""
+    def profile(center, width, freq):
+        return HalfLineFunction(wave_packet(center, width, freq), (0.0, center + window * width),
+                                endpoint_exponent=0.0, width=min(panel_width(freq), width))
+
+    fr, fs = profile(r_center, r_width, r_freq), profile(s_center, s_width, s_freq)
+    return PlaneFunction(fn=lambda r, s: fr(r) * fs(s), profiles=(fr, fs))
 
 
 def bump_plane(r_center=1.8, r_width=1.0, s_center=2.2, s_width=1.2) -> PlaneFunction:
     """Product of compactly supported smooth bumps."""
     fr = smooth_bump(r_center, r_width)
     fs = smooth_bump(s_center, s_width)
-    return _boxed(fr, fs, (r_center - r_width, r_center + r_width),
-                  (s_center - s_width, s_center + s_width))
+    return PlaneFunction(fn=lambda r, s: fr(r) * fs(s),
+                         support=((r_center - r_width, r_center + r_width),
+                                  (s_center - s_width, s_center + s_width)))
 
 
 def grid_plane(grid: GridFunction2D, support=None) -> PlaneFunction:

@@ -119,7 +119,8 @@ class HalfLineFunction:
     the origin: a float gamma > -1 says that f is exactly u^gamma times a
     smooth function, so a rule from 0 absorbs u^gamma in its first panel and
     needs no geometric octaves; None declares nothing, and such rules keep
-    their octaves.
+    their octaves.  width declares the widest panel on which _PANEL_POINTS Gauss
+    points resolve f alone; None declares nothing (see _undeclared_cap).
     """
 
     fn: Callable[[np.ndarray], np.ndarray]
@@ -127,6 +128,7 @@ class HalfLineFunction:
     decay: str = "gaussian"
     rate: float = 1.0
     endpoint_exponent: Optional[float] = None
+    width: Optional[float] = None
 
     def __post_init__(self):
         TruncationPolicy(decay_hint=self.decay, rate=self.rate)  # checks the hint and rate
@@ -134,6 +136,8 @@ class HalfLineFunction:
             span_value(self.support, "support")
         if self.endpoint_exponent is not None:
             real_value(self.endpoint_exponent, "endpoint_exponent", -1.0)
+        if self.width is not None:
+            real_value(self.width, "width")
 
     def __call__(self, u):
         return self.fn(u)
@@ -235,15 +239,16 @@ def build_finite_rule(a: float, b: float, max_width: float,
 
 def profile_rule(f: HalfLineFunction, width: float, extra_exponent: float = 0.0,
                  reach: float = np.inf) -> HalfLineRule:
-    """Rule of _PANEL_POINTS Gauss points on panels of width <= width over f's
-    support, else (0, min(cut of f's decay, reach)); from 0 its first panel absorbs
-    the power u^(f.endpoint_exponent + extra_exponent), extra_exponent being the
+    """Rule of _PANEL_POINTS Gauss points on panels no wider than width or f.width
+    over f's support, else (0, min(cut of f's decay, reach)); from 0 its first panel
+    absorbs u^(f.endpoint_exponent + extra_exponent), extra_exponent being the
     kernel's.  When f declares its endpoint law, a rule from 0 has no geometric
     octaves, so the caller must pass the kernel's whole power, not only its
     singular part.  A rule cut by f's decay also narrows the panels of each
     piece (each octave, or the one even split) to resolve f's envelope at the
     piece's top, so width may be infinite there."""
     declared = f.endpoint_exponent is not None
+    width = width if f.width is None else min(width, f.width)
     if f.support is not None:
         (lo, hi), cap = f.support, lambda top: width
     else:
@@ -256,14 +261,24 @@ def profile_rule(f: HalfLineFunction, width: float, extra_exponent: float = 0.0,
                            octaves=not declared)
 
 
+def _undeclared_cap(f: HalfLineFunction, width, heat_axis=None):
+    """width, capped where f declares no width by the stand-ins for what f needs (a grid
+    plane's spline, the smooth bump): a 64th of f's support against a Hankel kernel, 0.3
+    in u and 0.15 in v against the heat kernel (heat_axis 0, 1); the one place they live."""
+    if f.width is not None:
+        return width
+    if heat_axis is not None:
+        return min((0.3, 0.15)[heat_axis], width)
+    a, b = f.support or (0.0, np.inf)  # without one, f's envelope narrows the panels
+    return min(width, (b - a) / 64.0)
+
+
 def rule_for_function(f: HalfLineFunction, freq: float = 0.0,
                       extra_exponent: float = 0.0) -> HalfLineRule:
     """profile_rule's rule for f against a kernel of wavenumber <= freq and power
-    u^extra_exponent at the origin: panels of panel_width(freq), and no wider than
-    a 64th of f's support, which declares nothing of f (a grid plane's spline needs it)."""
+    u^extra_exponent at the origin: panels of panel_width(freq), capped by f's width."""
     freq = real_value(freq, "freq", closed=True)
-    a, b = f.support or (0.0, np.inf)  # without one, f's envelope narrows the panels
-    return profile_rule(f, min(panel_width(freq), (b - a) / 64.0), extra_exponent)
+    return profile_rule(f, _undeclared_cap(f, panel_width(freq)), extra_exponent)
 
 
 def _sampled_values(f, rule, default_rule):

@@ -247,7 +247,7 @@ def check_round_trips():
     for spec_kw in ROUND_TRIP_PACKETS:
         f = packet_plane(**spec_kw)
         sd = gtransform.g_forward(tp, f, n_max=96)
-        (r_lo, r_hi), (s_lo, s_hi) = f.support
+        (r_lo, r_hi), (s_lo, s_hi) = f.axis_profile(0).support, f.axis_profile(1).support
         rr = quadrature.build_finite_rule(r_lo, r_hi, 0.4)
         ss = quadrature.build_finite_rule(s_lo, s_hi, 0.4)
         rec = gtransform.g_inverse_grid(sd, rr.nodes, ss.nodes)
@@ -414,7 +414,7 @@ def check_semigroup():
     direct = np.asarray(heat.heat_apply(hp12, f, pts, route="kernel"))
     w = (rr.weights[:, None] * ss.weights[None, :]).ravel()
     # normalized by ||f||, matching the operator-identity statement
-    (r_lo, r_hi), (s_lo, s_hi) = f.support
+    (r_lo, r_hi), (s_lo, s_hi) = f.axis_profile(0).support, f.axis_profile(1).support
     urule = quadrature.build_finite_rule(r_lo, r_hi, 0.05)
     vrule = quadrature.build_finite_rule(s_lo, s_hi, 0.05)
     norm_f = np.sqrt(np.sum(urule.weights[:, None] * vrule.weights[None, :]

@@ -81,6 +81,10 @@ REAL_SITES = [
     ("HalfLineFunction.rate",
      lambda v: hankel.HalfLineFunction(np.exp, support=(0.0, 1.0), rate=v), "rate", ">", "0",
      -1.0),
+    ("HalfLineFunction.width", lambda v: quadrature.HalfLineFunction(np.exp, width=v),
+     "width", ">", "0", 0.0),
+    ("HalfLineFunction.width -inf", lambda v: quadrature.HalfLineFunction(np.exp, width=v),
+     "width", ">", "0", -np.inf),
     ("HalfLineFunction.support lo",
      lambda v: quadrature.HalfLineFunction(np.exp, support=(v, 2.0)), "support", ">=", "0",
      -1.0),

@@ -98,7 +98,7 @@ def test_plancherel_near_boundary_orders():
     f = packet_plane()
     sd = gtransform.g_forward(tp, f, n_max=96)
     got = gtransform.plancherel_norm(sd) ** 2
-    (r_lo, r_hi), (s_lo, s_hi) = f.support
+    (r_lo, r_hi), (s_lo, s_hi) = f.axis_profile(0).support, f.axis_profile(1).support
     rr = build_finite_rule(r_lo, r_hi, 0.02)
     ss = build_finite_rule(s_lo, s_hi, 0.02)
     want = np.sum(rr.weights[:, None] * ss.weights[None, :]
@@ -499,10 +499,10 @@ class TestComplexValues:
             env = base(r, s)
             return env * np.exp(1j * 0.7 * (r + 0.0 * s))
 
-        f = PlaneFunction(fn=fn, support=base.support)
+        f = PlaneFunction(fn=fn, profiles=base.profiles)
         sd = gtransform.g_forward(tp, f, n_max=96)
         assert np.iscomplexobj(sd.values)
-        (r_lo, r_hi), (s_lo, s_hi) = f.support
+        (r_lo, r_hi), (s_lo, s_hi) = f.axis_profile(0).support, f.axis_profile(1).support
         rr = build_finite_rule(r_lo, r_hi, 0.02)
         ss = build_finite_rule(s_lo, s_hi, 0.02)
         w = rr.weights[:, None] * ss.weights[None, :]
@@ -522,7 +522,7 @@ class TestRefinementMonitoring:
         # n_max must visibly reduce the round-trip defect
         tp = TypePair(0.4, 0.25)
         f = packet_plane()
-        (r_lo, r_hi), (s_lo, s_hi) = f.support
+        (r_lo, r_hi), (s_lo, s_hi) = f.axis_profile(0).support, f.axis_profile(1).support
         rr = build_finite_rule(r_lo, r_hi, 0.4)
         ss = build_finite_rule(s_lo, s_hi, 0.4)
         want = f(rr.nodes[:, None], ss.nodes[None, :])

@@ -285,6 +285,102 @@ def test_kernel_route_absorbs_the_endpoint_exponents():
     assert np.max(np.abs(kern - spec)) / np.max(np.abs(spec)) < 1e-6
 
 
+def _recorded_rules(monkeypatch):
+    """The u and v rules of heat_apply's kernel route and the r and s rules of
+    g_forward, recorded as they are built."""
+    from grushin import gtransform
+    rules = {}
+
+    def recording(key, build):
+        def call(*args, **kwargs):
+            rules[key] = build(*args, **kwargs)
+            return rules[key]
+        return call
+
+    route = heat._kernel_route
+
+    def recording_route(hp, fvals, urule, vrule, pts, trule):
+        rules["u"], rules["v"] = urule, vrule
+        return route(hp, fvals, urule, vrule, pts, trule)
+
+    monkeypatch.setattr(heat, "_kernel_route", recording_route)
+    monkeypatch.setattr(gtransform, "analysis_rule", recording("r", gtransform.analysis_rule))
+    monkeypatch.setattr(gtransform, "rule_for_function",
+                        recording("s", gtransform.rule_for_function))
+    return rules
+
+
+def _heat_workload_points(seed):
+    # the heat workload's points: 16 r on (1, 3) x 16 s on (1.8, 4.6), each
+    # lattice shifted by one seeded offset within a cell
+    rng = np.random.default_rng([seed, 3])
+    r = 1.0 + 2.0 * (np.arange(16) + rng.uniform()) / 16
+    s = 1.8 + 2.8 * (np.arange(16) + rng.uniform()) / 16
+    return np.stack(np.meshgrid(r, s, indexing="ij"), axis=-1).reshape(-1, 2)
+
+
+class TestDeclaredWidths:
+    """The packet plane declares its panel widths, so the kernel route takes the
+    panel law's rules on it; profiles that declare nothing keep the caps."""
+
+    def test_packet_route_matches_its_refined_rule(self):
+        # the packet's u^(a+1/2) and v^(b+1/2) are absorbed from 0, so the
+        # panel law's rules land on the refined rule (widths 0.05 and 0.025).
+        # Tolerance fixed before the code: 1e-12 of the largest value
+        from grushin.functions import packet_plane
+        hp, f = HeatParams(0.5, TypePair(0.4, 0.25)), packet_plane()
+        pts = _heat_workload_points(1)
+        got = heat.heat_apply(hp, f, pts, route="kernel")
+        urule = quadrature.profile_rule(f.axis_profile(0), 0.05, hp.alpha + 0.5)
+        vrule = quadrature.profile_rule(f.axis_profile(1), 0.025, hp.beta + 0.5)
+        want = heat.heat_apply_grid(hp, f(urule.nodes[:, None], vrule.nodes[None, :]),
+                                    urule, vrule, pts)
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+    def test_packet_node_counts(self, monkeypatch):
+        # u: (0, 5.3) on panels of the packet's 0.6; v: (0, 8.15) on the panel
+        # law's 5 pi/18 (the caps gave 288 x 880)
+        from grushin.functions import packet_plane
+        rules = _recorded_rules(monkeypatch)
+        heat.heat_apply(HeatParams(0.5, TypePair(0.4, 0.25)), packet_plane(), [[1.5, 2.0]])
+        assert (len(rules["u"]), len(rules["v"])) == (144, 160)
+
+    @pytest.mark.parametrize("plane", ["bump", "grid", "power_gaussian"])
+    @pytest.mark.parametrize("t, ab", [(0.5, (0.4, 0.25)), (2.0, (-0.5, 0.7))])
+    def test_undeclared_profiles_keep_their_rules(self, monkeypatch, plane, t, ab):
+        # node for node the rules of the widths that applied before profiles could
+        # declare one: heat's caps 0.3 and 0.15, a 64th of the support against the
+        # Hankel kernel of g_forward's s rule, and none on its Laguerre r rule
+        from grushin import gtransform
+        from grushin.diffop import GridFunction2D
+        from grushin.functions import grid_plane, power_gaussian, wave_packet
+        from grushin.specfun import laguerre_eigenvalue
+        r, s = np.arange(0.05, 5.35, 0.1), np.arange(0.05, 8.2, 0.1)
+        values = wave_packet(2.0, 0.6, 3.0)(r)[:, None] * wave_packet(3.2, 0.9, 5.5)(s)[None, :]
+        f = {"bump": bump_plane, "grid": lambda: grid_plane(GridFunction2D(r, s, values)),
+             "power_gaussian": lambda: power_gaussian(0.4, 0.25)}[plane]()
+        hp = HeatParams(t, TypePair(*ab))
+        rules = _recorded_rules(monkeypatch)
+        heat.heat_apply(hp, f, [[1.5, 2.0]])
+        gtransform.g_forward(TypePair(0.4, 0.25), f, n_max=96)
+        fu, fv = f.axis_profile(0), f.axis_profile(1)
+        tau_half = 18.0 / heat._kernel_rate(hp)
+        lo, hi = fv.support or (0.0, np.inf)
+        tau = gtransform.default_tau_rule().nodes
+        lam = laguerre_eigenvalue(0.4, 95)
+        want = {"u": quadrature.profile_rule(fu, min(0.3, 3.0 / np.sqrt(tau_half)), ab[0] + 0.5),
+                "v": quadrature.profile_rule(fv, min(0.15, 5 * np.pi / tau_half), ab[1] + 0.5),
+                "r": quadrature.profile_rule(fu, 5 * np.pi / np.sqrt(lam * tau[-1]), 0.9,
+                                             reach=np.ceil(np.sqrt(lam / tau[0]) + 6.0)),
+                "s": quadrature.profile_rule(fv, min(5 * np.pi / 12.0, (hi - lo) / 64.0), 0.75)}
+        for key in "uvrs":
+            assert np.array_equal(rules[key].nodes, want[key].nodes), key
+            assert np.array_equal(rules[key].weights, want[key].weights), key
+        counts = {"bump": (112, 272, 144, 1024), "grid": (288, 880, 368, 1024),
+                  "power_gaussian": (432, 864, 560, 304)}[plane]
+        assert tuple(len(rules[key]) for key in "uvrs") == counts
+
+
 def test_kernel_route_keeps_the_imaginary_part():
     # the route is linear over the complex numbers: on (1+1j) times the packet
     # it returns (1+1j) times the packet's values, and agrees with the
@@ -294,7 +390,7 @@ def test_kernel_route_keeps_the_imaginary_part():
     from grushin.gtransform import PlaneFunction
     hp = HeatParams(0.5, TypePair(0.3, 0.2))
     packet = packet_plane()
-    f = PlaneFunction(lambda r, s: (1 + 1j) * packet(r, s), support=packet.support)
+    f = PlaneFunction(lambda r, s: (1 + 1j) * packet(r, s), profiles=packet.profiles)
     pts = np.array([[1.6, 2.4], [2.0, 3.0], [2.4, 3.6], [1.8, 2.2]])
     kern = heat.heat_apply(hp, f, pts, route="kernel")
     want = (1 + 1j) * heat.heat_apply(hp, packet, pts, route="kernel")
