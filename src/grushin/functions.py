@@ -16,7 +16,7 @@ the small-tau region where a truncated expansion converges slowly.
 from __future__ import annotations
 
 import numpy as np
-from scipy.interpolate import make_interp_spline
+from scipy.interpolate import BSpline, make_interp_spline
 
 from .diffop import GridFunction2D
 from .gtransform import PlaneFunction
@@ -56,11 +56,13 @@ def wave_packet(center: float, width: float, freq: float):
 
 
 def power_gaussian_profile(alpha: float) -> HalfLineFunction:
-    """The gaussian envelope r^(a+1/2) exp(-r^2/2) with its hints."""
+    """The gaussian envelope r^(a+1/2) exp(-r^2/2) with its hints; its width is the
+    envelope's own cap at the cut u = 8 of its rules, 3.5/8, so declaring it leaves
+    every rule cut by the decay as it was."""
     a = float(alpha)
     return HalfLineFunction(
         fn=lambda r: r ** (a + 0.5) * np.exp(-0.5 * r * r),
-        decay="gaussian", rate=1.0, endpoint_exponent=a + 0.5)
+        decay="gaussian", rate=1.0, endpoint_exponent=a + 0.5, width=3.5 / 8.0)
 
 
 def power_gaussian(alpha: float, beta: float) -> PlaneFunction:
@@ -101,13 +103,15 @@ def grid_plane(grid: GridFunction2D, support=None) -> PlaneFunction:
     the grid box.  support defaults to that box.
 
     The spline is evaluated only on an outer product, r of shape (m, 1) and
-    s of shape (1, n), which is how every transform samples f: the r-spline,
-    fitted once, gives the rows at r, and a not-a-knot fit along s through
-    those rows gives the values at s.  Fitting separably solves the tensor
-    spline's equations exactly.
+    s of shape (1, n), which is how every transform samples f.  Both axes are
+    fitted once: the r-spline through the grid's columns, then a not-a-knot
+    fit along s through its coefficients, which solves the tensor spline's
+    equations exactly.  A call is two B-spline evaluations: in s, to the
+    r-spline's coefficients at s, and then in r.
     """
     r_nodes, s_nodes = grid.r_nodes, grid.s_nodes
     r_spline = make_interp_spline(r_nodes, grid.values, k=3, axis=0)
+    s_fit = make_interp_spline(s_nodes, r_spline.c, k=3, axis=1)
 
     def fn(r, s):
         r, s = np.asarray(r, dtype=float), np.asarray(s, dtype=float)
@@ -116,14 +120,12 @@ def grid_plane(grid: GridFunction2D, support=None) -> PlaneFunction:
                              f"of shape (m, 1) and s of shape (1, n), got r "
                              f"{r.shape} and s {s.shape}")
         r, s = r[:, 0], s[0]
-        r_in = (r >= r_nodes[0]) & (r <= r_nodes[-1])
-        s_in = (s >= s_nodes[0]) & (s <= s_nodes[-1])
-        out = np.zeros((r.size, s.size))
-        if r_in.any() and s_in.any():
-            rows = r_spline(r[r_in])                           # (m_in, len(s_nodes))
-            out[np.ix_(r_in, s_in)] = make_interp_spline(
-                s_nodes, rows, k=3, axis=1)(s[s_in])
-        return out
+        # the spline at the points clamped into the box, zeroed out of it
+        coefs = s_fit(np.clip(s, s_nodes[0], s_nodes[-1]))  # r-spline coefficients at s
+        values = BSpline(r_spline.t, coefs, 3)(np.clip(r, r_nodes[0], r_nodes[-1]))
+        values *= ((r >= r_nodes[0]) & (r <= r_nodes[-1]))[:, None] \
+            & ((s >= s_nodes[0]) & (s <= s_nodes[-1]))[None, :]
+        return values
 
     if support is None:
         support = ((float(r_nodes[0]), float(r_nodes[-1])),

@@ -155,52 +155,87 @@ def default_tau_rule(upper: float = 12.0, panels: int = 32,
                              endpoint_exponent=endpoint_exponent)
 
 
+def _tau_bands(alpha, tg, prof: HalfLineFunction, n_max) -> list:
+    """(columns, r rule) per band of the tau nodes tg, from the bottom.  l_{n,tau}^a's
+    top wavenumber in r is sqrt(lam_N tau), so where the r profile declares a width
+    each octave of tg below its top node, (tg[-1] / 2^(k+1), tg[-1] / 2^k], gets the
+    analysis_rule of its own tau range, adjacent octaves whose rules coincide forming
+    one band; from the top down, the first octave on the bottom octave's rule takes
+    every octave below it, as that rule resolves their tops and reaches past their
+    turning points.  A profile that declares no width keeps one band, on the rule of
+    the whole grid."""
+    if prof.width is None:
+        return [(slice(0, len(tg)), analysis_rule(alpha, (tg[0], tg[-1]), prof, n_max))]
+    octave = np.floor(np.log2(tg[-1] / tg))
+    edges = [0] + [int(k) + 1 for k in np.flatnonzero(np.diff(octave))] + [len(tg)]
+    bottom = analysis_rule(alpha, (tg[0], tg[edges[1] - 1]), prof, n_max)
+    bands = []
+    for lo, hi in zip(edges[-2::-1], edges[:0:-1]):  # the top octave first
+        rule = analysis_rule(alpha, (tg[lo], tg[hi - 1]), prof, n_max)
+        if np.array_equal(rule.nodes, bottom.nodes):
+            lo, rule = 0, bottom
+        if bands and np.array_equal(bands[-1][1].nodes, rule.nodes):
+            hi = bands.pop()[0].stop
+        bands.append((slice(lo, hi), rule))
+        if lo == 0:
+            break
+    return bands[::-1]
+
+
 def _plane_setup(tp: TypePair, f, n_max: int, tau_rule):
-    """The tau rule, the r-rule weights, f on the (r, s) tensor rule, the s rule
-    and the Laguerre arguments sqrt(tau) r on the (r-node, tau-node) tensor."""
+    """The tau rule, the s rule and, per band of tau nodes (_tau_bands), its columns,
+    its r-rule weights, f on its (r, s) tensor rule and the Laguerre arguments
+    sqrt(tau) r on its (tau-node, r-node) tensor."""
     f = as_plane_function(f)
     if tau_rule is None:
         tau_rule = default_tau_rule(endpoint_exponent=min(2.0 * tp.beta + 1.0, 0.0))
     tg = tau_rule.nodes
-    r_rule = analysis_rule(tp.alpha, (tg[0], tg[-1]), f.axis_profile(0), n_max)
+    r_bands = _tau_bands(tp.alpha, tg, f.axis_profile(0), n_max)
     s_rule = rule_for_function(f.axis_profile(1), freq=float(tg[-1]),
                                extra_exponent=tp.beta + 0.5)
-    rn = r_rule.nodes
-    fvals = np.asarray(f(rn[:, None], s_rule.nodes[None, :]))
-    return tau_rule, r_rule.weights, fvals, s_rule, np.sqrt(tg)[None, :] * rn[:, None]
+    bands = [(cols, r_rule.weights, np.asarray(f(r_rule.nodes[:, None], s_rule.nodes[None, :])),
+              np.sqrt(tg[cols])[:, None] * r_rule.nodes[None, :]) for cols, r_rule in r_bands]
+    return tau_rule, s_rule, bands
 
 
 def g_forward(tp: TypePair, f, n_max: int = DEFAULT_N_MAX,
               tau_rule: Optional[HalfLineRule] = None) -> SpectralData:
     """Forward transform: Hankel in s, then scaled Laguerre analysis in r.
 
-    The inner transform is independent of n and is evaluated once on the
-    (r-node, tau-node) tensor, then reused for every coefficient order.
+    The inner transform is independent of n and is evaluated once per band on
+    its (tau-node, r-node) tensor, then reused for every coefficient order.
     """
-    tau_rule, rw, fvals, s_rule, x = _plane_setup(tp, f, n_max, tau_rule)
-    hankel = _kernel_apply(partial(_liouville_kernel, tp.beta), s_rule.nodes, s_rule.weights,
-                           fvals.T, tau_rule.nodes)  # (K, nr), summed below as C-order (nr, K)
-    weighted = np.multiply(rw[:, None], hankel.T, order="C")
-    values = _analyze_columns(tp.alpha, x, weighted, n_max)
-    values *= tau_rule.nodes[None, :] ** 0.25
-    return SpectralData(tp.alpha, tp.beta, tau_rule.nodes, tau_rule.weights, values)
+    tau_rule, s_rule, bands = _plane_setup(tp, f, n_max, tau_rule)
+    tg, parts = tau_rule.nodes, []
+    for cols, rw, fvals, x in bands:
+        weighted = _kernel_apply(partial(_liouville_kernel, tp.beta), s_rule.nodes,
+                                 s_rule.weights, fvals.T, tg[cols])  # (K, nr)
+        weighted *= rw
+        parts.append(_analyze_columns(tp.alpha, x, weighted, n_max))
+    values = np.concatenate(parts, axis=1)
+    values *= tg[None, :] ** 0.25
+    return SpectralData(tp.alpha, tp.beta, tg, tau_rule.weights, values)
 
 
 def g_forward_hat(tp: TypePair, f, n_max: int = DEFAULT_N_MAX,
                   tau_rule: Optional[HalfLineRule] = None) -> SpectralData:
     """Order-exchanged transform: scaled Laguerre in r first, Hankel in s
-    second.  Coincides with g_forward; the contraction order differs."""
-    tau_rule, rw, fvals, s_rule, x = _plane_setup(tp, f, n_max, tau_rule)
-    weighted_f = rw[:, None] * fvals                           # (nr, ns)
-    hankel = s_rule.weights[:, None] * _liouville_kernel(tp.beta, tau_rule.nodes, s_rule.nodes)
-    # Laguerre analysis of every s-slice at each tau, then the Hankel
-    # contraction evaluated on the diagonal tau.  The table runs unblocked:
-    # a block's product would stream all of weighted_f, which costs more
-    # than a cache-resident recurrence saves.
-    values = np.array([np.sum((weighted_f.T @ q) * hankel, axis=0)
-                       for q in laguerre_fn_seq(tp.alpha, x, n_max)])
-    values *= tau_rule.nodes[None, :] ** 0.25
-    return SpectralData(tp.alpha, tp.beta, tau_rule.nodes, tau_rule.weights, values)
+    second, on g_forward's bands.  Coincides with g_forward; the contraction
+    order differs."""
+    tau_rule, s_rule, bands = _plane_setup(tp, f, n_max, tau_rule)
+    tg, parts = tau_rule.nodes, []
+    for cols, rw, fvals, x in bands:
+        weighted_f = rw[:, None] * fvals                                   # (nr, ns)
+        hankel = _liouville_kernel(tp.beta, s_rule.nodes, tg[cols]) * s_rule.weights  # (K, ns)
+        # Laguerre analysis of every s-slice at each tau, then the Hankel
+        # contraction evaluated on the diagonal tau.  The table runs unblocked:
+        # a block's product would stream all of weighted_f, which costs more
+        # than a cache-resident recurrence saves.
+        parts.append([np.sum((q @ weighted_f) * hankel, axis=1)
+                      for q in laguerre_fn_seq(tp.alpha, x, n_max)])
+    values = np.concatenate(parts, axis=1)
+    values *= tg[None, :] ** 0.25
+    return SpectralData(tp.alpha, tp.beta, tg, tau_rule.weights, values)
 
 
 def _synthesis(sd: SpectralData, rs) -> np.ndarray:

@@ -68,32 +68,32 @@ def analysis_rule(alpha, taus, f: HalfLineFunction, n_max) -> HalfLineRule:
     return profile_rule(f, panel_width(np.sqrt(lam * tau_hi)), alpha + 0.5, reach=reach)
 
 
-def _laguerre_blocks(x, per_block) -> np.ndarray:
-    """per_block(cols) over column blocks of about _util.BLOCK doubles of the
-    table x, on up to thread_count() workers, joined along the last axis.
-    Columns are independent and the recurrence acts elementwise, so no result
-    depends on the block size or thread count; blocks are at least two columns
-    wide, as on one column numpy's axis-0 sums turn pairwise and change bits."""
-    blocks = column_blocks(x.shape[0], x.shape[1], min_width=2)
+def _laguerre_blocks(x, per_block, axis=1) -> np.ndarray:
+    """per_block(part) over slices along axis of the table x, each about _util.BLOCK
+    doubles, on up to thread_count() workers, joined along the last axis.  The
+    recurrence acts elementwise and every sum stays inside one row or entry, so no
+    result depends on the block size or thread count."""
+    blocks = column_blocks(x.shape[1 - axis], x.shape[axis])
     return np.concatenate(parallel_map(per_block, blocks), axis=-1)
 
 
 def _analyze_columns(alpha, x, weighted, n_max) -> np.ndarray:
-    """sum_j weighted[j, k] l_n^a(x[j, k]) for n < n_max, as (n_max, K): each
-    order is contracted inside the recurrence, in the summation order of
-    np.sum(weighted * l_n^a(x), axis=0) and with its bits where the scale is
-    1; a rescaled entry's product is (weight * scale) * cur, which can differ
-    from weight * (cur * scale) in the last bit."""
-    def analyze(cols):
-        rows = np.empty((n_max, cols.stop - cols.start), np.result_type(weighted, 1.0))
+    """sum_j weighted[k, j] l_n^a(x[k, j]) for n < n_max, as (n_max, K), from
+    tau-major (K, n_r) tables: each order is contracted inside the recurrence by
+    one dot per row, np.vecdot(l_n^a, weighted), with its bits where the scale is
+    1; the real table goes first, as vecdot conjugates its first argument.  A
+    rescaled entry's product is cur * (weight * scale), which can differ from
+    (cur * scale) * weight in the last bit."""
+    def analyze(rows):
+        out = np.empty((n_max, rows.stop - rows.start), np.result_type(weighted, 1.0))
         last = None
-        for n, (cur, scale) in enumerate(_laguerre_steps(alpha, x[:, cols], n_max)):
+        for n, (cur, scale) in enumerate(_laguerre_steps(alpha, x[rows], n_max)):
             if scale is not last:  # the weights carry the scale, new at a rescale
-                last, ws = scale, weighted[:, cols] * scale
-            np.einsum("ij,ij->j", ws, cur, out=rows[n])
-        return rows
+                last, ws = scale, weighted[rows] * scale
+            np.vecdot(cur, ws, out=out[n])
+        return out
 
-    return _laguerre_blocks(x, analyze)
+    return _laguerre_blocks(x, analyze, axis=0)
 
 
 def _synthesize_columns(alpha, taus, values, rs) -> np.ndarray:

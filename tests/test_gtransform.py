@@ -1,12 +1,14 @@
 """Combined-transform tests: exact spectral data, Plancherel, inverses,
 functional calculus."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from scipy.special import gammaln
 
 from grushin import _util, diffop, gtransform, specfun
-from grushin.functions import packet_plane, power_gaussian, smooth_bump
+from grushin.functions import bump_plane, grid_plane, packet_plane, power_gaussian, smooth_bump
 from grushin.gtransform import PlaneFunction, SpectralData, TypePair, default_tau_rule
 from grushin.hankel import HalfLineFunction, _liouville_kernel
 from grushin.laguerre import LaguerreCoeffs, analysis_rule, gaussian_coefficient
@@ -118,8 +120,9 @@ def test_declared_s_rule_has_no_octaves():
     # 19 panels of width 8/19 on (0, 8) for freq 12, the envelope's cap 3.5/8
     # binding below the phase's 5 pi/12; the 20 geometric octaves toward 0
     # would take the rule to 32 panels, 512 nodes
-    setup = gtransform._plane_setup(TypePair(0.5, 0.5), power_gaussian(0.5, 0.5), 96, None)
-    assert len(setup[3]) == 19 * 16
+    _, s_rule, _ = gtransform._plane_setup(TypePair(0.5, 0.5), power_gaussian(0.5, 0.5), 96,
+                                           None)
+    assert len(s_rule) == 19 * 16
 
 
 class TestAxisProfiles:
@@ -253,6 +256,20 @@ class TestLaguerreBlocks:
                     assert np.array_equal(got, ref), (block, threads)
 
 
+def _per_band_loops(tp, setup, n_max):
+    """g_forward by plain per-order loops on each band of setup: the whole weighted
+    kernel as one product (g_forward's blocked s step must give its bits), then
+    every tau row of every order contracted by the same np.vecdot as the analysis."""
+    tau_rule, s_rule, bands = setup
+    parts = []
+    for cols, rw, fvals, x in bands:
+        hankel = s_rule.weights[:, None] * _liouville_kernel(tp.beta, tau_rule.nodes[cols],
+                                                             s_rule.nodes)
+        weighted = np.ascontiguousarray((rw[:, None] * (fvals @ hankel)).T)   # (K, nr)
+        parts.append([np.vecdot(q, weighted) for q in laguerre_fn_seq(tp.alpha, x, n_max)])
+    return np.concatenate(parts, axis=1) * tau_rule.nodes[None, :] ** 0.25
+
+
 class TestRescaledEntries:
     """On a tau grid reaching 400 about half of the Laguerre table lies past
     x = sqrt(tau) r ~ 34.6, where the recurrence carries a scale other than 1.
@@ -266,17 +283,10 @@ class TestRescaledEntries:
         # tau = 400 makes them the slow part) and then reused
         setup = gtransform._plane_setup(tp, f, n_max, default_tau_rule(upper=400, panels=64))
         monkeypatch.setattr(gtransform, "_plane_setup", lambda *args: setup)
-        tau_rule, rw, fvals, s_rule, x = setup
+        tau_rule, s_rule, bands = setup
         # past x = 35 the recurrence starts below e^-600, on a rescaled entry
-        assert np.mean(x > 35.0) > 0.4
-        # the whole weighted kernel: g_forward's blocked contraction must
-        # give the bits of this one product
-        hankel = s_rule.weights[:, None] * _liouville_kernel(tp.beta, tau_rule.nodes,
-                                                             s_rule.nodes)
-        weighted = rw[:, None] * (fvals @ hankel)
-        want = np.array([np.sum(weighted * q, axis=0)
-                         for q in laguerre_fn_seq(tp.alpha, x, n_max)])
-        want *= tau_rule.nodes[None, :] ** 0.25
+        assert np.mean(np.concatenate([x.ravel() for *_, x in bands]) > 35.0) > 0.4
+        want = _per_band_loops(tp, setup, n_max)
 
         pts = np.stack([np.linspace(0.5, 3.0, 9), np.linspace(4.0, 0.7, 9)], axis=-1)
         taus = tau_rule.nodes
@@ -356,13 +366,15 @@ class TestSparseOverflowTests:
         f = power_gaussian(tp.alpha, tp.beta)
         setup = gtransform._plane_setup(tp, f, n_max, default_tau_rule(upper=64, panels=8))
         monkeypatch.setattr(gtransform, "_plane_setup", lambda *args: setup)
-        tau_rule, x = setup[0], setup[4]
+        tau_rule = setup[0]
+        x = np.concatenate([x.ravel() for *_, x in setup[2]])
         between, only_prev = _overflow_events(tp.alpha, x, n_max)
         assert between.any() and only_prev.any()
         # the whole table as one block, on one thread
         monkeypatch.setattr(_util, "BLOCK", 10**12)
         monkeypatch.setenv("GRUSHIN_THREADS", "1")
         sd = gtransform.g_forward(tp, f, n_max=n_max)
+        assert np.array_equal(sd.values, _per_band_loops(tp, setup, n_max))
 
         # r from the deep entries out to just inside the clamp at the top tau
         rs = np.array([0.8, 3.0, 4.47, 5.2, 6.5, 8.1, 0.999 * np.sqrt(1e19) / 8.0])
@@ -377,13 +389,89 @@ class TestSparseOverflowTests:
         assert np.all(np.isfinite(sd.values)) and np.all(np.isfinite(want_inv))
         assert np.all(synth[:, -1] == 0.0)
 
-        for block, threads in ((_util.BLOCK, "1"), (_util.BLOCK, "4"), (1, "1"), (1, "4")):
+        for block, threads in ((_util.BLOCK, "1"), (_util.BLOCK, "4"), (977, "1"),
+                               (977, "4"), (1, "1"), (1, "4")):
             monkeypatch.setattr(_util, "BLOCK", block)
             monkeypatch.setenv("GRUSHIN_THREADS", threads)
             got = gtransform.g_forward(tp, f, n_max=n_max)
             assert np.array_equal(got.values, sd.values), (block, threads)
             assert np.array_equal(gtransform._synthesis(got, rs), synth), (block, threads)
             assert np.array_equal(gtransform.g_inverse(got, pts), want_inv), (block, threads)
+
+
+class TestTauBands:
+    """Where the r profile declares a width, each octave of the tau grid below its
+    top node gets its own r rule, adjacent octaves on one rule forming one band;
+    planes that declare none keep one band on the rule of the whole grid."""
+
+    @staticmethod
+    def refined(f):
+        # every octave on the one rule of panels 0.05 wide: a single band
+        fu, fv = f.axis_profile(0), f.axis_profile(1)
+        return PlaneFunction(f.fn, profiles=(dataclasses.replace(fu, width=0.05), fv))
+
+    @pytest.mark.parametrize("plane, a, b, n_max", [
+        ("power_gaussian", 0.5, 0.5, 256), ("power_gaussian", 0.4, -0.9, 96),
+        ("power_gaussian", -0.9, 0.5, 96), ("packet", 0.4, 0.25, 96)])
+    def test_banded_transform_matches_a_refined_rule(self, plane, a, b, n_max):
+        # tolerance fixed before the code: 1e-13 of the largest value
+        f = power_gaussian(a, b) if plane == "power_gaussian" else packet_plane()
+        tp, refined = TypePair(a, b), self.refined(f)
+        assert len(gtransform._plane_setup(tp, refined, n_max, None)[2]) == 1
+        got = gtransform.g_forward(tp, f, n_max=n_max).values
+        want = gtransform.g_forward(tp, refined, n_max=n_max).values
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+    def test_band_sizes(self):
+        # at N = 256 the top octave keeps the whole grid's 912 r nodes; every
+        # octave below 0.75 shares the 304 of the envelope's width 3.5/8
+        tp = TypePair(0.5, 0.5)
+        tau_rule, _, bands = gtransform._plane_setup(tp, power_gaussian(0.5, 0.5), 256, None)
+        assert [(cols.stop - cols.start, len(rw)) for cols, rw, _, _ in bands] == \
+            [(136, 304), (16, 320), (32, 464), (64, 640), (128, 912)]
+        assert bands[0][0].start == 0 and bands[-1][0].stop == len(tau_rule.nodes)
+        assert all(p[0].stop == q[0].start for p, q in zip(bands, bands[1:]))
+
+    @pytest.mark.parametrize("n_max", [96, 256])
+    @pytest.mark.parametrize("prof", [
+        power_gaussian(0.5, 0.5).axis_profile(0), packet_plane().axis_profile(0),
+        # a slow envelope: its cut 553 lies past the turning point of the low octaves
+        HalfLineFunction(lambda r: np.exp(-0.05 * r), decay="exponential", rate=0.05,
+                         endpoint_exponent=0.0, width=2.0)])
+    def test_bands_are_the_octaves_on_their_own_rules(self, prof, n_max):
+        # every octave's own rule, adjacent equal rules merged: the bands stop
+        # at the first octave on the bottom octave's rule, which must change
+        # none of them
+        tg = default_tau_rule().nodes
+        octave = np.floor(np.log2(tg[-1] / tg))
+        want = []
+        for k in np.unique(octave)[::-1]:
+            cols = np.flatnonzero(octave == k)
+            rule = analysis_rule(0.5, (tg[cols[0]], tg[cols[-1]]), prof, n_max)
+            if want and np.array_equal(want[-1][1].nodes, rule.nodes):
+                want[-1] = (slice(want[-1][0].start, cols[-1] + 1), rule)
+            else:
+                want.append((slice(cols[0], cols[-1] + 1), rule))
+        got = gtransform._tau_bands(0.5, tg, prof, n_max)
+        assert [cols for cols, _ in got] == [cols for cols, _ in want]
+        for (_, a), (_, b) in zip(got, want):
+            assert np.array_equal(a.nodes, b.nodes) and np.array_equal(a.weights, b.weights)
+
+    @pytest.mark.parametrize("plane", ["bump", "grid", "route", "bare"])
+    def test_undeclared_planes_keep_one_band(self, plane):
+        from grushin.verify import route_test_function
+        r, s = np.arange(0.05, 5.35, 0.1), np.arange(0.05, 8.2, 0.1)
+        f = {"bump": bump_plane,
+             "grid": lambda: grid_plane(diffop.GridFunction2D(r, s, np.outer(r, s))),
+             "route": route_test_function,
+             "bare": lambda: PlaneFunction(lambda r, s: np.exp(-(r * r + s * s) / 2))}[plane]()
+        tp, n_max = TypePair(0.4, 0.25), 96
+        tau_rule, _, [(cols, rw, fvals, x)] = gtransform._plane_setup(tp, f, n_max, None)
+        tg = tau_rule.nodes
+        rule = analysis_rule(tp.alpha, (tg[0], tg[-1]), f.axis_profile(0), n_max)
+        assert cols == slice(0, len(tg))
+        assert np.array_equal(rw, rule.weights)
+        assert np.array_equal(x, np.sqrt(tg)[:, None] * rule.nodes[None, :])
 
 
 def test_forward_memory_stays_below_one_s_by_tau_kernel(monkeypatch):
@@ -397,7 +485,8 @@ def test_forward_memory_stays_below_one_s_by_tau_kernel(monkeypatch):
 
     def recording_setup(tp, f, n_max, tau_rule):
         out = setup(tp, f, n_max, tau_rule)
-        sizes["f"], sizes["n_s"], sizes["K"] = out[2].nbytes, out[2].shape[1], len(out[0].nodes)
+        sizes["f"] = sum(fvals.nbytes for _, _, fvals, _ in out[2])
+        sizes["n_s"], sizes["K"] = len(out[1]), len(out[0].nodes)
         return out
 
     monkeypatch.setattr(gtransform, "_plane_setup", recording_setup)

@@ -278,7 +278,9 @@ class TestUndeclaredRulesKeepTheirOctaves:
         f = PlaneFunction(lambda r, s: self.fn(r) * self.fn(s))
         tau_rule = default_tau_rule()
         tg = tau_rule.nodes
-        _, rw, _, s_rule, _ = gtransform._plane_setup(TypePair(0.5, beta), f, 96, tau_rule)
+        _, s_rule, bands = gtransform._plane_setup(TypePair(0.5, beta), f, 96, tau_rule)
+        [(cols, rw, _, _)] = bands
+        assert cols == slice(0, len(tg))
         r_rule = build_finite_rule(0.0, 8.0, quadrature._PANEL_PHASE
                                    / np.sqrt(laguerre_eigenvalue(0.5, 95) * tg[-1]),
                                    16, endpoint_exponent=1.0)

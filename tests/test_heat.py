@@ -345,7 +345,7 @@ class TestDeclaredWidths:
         heat.heat_apply(HeatParams(0.5, TypePair(0.4, 0.25)), packet_plane(), [[1.5, 2.0]])
         assert (len(rules["u"]), len(rules["v"])) == (144, 160)
 
-    @pytest.mark.parametrize("plane", ["bump", "grid", "power_gaussian"])
+    @pytest.mark.parametrize("plane", ["bump", "grid"])
     @pytest.mark.parametrize("t, ab", [(0.5, (0.4, 0.25)), (2.0, (-0.5, 0.7))])
     def test_undeclared_profiles_keep_their_rules(self, monkeypatch, plane, t, ab):
         # node for node the rules of the widths that applied before profiles could
@@ -353,12 +353,11 @@ class TestDeclaredWidths:
         # Hankel kernel of g_forward's s rule, and none on its Laguerre r rule
         from grushin import gtransform
         from grushin.diffop import GridFunction2D
-        from grushin.functions import grid_plane, power_gaussian, wave_packet
+        from grushin.functions import grid_plane, wave_packet
         from grushin.specfun import laguerre_eigenvalue
         r, s = np.arange(0.05, 5.35, 0.1), np.arange(0.05, 8.2, 0.1)
         values = wave_packet(2.0, 0.6, 3.0)(r)[:, None] * wave_packet(3.2, 0.9, 5.5)(s)[None, :]
-        f = {"bump": bump_plane, "grid": lambda: grid_plane(GridFunction2D(r, s, values)),
-             "power_gaussian": lambda: power_gaussian(0.4, 0.25)}[plane]()
+        f = {"bump": bump_plane, "grid": lambda: grid_plane(GridFunction2D(r, s, values))}[plane]()
         hp = HeatParams(t, TypePair(*ab))
         rules = _recorded_rules(monkeypatch)
         heat.heat_apply(hp, f, [[1.5, 2.0]])
@@ -376,9 +375,53 @@ class TestDeclaredWidths:
         for key in "uvrs":
             assert np.array_equal(rules[key].nodes, want[key].nodes), key
             assert np.array_equal(rules[key].weights, want[key].weights), key
-        counts = {"bump": (112, 272, 144, 1024), "grid": (288, 880, 368, 1024),
-                  "power_gaussian": (432, 864, 560, 304)}[plane]
+        counts = {"bump": (112, 272, 144, 1024), "grid": (288, 880, 368, 1024)}[plane]
         assert tuple(len(rules[key]) for key in "uvrs") == counts
+
+    @pytest.mark.parametrize("t, ab", [(0.5, (0.4, 0.25)), (2.0, (-0.5, 0.7))])
+    def test_declared_power_gaussian(self, monkeypatch, t, ab):
+        # power_gaussian declares the width 3.5/8 that its envelope already caps
+        # its rules at: g_forward's r rule over the whole tau grid and its s rule
+        # are the undeclared profile's, node for node, and the kernel route's u
+        # and v rules take the smaller of that width and the kernel's
+        from grushin import gtransform
+        from grushin.functions import power_gaussian
+        from grushin.laguerre import analysis_rule
+        f, hp = power_gaussian(*ab), HeatParams(t, TypePair(*ab))
+        fu, fv = f.axis_profile(0), f.axis_profile(1)
+        assert fu.width == fv.width == 3.5 / 8.0
+        bare_u, bare_v = (dataclasses.replace(p, width=None) for p in (fu, fv))
+        tau = gtransform.default_tau_rule().nodes
+        for n_max, count in ((96, 560), (256, 912)):
+            got = analysis_rule(0.4, (tau[0], tau[-1]), fu, n_max)
+            want = analysis_rule(0.4, (tau[0], tau[-1]), bare_u, n_max)
+            assert len(got) == count
+            assert np.array_equal(got.nodes, want.nodes)
+            assert np.array_equal(got.weights, want.weights)
+        rules = _recorded_rules(monkeypatch)
+        gtransform.g_forward(TypePair(0.4, 0.25), f, n_max=96)
+        want_s = quadrature.profile_rule(bare_v, 5 * np.pi / 12.0, 0.75)
+        assert len(rules["s"]) == 304
+        assert np.array_equal(rules["s"].nodes, want_s.nodes)
+        assert np.array_equal(rules["s"].weights, want_s.weights)
+
+        pts = _heat_workload_points(1)
+        got = heat.heat_apply(hp, f, pts)
+        tau_half = 18.0 / heat._kernel_rate(hp)
+        want = {"u": quadrature.profile_rule(bare_u, min(3.5 / 8.0, 3.0 / np.sqrt(tau_half)),
+                                             ab[0] + 0.5),
+                "v": quadrature.profile_rule(bare_v, min(3.5 / 8.0, 5 * np.pi / tau_half),
+                                             ab[1] + 0.5)}
+        for key in "uv":
+            assert np.array_equal(rules[key].nodes, want[key].nodes), key
+            assert np.array_equal(rules[key].weights, want[key].weights), key
+        # within 1e-14 of max of the route on rules of width 0.05 (tolerance
+        # fixed before the code)
+        urule = quadrature.profile_rule(fu, 0.05, ab[0] + 0.5)
+        vrule = quadrature.profile_rule(fv, 0.05, ab[1] + 0.5)
+        refined = heat.heat_apply_grid(hp, f(urule.nodes[:, None], vrule.nodes[None, :]),
+                                       urule, vrule, pts)
+        assert np.max(np.abs(got - refined)) <= 1e-14 * np.max(np.abs(refined))
 
 
 def test_kernel_route_keeps_the_imaginary_part():

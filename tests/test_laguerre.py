@@ -134,10 +134,8 @@ class TestMatchesPerOrderLoop:
                                    (1184, 100), (848, 376)])
 @pytest.mark.parametrize("kind", [float, complex])
 def test_einsum_column_sums_equal_axis0_sums(shape, kind):
-    # the fused analysis contracts each order with einsum("ij,ij->j") and is
-    # bitwise equal to the per-order np.sum(weighted * l_n, axis=0) only while
-    # numpy sums both down the columns in the same order; a numpy upgrade
-    # that breaks this fails here first
+    # einsum("ij,ij->j") sums each column in the order of np.sum(a * b,
+    # axis=0); a numpy upgrade that breaks this fails here first
     rng = np.random.default_rng(shape)
     a = rng.standard_normal(shape)
     if kind is complex:
@@ -147,6 +145,25 @@ def test_einsum_column_sums_equal_axis0_sums(shape, kind):
     out = np.empty(shape[1], dtype=want.dtype)
     np.einsum("ij,ij->j", a, b, out=out)
     assert np.array_equal(out, want)
+
+
+@pytest.mark.parametrize("shape", [(1, 912), (2, 1184), (35, 912), (376, 848)])
+@pytest.mark.parametrize("kind", [float, complex])
+def test_vecdot_rows_do_not_depend_on_their_block(shape, kind):
+    # the analysis contracts each order by np.vecdot(l_n, weighted) on blocks
+    # of rows of tau-major tables; its bits are block- and thread-independent
+    # only while a row's dot does not depend on the rows contracted with it
+    rng = np.random.default_rng(shape)
+    a = rng.standard_normal(shape) * np.exp(rng.uniform(-30.0, 30.0, shape))
+    b = rng.standard_normal(shape)
+    if kind is complex:
+        b = b + 1j * rng.standard_normal(shape)
+    want = np.vecdot(a, b)
+    assert want.dtype == np.result_type(a, b)
+    for k in range(shape[0]):
+        assert np.array_equal(np.vecdot(a[k:k + 1], b[k:k + 1]), want[k:k + 1])
+    odd = slice(1, None, 2)
+    assert np.array_equal(np.vecdot(a[odd], b[odd]), want[odd])
 
 
 class TestValidation:
