@@ -160,42 +160,38 @@ def _tau_bands(alpha, tg, prof: HalfLineFunction, n_max) -> list:
     top wavenumber in r is sqrt(lam_N tau), so where the r profile declares a width
     each octave of tg below its top node, (tg[-1] / 2^(k+1), tg[-1] / 2^k], gets the
     analysis_rule of its own tau range, adjacent octaves whose rules coincide forming
-    one band; from the top down, the first octave on the bottom octave's rule takes
-    every octave below it, as that rule resolves their tops and reaches past their
-    turning points.  A profile that declares no width keeps one band, on the rule of
-    the whole grid."""
+    one band.  A profile that declares no width keeps one band, on the rule of the
+    whole grid."""
     if prof.width is None:
         return [(slice(0, len(tg)), analysis_rule(alpha, (tg[0], tg[-1]), prof, n_max))]
     octave = np.floor(np.log2(tg[-1] / tg))
     edges = [0] + [int(k) + 1 for k in np.flatnonzero(np.diff(octave))] + [len(tg)]
-    bottom = analysis_rule(alpha, (tg[0], tg[edges[1] - 1]), prof, n_max)
     bands = []
-    for lo, hi in zip(edges[-2::-1], edges[:0:-1]):  # the top octave first
+    for lo, hi in zip(edges[:-1], edges[1:]):
         rule = analysis_rule(alpha, (tg[lo], tg[hi - 1]), prof, n_max)
-        if np.array_equal(rule.nodes, bottom.nodes):
-            lo, rule = 0, bottom
         if bands and np.array_equal(bands[-1][1].nodes, rule.nodes):
-            hi = bands.pop()[0].stop
+            lo = bands.pop()[0].start
         bands.append((slice(lo, hi), rule))
-        if lo == 0:
-            break
-    return bands[::-1]
+    return bands
 
 
-def _plane_setup(tp: TypePair, f, n_max: int, tau_rule):
-    """The tau rule, the s rule and, per band of tau nodes (_tau_bands), its columns,
-    its r-rule weights, f on its (r, s) tensor rule and the Laguerre arguments
-    sqrt(tau) r on its (tau-node, r-node) tensor."""
-    f = as_plane_function(f)
+def _plane_setup(tp: TypePair, f: PlaneFunction, n_max: int, tau_rule):
+    """The tau rule, the s rule and the bands of tau nodes with their r rules
+    (_tau_bands)."""
     if tau_rule is None:
         tau_rule = default_tau_rule(endpoint_exponent=min(2.0 * tp.beta + 1.0, 0.0))
     tg = tau_rule.nodes
-    r_bands = _tau_bands(tp.alpha, tg, f.axis_profile(0), n_max)
     s_rule = rule_for_function(f.axis_profile(1), freq=float(tg[-1]),
                                extra_exponent=tp.beta + 0.5)
-    bands = [(cols, r_rule.weights, np.asarray(f(r_rule.nodes[:, None], s_rule.nodes[None, :])),
-              np.sqrt(tg[cols])[:, None] * r_rule.nodes[None, :]) for cols, r_rule in r_bands]
-    return tau_rule, s_rule, bands
+    return tau_rule, s_rule, _tau_bands(tp.alpha, tg, f.axis_profile(0), n_max)
+
+
+def _band_tables(f: PlaneFunction, taus, r_rule: HalfLineRule, s_rule: HalfLineRule):
+    """f on a band's (r, s) tensor rule and the Laguerre arguments sqrt(tau) r on its
+    (tau-node, r-node) tensor.  The transforms take them one band at a time, so they
+    hold no more than the largest band's samples."""
+    return (np.asarray(f(r_rule.nodes[:, None], s_rule.nodes[None, :])),
+            np.sqrt(taus)[:, None] * r_rule.nodes[None, :])
 
 
 def g_forward(tp: TypePair, f, n_max: int = DEFAULT_N_MAX,
@@ -205,12 +201,14 @@ def g_forward(tp: TypePair, f, n_max: int = DEFAULT_N_MAX,
     The inner transform is independent of n and is evaluated once per band on
     its (tau-node, r-node) tensor, then reused for every coefficient order.
     """
+    f = as_plane_function(f)
     tau_rule, s_rule, bands = _plane_setup(tp, f, n_max, tau_rule)
     tg, parts = tau_rule.nodes, []
-    for cols, rw, fvals, x in bands:
+    for cols, r_rule in bands:
+        fvals, x = _band_tables(f, tg[cols], r_rule, s_rule)
         weighted = _kernel_apply(partial(_liouville_kernel, tp.beta), s_rule.nodes,
                                  s_rule.weights, fvals.T, tg[cols])  # (K, nr)
-        weighted *= rw
+        weighted *= r_rule.weights
         parts.append(_analyze_columns(tp.alpha, x, weighted, n_max))
     values = np.concatenate(parts, axis=1)
     values *= tg[None, :] ** 0.25
@@ -222,10 +220,12 @@ def g_forward_hat(tp: TypePair, f, n_max: int = DEFAULT_N_MAX,
     """Order-exchanged transform: scaled Laguerre in r first, Hankel in s
     second, on g_forward's bands.  Coincides with g_forward; the contraction
     order differs."""
+    f = as_plane_function(f)
     tau_rule, s_rule, bands = _plane_setup(tp, f, n_max, tau_rule)
     tg, parts = tau_rule.nodes, []
-    for cols, rw, fvals, x in bands:
-        weighted_f = rw[:, None] * fvals                                   # (nr, ns)
+    for cols, r_rule in bands:
+        fvals, x = _band_tables(f, tg[cols], r_rule, s_rule)
+        weighted_f = r_rule.weights[:, None] * fvals                       # (nr, ns)
         hankel = _liouville_kernel(tp.beta, s_rule.nodes, tg[cols]) * s_rule.weights  # (K, ns)
         # Laguerre analysis of every s-slice at each tau, then the Hankel
         # contraction evaluated on the diagonal tau.  The table runs unblocked:

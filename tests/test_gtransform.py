@@ -256,16 +256,26 @@ class TestLaguerreBlocks:
                     assert np.array_equal(got, ref), (block, threads)
 
 
-def _per_band_loops(tp, setup, n_max):
-    """g_forward by plain per-order loops on each band of setup: the whole weighted
-    kernel as one product (g_forward's blocked s step must give its bits), then
-    every tau row of every order contracted by the same np.vecdot as the analysis."""
+def _band_x(setup):
+    """The Laguerre arguments sqrt(tau) r of every band of setup, raveled."""
+    tau_rule, _, bands = setup
+    return np.concatenate([(np.sqrt(tau_rule.nodes[cols])[:, None] * r_rule.nodes).ravel()
+                           for cols, r_rule in bands])
+
+
+def _per_band_loops(tp, f, setup, n_max):
+    """g_forward by plain per-order loops on each band of setup: f on the band's
+    tensor rule, the whole weighted kernel as one product (g_forward's blocked s
+    step must give its bits), then every tau row of every order contracted by the
+    same np.vecdot as the analysis."""
     tau_rule, s_rule, bands = setup
     parts = []
-    for cols, rw, fvals, x in bands:
-        hankel = s_rule.weights[:, None] * _liouville_kernel(tp.beta, tau_rule.nodes[cols],
-                                                             s_rule.nodes)
-        weighted = np.ascontiguousarray((rw[:, None] * (fvals @ hankel)).T)   # (K, nr)
+    for cols, r_rule in bands:
+        taus = tau_rule.nodes[cols]
+        fvals = f(r_rule.nodes[:, None], s_rule.nodes[None, :])
+        x = np.sqrt(taus)[:, None] * r_rule.nodes
+        hankel = s_rule.weights[:, None] * _liouville_kernel(tp.beta, taus, s_rule.nodes)
+        weighted = np.ascontiguousarray((r_rule.weights[:, None] * (fvals @ hankel)).T)  # (K, nr)
         parts.append([np.vecdot(q, weighted) for q in laguerre_fn_seq(tp.alpha, x, n_max)])
     return np.concatenate(parts, axis=1) * tau_rule.nodes[None, :] ** 0.25
 
@@ -279,14 +289,14 @@ class TestRescaledEntries:
     def test_matches_per_order_loops(self, monkeypatch):
         tp, n_max = TypePair(0.4, -0.9), 96
         f = power_gaussian(tp.alpha, tp.beta)
-        # the rules and samples of g_forward, built once (the s rule at
-        # tau = 400 makes them the slow part) and then reused
+        # the rules of g_forward, built once (the s rule at tau = 400 makes
+        # them the slow part) and then reused
         setup = gtransform._plane_setup(tp, f, n_max, default_tau_rule(upper=400, panels=64))
         monkeypatch.setattr(gtransform, "_plane_setup", lambda *args: setup)
         tau_rule, s_rule, bands = setup
         # past x = 35 the recurrence starts below e^-600, on a rescaled entry
-        assert np.mean(np.concatenate([x.ravel() for *_, x in bands]) > 35.0) > 0.4
-        want = _per_band_loops(tp, setup, n_max)
+        assert np.mean(_band_x(setup) > 35.0) > 0.4
+        want = _per_band_loops(tp, f, setup, n_max)
 
         pts = np.stack([np.linspace(0.5, 3.0, 9), np.linspace(4.0, 0.7, 9)], axis=-1)
         taus = tau_rule.nodes
@@ -367,14 +377,13 @@ class TestSparseOverflowTests:
         setup = gtransform._plane_setup(tp, f, n_max, default_tau_rule(upper=64, panels=8))
         monkeypatch.setattr(gtransform, "_plane_setup", lambda *args: setup)
         tau_rule = setup[0]
-        x = np.concatenate([x.ravel() for *_, x in setup[2]])
-        between, only_prev = _overflow_events(tp.alpha, x, n_max)
+        between, only_prev = _overflow_events(tp.alpha, _band_x(setup), n_max)
         assert between.any() and only_prev.any()
         # the whole table as one block, on one thread
         monkeypatch.setattr(_util, "BLOCK", 10**12)
         monkeypatch.setenv("GRUSHIN_THREADS", "1")
         sd = gtransform.g_forward(tp, f, n_max=n_max)
-        assert np.array_equal(sd.values, _per_band_loops(tp, setup, n_max))
+        assert np.array_equal(sd.values, _per_band_loops(tp, f, setup, n_max))
 
         # r from the deep entries out to just inside the clamp at the top tau
         rs = np.array([0.8, 3.0, 4.47, 5.2, 6.5, 8.1, 0.999 * np.sqrt(1e19) / 8.0])
@@ -427,35 +436,10 @@ class TestTauBands:
         # octave below 0.75 shares the 304 of the envelope's width 3.5/8
         tp = TypePair(0.5, 0.5)
         tau_rule, _, bands = gtransform._plane_setup(tp, power_gaussian(0.5, 0.5), 256, None)
-        assert [(cols.stop - cols.start, len(rw)) for cols, rw, _, _ in bands] == \
+        assert [(cols.stop - cols.start, len(r_rule)) for cols, r_rule in bands] == \
             [(136, 304), (16, 320), (32, 464), (64, 640), (128, 912)]
         assert bands[0][0].start == 0 and bands[-1][0].stop == len(tau_rule.nodes)
         assert all(p[0].stop == q[0].start for p, q in zip(bands, bands[1:]))
-
-    @pytest.mark.parametrize("n_max", [96, 256])
-    @pytest.mark.parametrize("prof", [
-        power_gaussian(0.5, 0.5).axis_profile(0), packet_plane().axis_profile(0),
-        # a slow envelope: its cut 553 lies past the turning point of the low octaves
-        HalfLineFunction(lambda r: np.exp(-0.05 * r), decay="exponential", rate=0.05,
-                         endpoint_exponent=0.0, width=2.0)])
-    def test_bands_are_the_octaves_on_their_own_rules(self, prof, n_max):
-        # every octave's own rule, adjacent equal rules merged: the bands stop
-        # at the first octave on the bottom octave's rule, which must change
-        # none of them
-        tg = default_tau_rule().nodes
-        octave = np.floor(np.log2(tg[-1] / tg))
-        want = []
-        for k in np.unique(octave)[::-1]:
-            cols = np.flatnonzero(octave == k)
-            rule = analysis_rule(0.5, (tg[cols[0]], tg[cols[-1]]), prof, n_max)
-            if want and np.array_equal(want[-1][1].nodes, rule.nodes):
-                want[-1] = (slice(want[-1][0].start, cols[-1] + 1), rule)
-            else:
-                want.append((slice(cols[0], cols[-1] + 1), rule))
-        got = gtransform._tau_bands(0.5, tg, prof, n_max)
-        assert [cols for cols, _ in got] == [cols for cols, _ in want]
-        for (_, a), (_, b) in zip(got, want):
-            assert np.array_equal(a.nodes, b.nodes) and np.array_equal(a.weights, b.weights)
 
     @pytest.mark.parametrize("plane", ["bump", "grid", "route", "bare"])
     def test_undeclared_planes_keep_one_band(self, plane):
@@ -466,12 +450,12 @@ class TestTauBands:
              "route": route_test_function,
              "bare": lambda: PlaneFunction(lambda r, s: np.exp(-(r * r + s * s) / 2))}[plane]()
         tp, n_max = TypePair(0.4, 0.25), 96
-        tau_rule, _, [(cols, rw, fvals, x)] = gtransform._plane_setup(tp, f, n_max, None)
+        tau_rule, _, [(cols, r_rule)] = gtransform._plane_setup(tp, f, n_max, None)
         tg = tau_rule.nodes
         rule = analysis_rule(tp.alpha, (tg[0], tg[-1]), f.axis_profile(0), n_max)
         assert cols == slice(0, len(tg))
-        assert np.array_equal(rw, rule.weights)
-        assert np.array_equal(x, np.sqrt(tg)[:, None] * rule.nodes[None, :])
+        assert np.array_equal(r_rule.nodes, rule.nodes)
+        assert np.array_equal(r_rule.weights, rule.weights)
 
 
 def test_forward_memory_stays_below_one_s_by_tau_kernel(monkeypatch):
@@ -485,7 +469,8 @@ def test_forward_memory_stays_below_one_s_by_tau_kernel(monkeypatch):
 
     def recording_setup(tp, f, n_max, tau_rule):
         out = setup(tp, f, n_max, tau_rule)
-        sizes["f"] = sum(fvals.nbytes for _, _, fvals, _ in out[2])
+        # g_forward samples f one band at a time
+        sizes["f"] = 8 * len(out[1]) * max(len(r_rule) for _, r_rule in out[2])
         sizes["n_s"], sizes["K"] = len(out[1]), len(out[0].nodes)
         return out
 

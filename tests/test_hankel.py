@@ -279,12 +279,12 @@ class TestUndeclaredRulesKeepTheirOctaves:
         tau_rule = default_tau_rule()
         tg = tau_rule.nodes
         _, s_rule, bands = gtransform._plane_setup(TypePair(0.5, beta), f, 96, tau_rule)
-        [(cols, rw, _, _)] = bands
+        [(cols, band_rule)] = bands
         assert cols == slice(0, len(tg))
         r_rule = build_finite_rule(0.0, 8.0, quadrature._PANEL_PHASE
                                    / np.sqrt(laguerre_eigenvalue(0.5, 95) * tg[-1]),
                                    16, endpoint_exponent=1.0)
-        assert np.array_equal(rw, r_rule.weights)
+        assert np.array_equal(band_rule.weights, r_rule.weights)
         assert self.same(s_rule, build_rule(TruncationPolicy(freq_bound=tg[-1],
                                                              endpoint_exponent=beta + 0.5)))
 

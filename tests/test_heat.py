@@ -381,15 +381,18 @@ class TestDeclaredWidths:
     @pytest.mark.parametrize("t, ab", [(0.5, (0.4, 0.25)), (2.0, (-0.5, 0.7))])
     def test_declared_power_gaussian(self, monkeypatch, t, ab):
         # power_gaussian declares the width 3.5/8 that its envelope already caps
-        # its rules at: g_forward's r rule over the whole tau grid and its s rule
-        # are the undeclared profile's, node for node, and the kernel route's u
-        # and v rules take the smaller of that width and the kernel's
+        # its rules at (quadrature's envelope cap at the cut u = 8 of its decay):
+        # g_forward's r rule over the whole tau grid and its s rule are the
+        # undeclared profile's, node for node, and the kernel route's u and v
+        # rules take the smaller of that width and the kernel's
         from grushin import gtransform
         from grushin.functions import power_gaussian
         from grushin.laguerre import analysis_rule
         f, hp = power_gaussian(*ab), HeatParams(t, TypePair(*ab))
         fu, fv = f.axis_profile(0), f.axis_profile(1)
-        assert fu.width == fv.width == 3.5 / 8.0
+        policy = quadrature.TruncationPolicy(decay_hint=fu.decay, rate=fu.rate)
+        cap = quadrature._envelope_cap(policy, np.inf)(quadrature.truncation_point(policy))
+        assert fu.width == fv.width == cap == 3.5 / 8.0
         bare_u, bare_v = (dataclasses.replace(p, width=None) for p in (fu, fv))
         tau = gtransform.default_tau_rule().nodes
         for n_max, count in ((96, 560), (256, 912)):
