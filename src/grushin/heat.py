@@ -26,6 +26,7 @@ from functools import partial
 from typing import Optional
 
 import numpy as np
+from scipy.special import gammainccinv
 
 from ._util import column_blocks, parallel_map, real_value
 from .gtransform import (DEFAULT_N_MAX, TypePair, _points_array, as_plane_function,
@@ -71,7 +72,7 @@ class HeatParams:
 
 def kernel_tau_rule(hp: HeatParams, freq: float) -> HalfLineRule:
     """tau rule for the kernel integrals at s, v <= freq, at the worst-case rate."""
-    return _tau_rule(hp.beta, _kernel_rate(hp), real_value(freq, "freq", closed=True),
+    return _tau_rule(hp, _kernel_rate(hp), real_value(freq, "freq", closed=True),
                      _KERNEL_TOL * 1e-4)
 
 
@@ -80,15 +81,56 @@ def _kernel_rate(hp):
     return 2.0 * hp.t * (1.0 + min(hp.alpha, 0.0))
 
 
-def _tau_rule(beta, rate, freq, abs_tol):
+def _tau_rule(hp, rate, freq, abs_tol, point=None):
     """The one tau rule of the kernel integrals at s, v <= freq: panels for the
     wavenumber 2 freq of J_b(tau s) J_b(tau v) under the envelope e^(-rate tau),
     the first absorbing the integrand's tau^(2b+1) when b < 0 (not for b >= 0,
-    where the first panel's h^(2b+2) underflows past b ~ 33)."""
+    where the first panel's h^(2b+2) underflows past b ~ 33).  Given a point
+    (r, u, power), the rule stops at the point's own cut (_point_cut) where that
+    comes before the envelope's, with the point's envelope at the cut as its rate."""
+    if point is not None:
+        cut, load = _point_cut(hp, *point, abs_tol)
+        if cut * rate < math.log(1.0 / abs_tol):
+            rate, abs_tol = load / cut, math.exp(-load)
     policy = TruncationPolicy(abs_tol=abs_tol, decay_hint="exponential", rate=rate,
                               freq_bound=2.0 * max(freq, 1e-6),
-                              endpoint_exponent=2.0 * beta + 1.0 if beta < 0.0 else 0.0)
+                              endpoint_exponent=2.0 * hp.beta + 1.0 if hp.beta < 0.0 else 0.0)
     return build_rule(policy)
+
+
+def _point_cut(hp, r, u, power, abs_tol):
+    """(U, X): the tau cut of the kernel integrand at r, u, whose tau power law is
+    tau^power times I_a's, and X = U phi(U).
+
+    With I_a(x) = e^x ive(a, x) the exponent splits exactly as
+    -tau [(r-u)^2 coth(2t tau)/2 + r u tanh(t tau)], and tau coth(2t tau) =
+    1/(2t) + tau L(2t tau), L(y) = coth y - 1/y.  So past its bulk the integrand
+    is e^(-(r-u)^2/(4t)) times at most C tau^p exp(-tau phi(tau)),
+      phi(tau) = rho + (r-u)^2 L(2t tau)/2 + r u tanh(t tau),
+    rho = _kernel_rate(hp) (what tau^2/sinh(2t tau) ive(a, x) leaves as x -> 0,
+    where ive ~ x^a), p = power + min(a, 0).  phi increases, so the share of that
+    envelope's integral past U is at most Q(p+1, U phi(U)) / (1 - Q), Q the
+    regularized upper incomplete gamma; U solves U phi(U) = X, Q(p+1, X) = abs_tol."""
+    load = float(gammainccinv(power + min(hp.alpha, 0.0) + 1.0, abs_tol))
+    t, rho, half_d2, ru = hp.t, _kernel_rate(hp), 0.5 * (r - u) ** 2, r * u
+
+    def excess(w):
+        # log(U phi(U) / X) at U = e^w: increasing, its slope 1 + U phi'/phi in [1, 2]
+        y = 2.0 * t * math.exp(w)
+        lang = y / 3.0 if y < 1e-4 else 1.0 / math.tanh(y) - 1.0 / y
+        return w + math.log((rho + half_d2 * lang + ru * math.tanh(0.5 * y)) / load)
+
+    # secant steps on log U from phi's floor rho, each slope clamped to [1, 2]
+    w, slope = math.log(load / rho), 1.5
+    f = excess(w)
+    for _ in range(50):
+        if abs(f) < 1e-12:
+            break
+        step = f / slope
+        w, f_old = w - step, f
+        f = excess(w)
+        slope = min(max((f_old - f) / step, 1.0), 2.0)
+    return math.exp(w), load
 
 
 def _inv_sinh(y):
@@ -124,7 +166,7 @@ def heat_kernel(hp: HeatParams, r, s, u, v,
     """Kernel value K_t((r,s),(u,v)) by tau quadrature."""
     r, s, u, v = map(real_value, (r, s, u, v), "rsuv")
     if rule is None:
-        rule = kernel_tau_rule(hp, freq=max(s, v))
+        rule = _tau_rule(hp, _kernel_rate(hp), max(s, v), _KERNEL_TOL * 1e-4, (r, u, 2.0))
     return float(np.sqrt(s * v) * _tau_sum(hp, r, s, u, v, rule, 0.0, 2.0 * np.log(rule.nodes),
                                            np.log(r) + np.log(u)))
 
@@ -173,7 +215,9 @@ def heat_kernel_weighted(hp: HeatParams, r, s, u, v,
         raise ValueError("only the joint limit u = v = 0 is defined")
     r, s = map(real_value, (r, s), "rs")
     if rule is None:
-        rule = kernel_tau_rule(hp, freq=max(s, v))
+        # (sv)^-b J_b J_b grows like tau^(-2b-1) at large tau when b < -1/2
+        rule = _tau_rule(hp, _kernel_rate(hp), max(s, v), _KERNEL_TOL * 1e-4,
+                         (r, u, max(2.0 * hp.beta + 2.0, 1.0)))
     # (s v)^-b J_b(tau s) J_b(tau v) = tau^(2b) g_b(tau s) g_b(tau v), g_b = J_b/x^b
     return float(_tau_sum(hp, r, s, u, v, rule, -hp.beta,
                           (2.0 * hp.beta + 2.0) * np.log(rule.nodes), 0.0))
@@ -283,11 +327,15 @@ def diagonal_profile(kind: str, tp: TypePair, x_grid) -> np.ndarray:
     if kind not in ("F1", "F2"):
         raise ValueError("kind must be 'F1' or 'F2'")
     x_grid = real_value(np.atleast_1d(x_grid), "x_grid")
-    # envelope: exp(-tau) from coth, tau^2/sinh ~ e^(-tau), and for a < 0 the
-    # Bessel factor contributes growth e^(|a| tau) through its small argument
-    rule = _tau_rule(tp.beta, (2.0 if kind == "F1" else 1.0) + min(tp.alpha, 0.0),
-                     max(float(x_grid.max()), 1.0), 1e-12)
-    hp, log_tau2 = HeatParams(0.5, tp), 2.0 * np.log(rule.nodes)
+    # the section's envelope: exp(-tau) from coth, tau^2/sinh ~ e^(-tau), and for
+    # a < 0 the Bessel factor's growth e^(|a| tau) through its small argument; the
+    # cut stops earlier where the point's own (F1 at r = u = 1, F2 at the grid's
+    # smallest r = u), with the integrand's tau^2, comes first
+    hp = HeatParams(0.5, tp)
+    ru = 1.0 if kind == "F1" else float(x_grid.min())
+    rule = _tau_rule(hp, (2.0 if kind == "F1" else 1.0) + min(tp.alpha, 0.0),
+                     max(float(x_grid.max()), 1.0), 1e-12, (ru, ru, 2.0))
+    log_tau2 = 2.0 * np.log(rule.nodes)
     out = np.empty(len(x_grid))
     for cols in column_blocks(len(rule.nodes), len(x_grid)):
         x = x_grid[cols, None]

@@ -199,8 +199,15 @@ def _composite_rule(a, b, width, points, endpoint_exponent, max_panels,
                        else (f"[{a!r}, {b!r}]", "widen the panels or narrow the interval"))
         raise QuadratureError(f"rule needs {counts.sum():.0f} panels, more than the cap of "
                               f"{max_panels}, for {source}; {fix}")
-    edges = np.concatenate([base[:1]] + [np.linspace(lo, hi, k + 1)[1:] for lo, hi, k
-                                         in zip(base[:-1], base[1:], counts.astype(int))])
+    # every piece's inner edges in one pass, as np.linspace(lo, hi, k + 1)[1:] forms
+    # them bit for bit: lo + j (hi - lo)/k for j = 1 .. k, the last set to hi
+    k = counts.astype(int)
+    ends = np.cumsum(k)
+    ramp = np.arange(1, ends[-1] + 1) - np.repeat(ends - k, k)
+    edges = np.empty(ends[-1] + 1)
+    edges[0] = base[0]
+    edges[1:] = np.repeat(np.diff(base) / k, k) * ramp + np.repeat(base[:-1], k)
+    edges[ends] = base[1:]
     # one Gauss node set mapped onto every panel at once
     lo, hi = edges[:-1, None], edges[1:, None]
     half = 0.5 * (hi - lo)

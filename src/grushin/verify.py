@@ -471,6 +471,24 @@ def check_profile_exponents():
     return max(errs), "; ".join(details)
 
 
+@_check("heat", "14", "short-time diagonal remainder order >= 1.9", tol=0.0)
+def check_short_time_diagonal():
+    # 4 pi t r K_t((r,s),(r,s)) = 1 + a1 t + O(t^2) (Minakshisundaram-Pleijel): the
+    # metric dr^2 + ds^2/r^2 has scalar curvature -4/r^2, and on half-densities G
+    # is -Laplacian + V - 3/(4r^2), so a1 = 1/(12 r^2) - V with V = (a^2-1/4)/r^2
+    # + r^2 (b^2-1/4)/s^2; the remainder's order is fitted over a t sweep in all
+    # four sign quadrants
+    ts = np.array([1e-2, 3e-3, 1e-3, 3e-4, 1e-4])
+    orders = []
+    for a, b in ((0.4, 0.25), (-0.6, 0.25), (0.4, -0.9), (-0.6, -0.7)):
+        for r, s in ((1.0, 1.0), (2.0, 0.7), (0.3, 0.45)):
+            a1 = 1.0 / (12.0 * r * r) - (a * a - 0.25) / r**2 - r * r * (b * b - 0.25) / s**2
+            k = np.array([heat.heat_kernel(heat.HeatParams(t, TypePair(a, b)), r, s, r, s)
+                          for t in ts])
+            orders.append(_fit_slope(ts, np.abs(4.0 * np.pi * ts * r * k - 1.0 - a1 * ts)))
+    return max(1.9 - min(orders), 0.0), f"orders {min(orders):.2f}-{max(orders):.2f}"
+
+
 @_check("diffop", "12", "eigenfunction residual order >= 1.9", tol=0.0)
 def check_eigenfunction_residual():
     tp = TypePair(0.6, 0.4)

@@ -359,11 +359,13 @@ def test_profiles_rejects_nan_grid(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error: --grid bounds must be finite, got lo=nan")
 
 
+# rules that still exceed the panel cap: near r = u = 0 the tau cut is the
+# worst-case envelope's, at x = 1e-3 for F2 and at r = u = 1e-3 for the kernel
 @pytest.mark.parametrize("argv", [
     ["profiles", "--kind", "F2", "--alpha", "-0.99", "--beta", "0.5",
-     "--grid", "lin:10:40:4", "--output", "unused.csv"],
+     "--grid", "lin:0.001:40:4", "--output", "unused.csv"],
     ["heat-kernel", "--t", "1e-4", "--alpha", "0.3", "--beta", "0.45",
-     "--point", "1,1,1,1"]])
+     "--point", "1e-3,1,1e-3,1"]])
 def test_rule_size_error_exits_2(tmp_path, capsys, monkeypatch, argv):
     monkeypatch.chdir(tmp_path)
     code = main(argv)

@@ -42,9 +42,10 @@ class TestKernelBasics:
         assert np.isfinite(val)
 
     def test_panel_cap_error_names_the_policy(self):
+        # the kernel route's worst-case rule at t = 1e-4 needs 20,538 panels
         hp = HeatParams(1e-4, TypePair(0.3, 0.45))
         with pytest.raises(QuadratureError) as excinfo:
-            heat.heat_kernel(hp, 1, 1, 1, 1)
+            heat.kernel_tau_rule(hp, 1.0)
         for field in ("decay_hint=", "rate=", "freq_bound=", "abs_tol=", "max_panels="):
             assert field in str(excinfo.value)
 
@@ -63,6 +64,53 @@ class TestKernelBasics:
         hp = HeatParams(0.05, TypePair(-0.9, -0.9))
         val = heat.heat_kernel(hp, 1.0, 1.0, 1.2, 0.8)
         assert np.isfinite(val) and val > 0.0
+
+
+class TestEdgeProbes:
+    """t = 1e-4, s = v = 1e3 and a = -0.9999: each value is finite, moves by
+    at most 1e-13 relative when its tau cut doubles, and obeys the parabolic
+    scaling K_t = t^(-3/2) K_1((r/sqrt t, s/t), (u/sqrt t, v/t)) to 1e-12
+    relative (tolerances fixed before the cut from the point's envelope)."""
+
+    PROBES = [(1e-4, (0.3, 0.45), (1.0, 1.0, 1.0, 1.0)),
+              (0.5, (0.3, 0.45), (1.0, 1e3, 1.0, 1e3)),
+              (0.5, (-0.9999, 0.45), (1.0, 1.0, 1.0, 1.0))]
+    IDS = ["t1e-4", "s=v=1e3", "a-0.9999"]
+
+    @pytest.mark.parametrize("t, ab, x", PROBES, ids=IDS)
+    def test_cut_doubling(self, t, ab, x, monkeypatch):
+        # doubling the cut with the nodes below it kept adds the integral over
+        # (U, 2U), taken on panels a quarter of the panel law's width
+        hp = HeatParams(t, TypePair(*ab))
+        rules = []
+        build_rule = quadrature.build_rule
+        monkeypatch.setattr(heat, "build_rule", lambda policy: rules.append(
+            build_rule(policy)) or rules[-1])
+        val = heat.heat_kernel(hp, *x)
+        assert np.isfinite(val) and val > 0.0
+        cut = rules[0].upper_cut
+        tail = build_finite_rule(cut, 2.0 * cut, quadrature.panel_width(2.0 * max(x[1], x[3])) / 4,
+                                 16)
+        assert abs(heat.heat_kernel(hp, *x, rule=tail)) <= 1e-13 * val
+
+    @pytest.mark.parametrize("t, ab, x", PROBES, ids=IDS)
+    def test_parabolic_scaling(self, t, ab, x):
+        r, s, u, v = x
+        k_t = heat.heat_kernel(HeatParams(t, TypePair(*ab)), r, s, u, v)
+        rt = np.sqrt(t)
+        k_1 = heat.heat_kernel(HeatParams(1.0, TypePair(*ab)), r / rt, s / t, u / rt, v / t)
+        assert k_t == pytest.approx(t**-1.5 * k_1, rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize("r", [1.0, 2.0, 5.0, 15.0])
+def test_large_ru_against_a_refined_rule(r):
+    # at large r u the core's own scale e^(-r u t tau^2) is far narrower than
+    # J_b's panels; the cut from the point's envelope narrows them with it.
+    # Refined: panels of 0.05 on (0, 60).  Tolerance fixed before the code
+    hp = HeatParams(0.5, TypePair(1.3, 0.7))
+    fine = build_finite_rule(0.0, 60.0, 0.05, 16)
+    want = heat.heat_kernel(hp, r, 1.0, r, 1.0, rule=fine)
+    assert heat.heat_kernel(hp, r, 1.0, r, 1.0) == pytest.approx(want, rel=1e-13, abs=0.0)
 
 
 class TestTinyCoordinates:

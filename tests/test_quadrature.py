@@ -232,6 +232,26 @@ class TestAgainstReference:
         assert np.array_equal(rule.weights, weights)
 
 
+@pytest.mark.parametrize("octaves", [True, False], ids=["octave-base", "two-point-base"])
+def test_composite_rule_edges_are_linspace_bitwise(octaves):
+    # every piece's edges are formed in one pass; they must be the per-piece
+    # np.linspace edges bit for bit, with a random width for each piece
+    from grushin.quadrature import _composite_rule
+    rng = np.random.default_rng(35)
+    for _ in range(100):
+        b = float(rng.uniform(1e-3, 1e3))
+        a = 0.0 if octaves or rng.uniform() < 0.3 else float(rng.uniform(0.0, 0.9 * b))
+        base = (np.concatenate([[0.0], b * 2.0 ** (-np.arange(20, -1, -1.0))]) if octaves
+                else np.array([a, b]))
+        widths = np.diff(base) / rng.uniform(0.3, 20.0, len(base) - 1)
+        counts = np.maximum(1.0, np.ceil(np.diff(base) / widths)).astype(int)
+        edges = np.concatenate([base[:1]] + [np.linspace(lo, hi, k + 1)[1:] for lo, hi, k
+                                             in zip(base[:-1], base[1:], counts)])
+        rule = _composite_rule(a, b, lambda top: widths, 4, 0.0, 1 << 20, octaves=octaves)
+        nodes, weights = _reference_assemble(edges, 4, 0.0)
+        assert np.array_equal(rule.nodes, nodes) and np.array_equal(rule.weights, weights)
+
+
 def test_r_rule_turning_point_cap():
     # at tau = 4 the basis functions up to n = 20 die out by r ~ 4.5, far
     # inside the cut 75 of a slowly decaying gaussian profile

@@ -27,6 +27,7 @@ TABLE = [
     ("heat", "10", "cosh variant matches general kernel"),
     ("heat", "10", "sinh variant demonstrably differs"),
     ("heat", "11", "log-log slopes equal 2b and 2a"),
+    ("heat", "14", "short-time diagonal remainder order >= 1.9"),
     ("diffop", "12", "eigenfunction residual order >= 1.9"),
     ("diffop", "12", "delta factorization residual order >= 1.9"),
     ("diffop", "13", "conjugation identities at order >= 1.9"),
