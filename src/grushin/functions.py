@@ -90,17 +90,21 @@ def packet_plane(r_center=2.0, r_width=0.6, r_freq=3.0,
 
 
 def bump_plane(r_center=1.8, r_width=1.0, s_center=2.2, s_width=1.2) -> PlaneFunction:
-    """Product of compactly supported smooth bumps."""
-    fr = smooth_bump(r_center, r_width)
-    fs = smooth_bump(s_center, s_width)
-    return PlaneFunction(fn=lambda r, s: fr(r) * fs(s),
-                         support=((r_center - r_width, r_center + r_width),
-                                  (s_center - s_width, s_center + s_width)))
+    """Product of compactly supported smooth bumps, each declared on its support with
+    panels of an eighth of its half-width: its derivatives blow up toward the edges."""
+    def profile(center, width):
+        return HalfLineFunction(smooth_bump(center, width), (center - width, center + width),
+                                width=width / 8.0)
+
+    fr, fs = profile(r_center, r_width), profile(s_center, s_width)
+    return PlaneFunction(fn=lambda r, s: fr(r) * fs(s), profiles=(fr, fs))
 
 
 def grid_plane(grid: GridFunction2D, support=None) -> PlaneFunction:
     """The exact not-a-knot bicubic spline through a grid's values, zero off
-    the grid box.  support defaults to that box.
+    the grid box.  support defaults to that box.  Each axis is declared on its
+    span of the support with panels of 8 grid steps: two Gauss nodes a spline
+    cell, and a 2-point Gauss rule integrates a cubic exactly.
 
     The spline is evaluated only on an outer product, r of shape (m, 1) and
     s of shape (1, n), which is how every transform samples f.  Both axes are
@@ -130,4 +134,7 @@ def grid_plane(grid: GridFunction2D, support=None) -> PlaneFunction:
     if support is None:
         support = ((float(r_nodes[0]), float(r_nodes[-1])),
                    (float(s_nodes[0]), float(s_nodes[-1])))
-    return PlaneFunction(fn=fn, support=support)
+    # the spline has no factor of its own on an axis: the profiles carry only hints
+    hints = [HalfLineFunction(fn=lambda x: x, support=tuple(span), width=8.0 * h)
+             for span, h in zip(support, (grid.h_r, grid.h_s))]
+    return PlaneFunction(fn=fn, profiles=tuple(hints))

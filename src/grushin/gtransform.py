@@ -67,9 +67,10 @@ class PlaneFunction:
     on an outer product, r of shape (m, 1) and s of shape (1, n), and the
     grid plane of a grid file (functions.grid_plane) accepts only that.
     support is a box ((r_lo, r_hi), (s_lo, s_hi)); profiles, a pair of
-    HalfLineFunction with the hints for f in r and in s (not both).  With
-    neither, f is truncated as a unit gaussian in both variables.  Each span
-    of the box has finite ends, 0 <= lo < hi.
+    HalfLineFunction with the hints for f in r and in s (not both, unless the
+    box is the profiles' supports, which they set when both have one).  With neither, f is truncated as a
+    unit gaussian in both variables.  Each span of the box has finite ends,
+    0 <= lo < hi.
     """
 
     fn: Callable[[np.ndarray, np.ndarray], np.ndarray]
@@ -78,13 +79,16 @@ class PlaneFunction:
 
     def __post_init__(self):
         pair = self.profiles
-        if pair is not None and self.support is not None:
-            raise ValueError("give support or profiles, not both")
         if pair is not None and not (isinstance(pair, tuple) and len(pair) == 2
                                      and all(isinstance(p, HalfLineFunction) for p in pair)):
             raise TypeError("profiles must be a pair (r, s) of HalfLineFunction")
+        box = None if pair is None else tuple(p.support for p in pair)
+        if pair is not None and self.support not in (None, box):  # replace() passes box back
+            raise ValueError("give support or profiles, not both")
         for axis, span in enumerate(self.support or ()):
             span_value(span, f"support[{axis}]")
+        if box is not None and None not in box:
+            object.__setattr__(self, "support", box)
 
     def __call__(self, r, s):
         return self.fn(r, s)
@@ -157,13 +161,10 @@ def default_tau_rule(upper: float = 12.0, panels: int = 32,
 
 def _tau_bands(alpha, tg, prof: HalfLineFunction, n_max) -> list:
     """(columns, r rule) per band of the tau nodes tg, from the bottom.  l_{n,tau}^a's
-    top wavenumber in r is sqrt(lam_N tau), so where the r profile declares a width
-    each octave of tg below its top node, (tg[-1] / 2^(k+1), tg[-1] / 2^k], gets the
-    analysis_rule of its own tau range, adjacent octaves whose rules coincide forming
-    one band.  A profile that declares no width keeps one band, on the rule of the
-    whole grid."""
-    if prof.width is None:
-        return [(slice(0, len(tg)), analysis_rule(alpha, (tg[0], tg[-1]), prof, n_max))]
+    top wavenumber in r is sqrt(lam_N tau), so each octave of tg below its top node,
+    (tg[-1] / 2^(k+1), tg[-1] / 2^k], gets the analysis_rule of its own tau range,
+    adjacent octaves whose rules coincide (where the profile's width binds) forming
+    one band."""
     octave = np.floor(np.log2(tg[-1] / tg))
     edges = [0] + [int(k) + 1 for k in np.flatnonzero(np.diff(octave))] + [len(tg)]
     bands = []

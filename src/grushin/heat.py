@@ -32,8 +32,7 @@ from ._util import column_blocks, parallel_map, real_value
 from .gtransform import (DEFAULT_N_MAX, TypePair, _points_array, as_plane_function,
                          functional_calculus)
 from .hankel import _kernel_apply, _liouville_kernel
-from .quadrature import (HalfLineRule, TruncationPolicy, _undeclared_cap, build_rule, panel_width,
-                         profile_rule)
+from .quadrature import HalfLineRule, TruncationPolicy, build_rule, panel_width, profile_rule
 from .specfun import _bessel_j_scaled, _order_value, bessel_i_normalized_exp
 
 __all__ = [
@@ -257,12 +256,11 @@ def heat_apply(hp: HeatParams, f, points, route: str = "kernel", n_max: int = DE
 
     # the tau envelope drops below ~2e-8 past tau_half; the u and v rules need to resolve
     # gaussian width 1/sqrt(tau) and, by the panel law, wavenumber tau up to there, on
-    # panels no wider than f's declared widths (or, for a profile declaring none, the
-    # undeclared caps), and absorb the kernel's u^(a+1/2) and v^(b+1/2) at the origin
+    # panels no wider than f's own widths, and absorb the kernel's u^(a+1/2) and
+    # v^(b+1/2) at the origin
     tau_half = 18.0 / _kernel_rate(hp)
-    fu, fv = f.axis_profile(0), f.axis_profile(1)
-    urule = profile_rule(fu, _undeclared_cap(fu, 3.0 / np.sqrt(tau_half), 0), hp.alpha + 0.5)
-    vrule = profile_rule(fv, _undeclared_cap(fv, panel_width(tau_half), 1), hp.beta + 0.5)
+    urule = profile_rule(f.axis_profile(0), 3.0 / np.sqrt(tau_half), hp.alpha + 0.5)
+    vrule = profile_rule(f.axis_profile(1), panel_width(tau_half), hp.beta + 0.5)
     fvals = np.asarray(f(urule.nodes[:, None], vrule.nodes[None, :]))
     return heat_apply_grid(hp, fvals, urule, vrule, pts)
 

@@ -119,8 +119,9 @@ class HalfLineFunction:
     the origin: a float gamma > -1 says that f is exactly u^gamma times a
     smooth function, so a rule from 0 absorbs u^gamma in its first panel and
     needs no geometric octaves; None declares nothing, and such rules keep
-    their octaves.  width declares the widest panel on which _PANEL_POINTS Gauss
-    points resolve f alone; None declares nothing (see _undeclared_cap).
+    their octaves.  width is the widest panel on which _PANEL_POINTS Gauss
+    points resolve f alone, the only cap f puts on its panels; a profile known
+    only by its support gets a 64th of it, one with neither only its envelope's.
     """
 
     fn: Callable[[np.ndarray], np.ndarray]
@@ -138,6 +139,8 @@ class HalfLineFunction:
             real_value(self.endpoint_exponent, "endpoint_exponent", -1.0)
         if self.width is not None:
             real_value(self.width, "width")
+        elif self.support is not None:
+            object.__setattr__(self, "width", (self.support[1] - self.support[0]) / 64.0)
 
     def __call__(self, u):
         return self.fn(u)
@@ -268,24 +271,11 @@ def profile_rule(f: HalfLineFunction, width: float, extra_exponent: float = 0.0,
                            octaves=not declared)
 
 
-def _undeclared_cap(f: HalfLineFunction, width, heat_axis=None):
-    """width, capped where f declares no width by the stand-ins for what f needs (a grid
-    plane's spline, the smooth bump): a 64th of f's support against a Hankel kernel, 0.3
-    in u and 0.15 in v against the heat kernel (heat_axis 0, 1); the one place they live."""
-    if f.width is not None:
-        return width
-    if heat_axis is not None:
-        return min((0.3, 0.15)[heat_axis], width)
-    a, b = f.support or (0.0, np.inf)  # without one, f's envelope narrows the panels
-    return min(width, (b - a) / 64.0)
-
-
 def rule_for_function(f: HalfLineFunction, freq: float = 0.0,
                       extra_exponent: float = 0.0) -> HalfLineRule:
     """profile_rule's rule for f against a kernel of wavenumber <= freq and power
-    u^extra_exponent at the origin: panels of panel_width(freq), capped by f's width."""
-    freq = real_value(freq, "freq", closed=True)
-    return profile_rule(f, _undeclared_cap(f, panel_width(freq)), extra_exponent)
+    u^extra_exponent at the origin: panels of panel_width(freq), capped by f.width."""
+    return profile_rule(f, panel_width(real_value(freq, "freq", closed=True)), extra_exponent)
 
 
 def _sampled_values(f, rule, default_rule):

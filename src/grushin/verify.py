@@ -351,8 +351,8 @@ def route_test_function():
     """
     s_c, s_w, s_k = 3.0, 0.9, 3.5
     base = wave_packet(s_c, s_w, s_k)
-    s_lo, s_hi = max(s_c - 5.5 * s_w, 1e-8), s_c + 5.5 * s_w
-    rule = quadrature.build_finite_rule(s_lo, s_hi, 0.01)
+    s_hi = s_c + 5.5 * s_w
+    rule = quadrature.build_finite_rule(0.0, s_hi, 0.01)
     sn, sw = rule.nodes, rule.weights
     mat = np.zeros((3, 3))
     rhs = np.zeros(3)
@@ -366,10 +366,12 @@ def route_test_function():
     def psi(s):
         return base(s) * (1.0 + coef[0] * s + coef[1] * s * s + coef[2] * s**3)
 
-    fr = wave_packet(2.0, 0.6, 3.0)
-    r_lo, r_hi = max(2.0 - 3.3, 1e-8), 5.3
-    return gtransform.PlaneFunction(fn=lambda r, s: fr(r) * psi(s),
-                                    support=((r_lo, r_hi), (s_lo, s_hi)))
+    # both factors declared from 0, smooth there, as functions.packet_plane's are
+    fr = quadrature.HalfLineFunction(wave_packet(2.0, 0.6, 3.0), (0.0, 5.3), endpoint_exponent=0.0,
+                                     width=min(quadrature.panel_width(3.0), 0.6))
+    fs = quadrature.HalfLineFunction(psi, (0.0, s_hi), endpoint_exponent=0.0,
+                                     width=min(quadrature.panel_width(s_k), s_w))
+    return gtransform.PlaneFunction(fn=lambda r, s: fr(r) * fs(s), profiles=(fr, fs))
 
 
 @_check("heat", "8", "kernel route = spectral route", tol=1e-3)

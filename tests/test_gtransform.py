@@ -145,6 +145,15 @@ class TestAxisProfiles:
         with pytest.raises(ValueError, match="support.*profiles"):
             self.plane(support=((0.1, 2.0), (0.3, 4.0)), profiles=(self.F1, self.F2))
 
+    def test_profiles_with_supports_set_the_box(self):
+        # the box of two supported profiles is the plane's support, and passing
+        # it back with them, as dataclasses.replace does, is no conflict
+        F1 = HalfLineFunction(self.F1.fn, support=(0.0, 9.0))
+        f = self.plane(profiles=(F1, self.F2))
+        assert f.support == ((0.0, 9.0), (0.2, 4.2))
+        assert dataclasses.replace(f, fn=f.fn).support == f.support
+        assert self.plane(profiles=(self.F1, self.F2)).support is None
+
     @pytest.mark.parametrize("bad", [
         "pair", [F1, F2], (F1,), (F1, F2, F2), (F1, lambda s: s)])
     def test_bad_profiles_are_rejected(self, bad):
@@ -409,9 +418,8 @@ class TestSparseOverflowTests:
 
 
 class TestTauBands:
-    """Where the r profile declares a width, each octave of the tau grid below its
-    top node gets its own r rule, adjacent octaves on one rule forming one band;
-    planes that declare none keep one band on the rule of the whole grid."""
+    """Each octave of the tau grid below its top node gets its own r rule,
+    adjacent octaves on one rule forming one band."""
 
     @staticmethod
     def refined(f):
@@ -443,19 +451,41 @@ class TestTauBands:
 
     @pytest.mark.parametrize("plane", ["bump", "grid", "route", "bare"])
     def test_undeclared_planes_keep_one_band(self, plane):
+        # the planes that once declared no width own one (the bump an eighth of its
+        # half-width, the grid 8 steps, the route plane its packet's min(5 pi/3,
+        # 0.6); the bare plane none, so only its envelope caps its panels), and each
+        # octave runs on the analysis_rule of its own tau range.  Only the bump's
+        # width binds on every octave, so it alone keeps one band, on the rule of
+        # the whole grid
         from grushin.verify import route_test_function
         r, s = np.arange(0.05, 5.35, 0.1), np.arange(0.05, 8.2, 0.1)
         f = {"bump": bump_plane,
              "grid": lambda: grid_plane(diffop.GridFunction2D(r, s, np.outer(r, s))),
              "route": route_test_function,
              "bare": lambda: PlaneFunction(lambda r, s: np.exp(-(r * r + s * s) / 2))}[plane]()
+        width, sizes = {
+            "bump": (1.0 / 8.0, [(376, 256)]),
+            "grid": (0.8, [(136, 112), (16, 128), (32, 192), (64, 256), (128, 368)]),
+            "route": (0.6, [(152, 144), (32, 192), (64, 272), (128, 368)]),
+            "bare": (None, [(128, 512), (8, 528), (16, 544), (32, 592), (64, 688), (128, 848)]),
+        }[plane]
+        prof = f.axis_profile(0)
+        assert prof.width is None if width is None else prof.width == pytest.approx(width, 1e-12)
         tp, n_max = TypePair(0.4, 0.25), 96
-        tau_rule, _, [(cols, r_rule)] = gtransform._plane_setup(tp, f, n_max, None)
+        tau_rule, _, bands = gtransform._plane_setup(tp, f, n_max, None)
         tg = tau_rule.nodes
-        rule = analysis_rule(tp.alpha, (tg[0], tg[-1]), f.axis_profile(0), n_max)
-        assert cols == slice(0, len(tg))
-        assert np.array_equal(r_rule.nodes, rule.nodes)
-        assert np.array_equal(r_rule.weights, rule.weights)
+        assert [(cols.stop - cols.start, len(r_rule)) for cols, r_rule in bands] == sizes
+        octave = np.floor(np.log2(tg[-1] / tg))
+        for k in np.unique(octave):
+            cols = np.flatnonzero(octave == k)
+            rule = analysis_rule(tp.alpha, (tg[cols[0]], tg[cols[-1]]), prof, n_max)
+            [r_rule] = [r_rule for band, r_rule in bands if band.start <= cols[0] < band.stop]
+            assert np.array_equal(r_rule.nodes, rule.nodes)
+            assert np.array_equal(r_rule.weights, rule.weights)
+        if plane == "bump":
+            rule = analysis_rule(tp.alpha, (tg[0], tg[-1]), prof, n_max)
+            assert np.array_equal(bands[0][1].nodes, rule.nodes)
+            assert np.array_equal(bands[0][1].weights, rule.weights)
 
 
 def test_forward_memory_stays_below_one_s_by_tau_kernel(monkeypatch):

@@ -207,8 +207,8 @@ def test_profile_rule_forwards_points_per_panel(support):
     if support is None:  # the declared law from 0: even panels, no octaves
         want = _composite_rule(lo, hi, lambda top: 0.4, 16, 1.6, _MAX_FINITE_PANELS,
                                octaves=False)
-    else:
-        want = build_finite_rule(lo, hi, 0.4, 16)
+    else:  # known only by its support, the profile caps its panels at a 64th of it
+        want = build_finite_rule(lo, hi, (hi - lo) / 64.0, 16)
     assert np.array_equal(rule.nodes, want.nodes)
     assert np.array_equal(rule.weights, want.weights)
 
@@ -275,16 +275,22 @@ class TestUndeclaredRulesKeepTheirOctaves:
 
     @pytest.mark.parametrize("beta", [-0.8, 0.5])
     def test_plane_function_without_profiles(self, beta):
+        # without a support the r profile declares no width, so only its envelope
+        # caps the panels and each octave of tau gets its own rule: the top band's
+        # is the one rule the whole grid had, and the bottom band's, where the
+        # basis needs no narrower panels, is the envelope's own
         f = PlaneFunction(lambda r, s: self.fn(r) * self.fn(s))
         tau_rule = default_tau_rule()
         tg = tau_rule.nodes
         _, s_rule, bands = gtransform._plane_setup(TypePair(0.5, beta), f, 96, tau_rule)
-        [(cols, band_rule)] = bands
-        assert cols == slice(0, len(tg))
+        assert f.axis_profile(0).width is None
+        assert [(cols.stop - cols.start, len(band_rule)) for cols, band_rule in bands] == \
+            [(128, 512), (8, 528), (16, 544), (32, 592), (64, 688), (128, 848)]
         r_rule = build_finite_rule(0.0, 8.0, quadrature._PANEL_PHASE
                                    / np.sqrt(laguerre_eigenvalue(0.5, 95) * tg[-1]),
                                    16, endpoint_exponent=1.0)
-        assert np.array_equal(band_rule.weights, r_rule.weights)
+        assert np.array_equal(bands[-1][1].weights, r_rule.weights)
+        assert self.same(bands[0][1], build_rule(TruncationPolicy(endpoint_exponent=1.0)))
         assert self.same(s_rule, build_rule(TruncationPolicy(freq_bound=tg[-1],
                                                              endpoint_exponent=beta + 0.5)))
 
@@ -293,8 +299,13 @@ class TestUndeclaredRulesKeepTheirOctaves:
         hf = hankel.HalfLineFunction(self.fn, support=support)
         lo, hi = support
         gamma = 1.1 if lo == 0.0 else 0.0
+        # known only by its support, the profile's width is a 64th of it, and it
+        # caps every rule: profile_rule's at 0.07 and 0.03 alike
+        assert hf.width == (hi - lo) / 64.0
         assert self.same(quadrature.profile_rule(hf, 0.07, 1.1),
-                         build_finite_rule(lo, hi, 0.07, 16, endpoint_exponent=gamma))
+                         build_finite_rule(lo, hi, (hi - lo) / 64.0, 16, endpoint_exponent=gamma))
+        assert self.same(quadrature.profile_rule(hf, 0.03, 1.1),
+                         build_finite_rule(lo, hi, 0.03, 16, endpoint_exponent=gamma))
         # a 64th of the support caps the panels at freq 3; at freq 1000 the
         # phase 5 pi/1000 does
         assert self.same(hankel.rule_for_function(hf, freq=3.0, extra_exponent=1.1),

@@ -368,8 +368,8 @@ def _heat_workload_points(seed):
 
 
 class TestDeclaredWidths:
-    """The packet plane declares its panel widths, so the kernel route takes the
-    panel law's rules on it; profiles that declare nothing keep the caps."""
+    """Every plane's profiles own their panel widths, so the kernel route takes the
+    panel law's rules, capped by those widths."""
 
     def test_packet_route_matches_its_refined_rule(self):
         # the packet's u^(a+1/2) and v^(b+1/2) are absorbed from 0, so the
@@ -396,9 +396,10 @@ class TestDeclaredWidths:
     @pytest.mark.parametrize("plane", ["bump", "grid"])
     @pytest.mark.parametrize("t, ab", [(0.5, (0.4, 0.25)), (2.0, (-0.5, 0.7))])
     def test_undeclared_profiles_keep_their_rules(self, monkeypatch, plane, t, ab):
-        # node for node the rules of the widths that applied before profiles could
-        # declare one: heat's caps 0.3 and 0.15, a 64th of the support against the
-        # Hankel kernel of g_forward's s rule, and none on its Laguerre r rule
+        # node for node the rules of the widths these planes own: an eighth of each
+        # bump's half-width (0.125 in r, 0.15 in s) and 8 steps of the grid (0.8),
+        # no wider than each kernel's own panels: heat's u and v rules, g_forward's
+        # Laguerre r rule of the top tau octave and its Hankel s rule
         from grushin import gtransform
         from grushin.diffop import GridFunction2D
         from grushin.functions import grid_plane, wave_packet
@@ -411,20 +412,57 @@ class TestDeclaredWidths:
         heat.heat_apply(hp, f, [[1.5, 2.0]])
         gtransform.g_forward(TypePair(0.4, 0.25), f, n_max=96)
         fu, fv = f.axis_profile(0), f.axis_profile(1)
+        wu, wv = {"bump": (1.0 / 8.0, 1.2 / 8.0), "grid": (0.8, 0.8)}[plane]
+        assert (fu.width, fv.width) == pytest.approx((wu, wv), 1e-12)
         tau_half = 18.0 / heat._kernel_rate(hp)
-        lo, hi = fv.support or (0.0, np.inf)
         tau = gtransform.default_tau_rule().nodes
         lam = laguerre_eigenvalue(0.4, 95)
-        want = {"u": quadrature.profile_rule(fu, min(0.3, 3.0 / np.sqrt(tau_half)), ab[0] + 0.5),
-                "v": quadrature.profile_rule(fv, min(0.15, 5 * np.pi / tau_half), ab[1] + 0.5),
-                "r": quadrature.profile_rule(fu, 5 * np.pi / np.sqrt(lam * tau[-1]), 0.9,
-                                             reach=np.ceil(np.sqrt(lam / tau[0]) + 6.0)),
-                "s": quadrature.profile_rule(fv, min(5 * np.pi / 12.0, (hi - lo) / 64.0), 0.75)}
-        for key in "uvrs":
-            assert np.array_equal(rules[key].nodes, want[key].nodes), key
-            assert np.array_equal(rules[key].weights, want[key].weights), key
-        counts = {"bump": (112, 272, 144, 1024), "grid": (288, 880, 368, 1024)}[plane]
+        # both supports start past 0, so every rule is one even split
+        want = {"u": (fu.support, min(wu, 3.0 / np.sqrt(tau_half))),
+                "v": (fv.support, min(wv, 5 * np.pi / tau_half)),
+                "r": (fu.support, min(wu, 5 * np.pi / np.sqrt(lam * tau[-1]))),
+                "s": (fv.support, min(wv, 5 * np.pi / 12.0))}
+        for key, ((lo, hi), width) in want.items():
+            rule = quadrature.build_finite_rule(lo, hi, width, 16)
+            assert np.array_equal(rules[key].nodes, rule.nodes), key
+            assert np.array_equal(rules[key].weights, rule.weights), key
+        counts = {"bump": (256, 272, 256, 272),
+                  "grid": (128 if t == 0.5 else 112, 176, 368, 176)}[plane]
         assert tuple(len(rules[key]) for key in "uvrs") == counts
+
+    @pytest.mark.parametrize("b", [-0.5, 0.0, 0.7])
+    @pytest.mark.parametrize("a", [-0.5, 0.0, 0.7])
+    def test_route_test_function_matches_a_quarter_width_rule(self, a, b):
+        # check 8's plane is declared from 0, so the kernel route absorbs its
+        # u^(a+1/2) and v^(b+1/2) and lands on the rules of a quarter of its
+        # widths (when it was clamped at 1e-8 it was 3.0e-8 off at b = 0).
+        # Tolerance fixed before the code: 1e-12 of the largest value
+        from grushin.verify import route_test_function
+        hp, f = HeatParams(0.5, TypePair(a, b)), route_test_function()
+        pts = np.array([[1.6, 2.4], [2.0, 3.0], [2.4, 3.6], [1.8, 2.2]])
+        got = heat.heat_apply(hp, f, pts, route="kernel")
+        tau_half = 18.0 / heat._kernel_rate(hp)
+        fu, fv = f.axis_profile(0), f.axis_profile(1)
+        urule = quadrature.profile_rule(fu, min(3.0 / np.sqrt(tau_half), fu.width) / 4, a + 0.5)
+        vrule = quadrature.profile_rule(fv, min(5 * np.pi / tau_half, fv.width) / 4, b + 0.5)
+        want = heat.heat_apply_grid(hp, f(urule.nodes[:, None], vrule.nodes[None, :]),
+                                    urule, vrule, pts)
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+    @pytest.mark.parametrize("route", ["kernel", "spectral"])
+    def test_bump_routes_match_a_64th_of_their_supports(self, route):
+        # the bump's width, an eighth of its half-width, holds both routes within
+        # 1e-12 of the max of rules on a 64th of each support (they were 4.2e-10
+        # and 7.7e-11 off on the caps).  Tolerance fixed before the code
+        from grushin.gtransform import PlaneFunction
+        hp, f = HeatParams(0.4, TypePair(0.2, 0.3)), bump_plane()
+        fine = PlaneFunction(f.fn, profiles=tuple(
+            dataclasses.replace(f.axis_profile(axis), width=(hi - lo) / 64.0)
+            for axis, (lo, hi) in enumerate(f.support)))
+        pts = np.array([[1.4, 2.0], [2.1, 2.5], [1.0, 1.5], [2.6, 3.2], [1.8, 2.2]])
+        got = heat.heat_apply(hp, f, pts, route=route)
+        want = heat.heat_apply(hp, fine, pts, route=route)
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
     @pytest.mark.parametrize("t, ab", [(0.5, (0.4, 0.25)), (2.0, (-0.5, 0.7))])
     def test_declared_power_gaussian(self, monkeypatch, t, ab):

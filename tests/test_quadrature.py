@@ -295,6 +295,40 @@ def test_only_quadrature_and_heat_bind_build_rule():
     assert offenders == []
 
 
+def test_every_plane_owns_its_widths():
+    # every plane the library builds declares a panel width on both axes, and
+    # only quadrature reads HalfLineFunction.width: no module decides a
+    # profile's panels from the context it is integrated in
+    import ast
+    import importlib
+    import inspect
+    import pkgutil
+
+    import grushin
+    from grushin import diffop, functions
+    from grushin.verify import route_test_function
+    r, s = np.arange(0.05, 5.35, 0.1), np.arange(0.05, 8.2, 0.1)
+    planes = {"power_gaussian": functions.power_gaussian(0.4, -0.5),
+              "packet_plane": functions.packet_plane(),
+              "bump_plane": functions.bump_plane(),
+              "grid_plane": functions.grid_plane(diffop.GridFunction2D(r, s, np.outer(r, s))),
+              "route_test_function": route_test_function()}
+    factories = {name for name in functions.__all__
+                 if inspect.signature(getattr(functions, name)).return_annotation
+                 == "PlaneFunction"}
+    assert factories | {"route_test_function"} == set(planes)
+    assert [name for name, f in planes.items()
+            if f.profiles is None or any(p.width is None for p in f.profiles)] == []
+    readers = []
+    for info in pkgutil.iter_modules(grushin.__path__):
+        if info.name == "quadrature":
+            continue
+        tree = ast.parse(inspect.getsource(importlib.import_module(f"grushin.{info.name}")))
+        readers += [f"{info.name}:{node.lineno}" for node in ast.walk(tree)
+                    if isinstance(node, ast.Attribute) and node.attr == "width"]
+    assert readers == []
+
+
 def test_one_kernel_integrand():
     # the kernel's tau integrand is written once, in heat._kernel_core: no
     # second copy takes the I_a factor, and the floored 1/sinh y serves only
