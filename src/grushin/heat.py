@@ -69,24 +69,16 @@ class HeatParams:
         return self.tp.beta
 
 
-def kernel_tau_rule(hp: HeatParams, freq: float) -> HalfLineRule:
-    """tau rule for the kernel integrals at s, v <= freq, at the worst-case rate."""
-    return _tau_rule(hp, _kernel_rate(hp), real_value(freq, "freq", closed=True),
-                     _KERNEL_TOL * 1e-4)
-
-
-def _kernel_rate(hp):
-    # the kernel's envelope rate as r, u -> 0, where a < 0 adds growth e^(-2at tau)
-    return 2.0 * hp.t * (1.0 + min(hp.alpha, 0.0))
-
-
-def _tau_rule(hp, rate, freq, abs_tol, point=None):
+def kernel_tau_rule(hp: HeatParams, freq: float, point=None) -> HalfLineRule:
     """The one tau rule of the kernel integrals at s, v <= freq: panels for the
-    wavenumber 2 freq of J_b(tau s) J_b(tau v) under the envelope e^(-rate tau),
-    the first absorbing the integrand's tau^(2b+1) when b < 0 (not for b >= 0,
-    where the first panel's h^(2b+2) underflows past b ~ 33).  Given a point
-    (r, u, power), the rule stops at the point's own cut (_point_cut) where that
-    comes before the envelope's, with the point's envelope at the cut as its rate."""
+    wavenumber 2 freq of J_b(tau s) J_b(tau v) under the worst-case envelope
+    e^(-_kernel_rate(hp) tau) to _KERNEL_TOL * 1e-4, the first absorbing the
+    integrand's tau^(2b+1) when b < 0 (not for b >= 0, where the first panel's
+    h^(2b+2) underflows past b ~ 33).  Given a point (r, u, power), the rule stops
+    at the point's own cut (_point_cut) where that comes before the envelope's,
+    with the point's envelope at the cut as its rate."""
+    freq = real_value(freq, "freq", closed=True)
+    rate, abs_tol = _kernel_rate(hp), _KERNEL_TOL * 1e-4
     if point is not None:
         cut, load = _point_cut(hp, *point, abs_tol)
         if cut * rate < math.log(1.0 / abs_tol):
@@ -95,6 +87,11 @@ def _tau_rule(hp, rate, freq, abs_tol, point=None):
                               freq_bound=2.0 * max(freq, 1e-6),
                               endpoint_exponent=2.0 * hp.beta + 1.0 if hp.beta < 0.0 else 0.0)
     return build_rule(policy)
+
+
+def _kernel_rate(hp):
+    # the kernel's envelope rate as r, u -> 0, where a < 0 adds growth e^(-2at tau)
+    return 2.0 * hp.t * (1.0 + min(hp.alpha, 0.0))
 
 
 def _point_cut(hp, r, u, power, abs_tol):
@@ -165,15 +162,17 @@ def heat_kernel(hp: HeatParams, r, s, u, v,
     """Kernel value K_t((r,s),(u,v)) by tau quadrature."""
     r, s, u, v = map(real_value, (r, s, u, v), "rsuv")
     if rule is None:
-        rule = _tau_rule(hp, _kernel_rate(hp), max(s, v), _KERNEL_TOL * 1e-4, (r, u, 2.0))
-    return float(np.sqrt(s * v) * _tau_sum(hp, r, s, u, v, rule, 0.0, 2.0 * np.log(rule.nodes),
-                                           np.log(r) + np.log(u)))
+        rule = kernel_tau_rule(hp, max(s, v), (r, u, 2.0))
+    # sqrt(s) sqrt(v): s v may leave the double range where the kernel does not
+    return float(np.sqrt(s) * np.sqrt(v) * _tau_sum(hp, r, s, u, v, rule, 0.0,
+                                                    2.0 * np.log(rule.nodes),
+                                                    np.log(r) + np.log(u)))
 
 
 def _tau_sum(hp, r, s, u, v, rule, shift, log_scale, log_ru):
-    # the one tau sum of every kernel integral: x^shift J_b(x) at x = tau s and
-    # tau v (one table when v is s), times the core at log_scale, contracted with
-    # the rule's weights; a block of points broadcasts against the nodes
+    # the one tau sum of every kernel value and profile point: x^shift J_b(x) at
+    # x = tau s and tau v (one table when v is s), times the core at log_scale,
+    # contracted with the rule's weights
     tau = rule.nodes
     js = _bessel_j_scaled(hp.beta, tau * s, shift)
     jv = js if v is s else _bessel_j_scaled(hp.beta, tau * v, shift)
@@ -215,8 +214,7 @@ def heat_kernel_weighted(hp: HeatParams, r, s, u, v,
     r, s = map(real_value, (r, s), "rs")
     if rule is None:
         # (sv)^-b J_b J_b grows like tau^(-2b-1) at large tau when b < -1/2
-        rule = _tau_rule(hp, _kernel_rate(hp), max(s, v), _KERNEL_TOL * 1e-4,
-                         (r, u, max(2.0 * hp.beta + 2.0, 1.0)))
+        rule = kernel_tau_rule(hp, max(s, v), (r, u, max(2.0 * hp.beta + 2.0, 1.0)))
     # (s v)^-b J_b(tau s) J_b(tau v) = tau^(2b) g_b(tau s) g_b(tau v), g_b = J_b/x^b
     return float(_tau_sum(hp, r, s, u, v, rule, -hp.beta,
                           (2.0 * hp.beta + 2.0) * np.log(rule.nodes), 0.0))
@@ -319,25 +317,18 @@ def diagonal_profile(kind: str, tp: TypePair, x_grid) -> np.ndarray:
     F2(r) = same with J_b(tau)^2, arguments tau r^2 in the exponential and I_a.
 
     As the argument tends to 0, F1 scales like s^(2b) and F2 like r^(2a).
-    Both are the kernel's tau sum at t = 1/2 (r = u = 1, s = v for F1; s = v = 1,
-    r = u for F2), taken over blocks of grid points.
+    F1(s) = K((1,s),(1,s))/s and F2(r) = K((r,1),(r,1))/r: at each grid point
+    heat_kernel's own tau sum on heat_kernel's own rule, with the 1/x taken in
+    the exponent, so x below the double range's square root keeps its power law.
     """
     if kind not in ("F1", "F2"):
         raise ValueError("kind must be 'F1' or 'F2'")
     x_grid = real_value(np.atleast_1d(x_grid), "x_grid")
-    # the section's envelope: exp(-tau) from coth, tau^2/sinh ~ e^(-tau), and for
-    # a < 0 the Bessel factor's growth e^(|a| tau) through its small argument; the
-    # cut stops earlier where the point's own (F1 at r = u = 1, F2 at the grid's
-    # smallest r = u), with the integrand's tau^2, comes first
     hp = HeatParams(0.5, tp)
-    ru = 1.0 if kind == "F1" else float(x_grid.min())
-    rule = _tau_rule(hp, (2.0 if kind == "F1" else 1.0) + min(tp.alpha, 0.0),
-                     max(float(x_grid.max()), 1.0), 1e-12, (ru, ru, 2.0))
-    log_tau2 = 2.0 * np.log(rule.nodes)
     out = np.empty(len(x_grid))
-    for cols in column_blocks(len(rule.nodes), len(x_grid)):
-        x = x_grid[cols, None]
-        # F2 leaves out the core's sqrt(r u) = r
-        out[cols] = _tau_sum(hp, 1.0, x, 1.0, x, rule, 0.0, log_tau2, 0.0) if kind == "F1" \
-            else _tau_sum(hp, x, 1.0, x, 1.0, rule, 0.0, log_tau2 - np.log(x), 2.0 * np.log(x))
+    for i, x in enumerate(x_grid):
+        r, s = (1.0, x) if kind == "F1" else (x, 1.0)
+        rule = kernel_tau_rule(hp, s, (r, r, 2.0))
+        out[i] = _tau_sum(hp, r, s, r, s, rule, 0.0, 2.0 * np.log(rule.nodes) - np.log(r),
+                          2.0 * np.log(r))
     return out

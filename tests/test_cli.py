@@ -362,7 +362,7 @@ def test_profiles_rejects_nan_grid(tmp_path, capsys):
 # rules that still exceed the panel cap: near r = u = 0 the tau cut is the
 # worst-case envelope's, at x = 1e-3 for F2 and at r = u = 1e-3 for the kernel
 @pytest.mark.parametrize("argv", [
-    ["profiles", "--kind", "F2", "--alpha", "-0.99", "--beta", "0.5",
+    ["profiles", "--kind", "F2", "--alpha", "-0.9999", "--beta", "0.5",
      "--grid", "lin:0.001:40:4", "--output", "unused.csv"],
     ["heat-kernel", "--t", "1e-4", "--alpha", "0.3", "--beta", "0.45",
      "--point", "1e-3,1,1e-3,1"]])

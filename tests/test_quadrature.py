@@ -358,25 +358,33 @@ def test_one_kernel_integrand():
 
 
 def test_one_tau_path():
-    # heat builds its tau rules in _tau_rule alone, and forms the product
-    # J_b J_b core in _tau_sum alone: the point kernels and the diagonal
-    # profiles sum through it, and the core is otherwise called only by the
-    # closed Mehler factor and the kernel route (heat_kernel_half keeps its
-    # own integrand, the independent oracle of verify)
+    # heat builds its tau rules in kernel_tau_rule(hp, freq, point) alone, and
+    # forms the product J_b J_b core in _tau_sum alone: the point kernels and
+    # the diagonal profiles sum through it, each profile point on its own
+    # kernel_tau_rule and without column blocks, and the core is otherwise
+    # called only by the closed Mehler factor and the kernel route
+    # (heat_kernel_half keeps its own integrand, the independent oracle of verify)
     import ast
     import inspect
 
     from grushin import heat, specfun
     callers = {"TruncationPolicy": [], "_kernel_core": [], "_bessel_j_scaled": []}
+    profile_names = set()
     for fn in ast.parse(inspect.getsource(heat)).body:
         if isinstance(fn, ast.FunctionDef):
             for node in ast.walk(fn):
                 if isinstance(node, ast.Call) and getattr(node.func, "id", None) in callers:
                     callers[node.func.id].append(fn.name)
-    assert callers["TruncationPolicy"] == ["_tau_rule"]
+                if fn.name == "diagonal_profile" and isinstance(node, ast.Name):
+                    profile_names.add(node.id)
+    assert callers["TruncationPolicy"] == ["kernel_tau_rule"]
+    assert list(inspect.signature(heat.kernel_tau_rule).parameters) == ["hp", "freq", "point"]
     assert set(callers["_kernel_core"]) == {"_tau_sum", "mehler_kernel", "_kernel_route"}
     assert set(callers["_bessel_j_scaled"]) == {"_tau_sum"}
     assert not any(value is specfun.bessel_j_table for value in vars(heat).values())
+    rule_paths = {"kernel_tau_rule", "build_rule", "build_finite_rule", "profile_rule",
+                     "rule_for_function", "_composite_rule", "_point_cut", "column_blocks"}
+    assert profile_names & rule_paths == {"kernel_tau_rule"}
 
 
 def test_only_quadrature_defines_the_panel_law():
