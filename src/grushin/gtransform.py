@@ -187,45 +187,38 @@ def _plane_setup(tp: TypePair, f: PlaneFunction, n_max: int, tau_rule):
     return tau_rule, s_rule, _tau_bands(tp.alpha, tg, f.axis_profile(0), n_max)
 
 
-def _band_tables(f: PlaneFunction, taus, r_rule: HalfLineRule, s_rule: HalfLineRule):
-    """f on a band's (r, s) tensor rule and the Laguerre arguments sqrt(tau) r on its
-    (tau-node, r-node) tensor.  The transforms take them one band at a time, so they
-    hold no more than the largest band's samples."""
-    return (np.asarray(f(r_rule.nodes[:, None], s_rule.nodes[None, :])),
-            np.sqrt(taus)[:, None] * r_rule.nodes[None, :])
-
-
 def g_forward(tp: TypePair, f, n_max: int = DEFAULT_N_MAX,
               tau_rule: Optional[HalfLineRule] = None) -> SpectralData:
     """Forward transform: Hankel in s, then scaled Laguerre analysis in r.
 
     The inner transform is independent of n and is evaluated once per band on
-    its (tau-node, r-node) tensor, then reused for every coefficient order.
+    its (tau-node, r-node) tensor, from f sampled on that band alone, then
+    contracted with every l_{n,tau}^a by laguerre's column analysis.
     """
     f = as_plane_function(f)
     tau_rule, s_rule, bands = _plane_setup(tp, f, n_max, tau_rule)
     tg, parts = tau_rule.nodes, []
     for cols, r_rule in bands:
-        fvals, x = _band_tables(f, tg[cols], r_rule, s_rule)
+        fvals = np.asarray(f(r_rule.nodes[:, None], s_rule.nodes[None, :]))
         weighted = _kernel_apply(partial(_liouville_kernel, tp.beta), s_rule.nodes,
                                  s_rule.weights, fvals.T, tg[cols])  # (K, nr)
         weighted *= r_rule.weights
-        parts.append(_analyze_columns(tp.alpha, x, weighted, n_max))
-    values = np.concatenate(parts, axis=1)
-    values *= tg[None, :] ** 0.25
-    return SpectralData(tp.alpha, tp.beta, tg, tau_rule.weights, values)
+        parts.append(_analyze_columns(tp.alpha, tg[cols], r_rule.nodes, weighted, n_max))
+    return SpectralData(tp.alpha, tp.beta, tg, tau_rule.weights,
+                        np.concatenate(parts, axis=1))
 
 
 def g_forward_hat(tp: TypePair, f, n_max: int = DEFAULT_N_MAX,
                   tau_rule: Optional[HalfLineRule] = None) -> SpectralData:
     """Order-exchanged transform: scaled Laguerre in r first, Hankel in s
     second, on g_forward's bands.  Coincides with g_forward; the contraction
-    order differs."""
+    order differs.  As g_forward's reference it forms sqrt(tau) r and tau^(1/4) itself."""
     f = as_plane_function(f)
     tau_rule, s_rule, bands = _plane_setup(tp, f, n_max, tau_rule)
     tg, parts = tau_rule.nodes, []
     for cols, r_rule in bands:
-        fvals, x = _band_tables(f, tg[cols], r_rule, s_rule)
+        fvals = np.asarray(f(r_rule.nodes[:, None], s_rule.nodes[None, :]))
+        x = np.sqrt(tg[cols])[:, None] * r_rule.nodes[None, :]
         weighted_f = r_rule.weights[:, None] * fvals                       # (nr, ns)
         hankel = _liouville_kernel(tp.beta, s_rule.nodes, tg[cols]) * s_rule.weights  # (K, ns)
         # Laguerre analysis of every s-slice at each tau, then the Hankel
@@ -237,12 +230,6 @@ def g_forward_hat(tp: TypePair, f, n_max: int = DEFAULT_N_MAX,
     values = np.concatenate(parts, axis=1)
     values *= tg[None, :] ** 0.25
     return SpectralData(tp.alpha, tp.beta, tg, tau_rule.weights, values)
-
-
-def _synthesis(sd: SpectralData, rs) -> np.ndarray:
-    """sum_n values[n, k] l_{n,tau_k}^a(r_j) as a (K, len(rs)) matrix."""
-    return _synthesize_columns(sd.alpha, sd.tau_grid, sd.values, rs) \
-        * sd.tau_grid[:, None] ** 0.25
 
 
 def _points_array(points) -> np.ndarray:
@@ -261,7 +248,7 @@ def g_inverse_grid(sd: SpectralData, rs, ss) -> np.ndarray:
     rs = real_value(np.atleast_1d(rs), "rs")
     ss = real_value(np.atleast_1d(ss), "ss")
     return _kernel_apply(partial(_liouville_kernel, sd.beta), sd.tau_grid, sd.tau_weights,
-                         _synthesis(sd, rs), ss).T             # (nr, ns)
+                         _synthesize_columns(sd.alpha, sd.tau_grid, sd.values, rs), ss).T
 
 
 def g_inverse(sd: SpectralData, points):
@@ -279,7 +266,7 @@ def g_inverse(sd: SpectralData, points):
     def block(cols):
         rs, r_at = np.unique(pts[cols, 0], return_inverse=True)
         ss, s_at = np.unique(pts[cols, 1], return_inverse=True)
-        synth = np.take(_synthesis(sd, rs), r_at, axis=1)                       # (K, mb)
+        synth = np.take(_synthesize_columns(sd.alpha, sd.tau_grid, sd.values, rs), r_at, axis=1)
         kern = np.take(_liouville_kernel(sd.beta, sd.tau_grid, ss), s_at, axis=0)  # (mb, K)
         return np.sum(kern.T * synth * sd.tau_weights[:, None], axis=0)
 

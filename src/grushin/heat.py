@@ -142,7 +142,7 @@ def _coth(y):
 def _kernel_core(alpha, t, tau, r, u, log_scale, log_ru):
     """sqrt(r u) exp(-tau(r^2+u^2)/(2 tanh y)) I_a(x) exp(log_scale) / sinh y
     for y = 2 t tau, x = tau r u / sinh y and log_ru = log r + log u; the
-    kernel's tau integrand without its J_b factors at log_scale = log tau^2.
+    kernel's tau integrand without its two Liouville kernels at log_scale = log tau.
     log_ru = 0 leaves (r u)^(a+1/2) out, as the weighted kernel does.
 
     x^a sqrt(r u) / sinh y is taken from log tau + log_ru, so r u below the
@@ -163,16 +163,15 @@ def heat_kernel(hp: HeatParams, r, s, u, v,
     r, s, u, v = map(real_value, (r, s, u, v), "rsuv")
     if rule is None:
         rule = kernel_tau_rule(hp, max(s, v), (r, u, 2.0))
-    # sqrt(s) sqrt(v): s v may leave the double range where the kernel does not
-    return float(np.sqrt(s) * np.sqrt(v) * _tau_sum(hp, r, s, u, v, rule, 0.0,
-                                                    2.0 * np.log(rule.nodes),
-                                                    np.log(r) + np.log(u)))
+    # on the Liouville kernels, which carry tau sqrt(s v) of tau^2 sqrt(s v) J_b J_b
+    return float(_tau_sum(hp, r, s, u, v, rule, 0.5, np.log(rule.nodes), np.log(r) + np.log(u)))
 
 
 def _tau_sum(hp, r, s, u, v, rule, shift, log_scale, log_ru):
     # the one tau sum of every kernel value and profile point: x^shift J_b(x) at
     # x = tau s and tau v (one table when v is s), times the core at log_scale,
-    # contracted with the rule's weights
+    # contracted with the rule's weights; at shift 1/2 each factor is the
+    # Liouville kernel, whose magnitude tracks K's as s, v -> 0 for every b
     tau = rule.nodes
     js = _bessel_j_scaled(hp.beta, tau * s, shift)
     jv = js if v is s else _bessel_j_scaled(hp.beta, tau * v, shift)
@@ -215,7 +214,7 @@ def heat_kernel_weighted(hp: HeatParams, r, s, u, v,
     if rule is None:
         # (sv)^-b J_b J_b grows like tau^(-2b-1) at large tau when b < -1/2
         rule = kernel_tau_rule(hp, max(s, v), (r, u, max(2.0 * hp.beta + 2.0, 1.0)))
-    # (s v)^-b J_b(tau s) J_b(tau v) = tau^(2b) g_b(tau s) g_b(tau v), g_b = J_b/x^b
+    # (s v)^-b J_b(tau s) J_b(tau v) = tau^(2b) g_b(tau s) g_b(tau v), g_b = J_b/x^b finite at 0
     return float(_tau_sum(hp, r, s, u, v, rule, -hp.beta,
                           (2.0 * hp.beta + 2.0) * np.log(rule.nodes), 0.0))
 
@@ -293,7 +292,7 @@ def _kernel_route(hp, fvals, urule, vrule, pts, trule):
             tau_rows = tau[rows, None]
             core = _kernel_core(hp.alpha, hp.t, tau_rows, r, urule.nodes[None, :],
                                 2.0 * np.log(tau_rows), log_ru)
-            b[rows] = np.einsum("ij,ij->i", core, h[rows])
+            np.vecdot(core, h[rows], out=b[rows])
         return b
 
     # b(tau) of every distinct r, then for blocks of distinct s the tau -> s step
@@ -317,9 +316,9 @@ def diagonal_profile(kind: str, tp: TypePair, x_grid) -> np.ndarray:
     F2(r) = same with J_b(tau)^2, arguments tau r^2 in the exponential and I_a.
 
     As the argument tends to 0, F1 scales like s^(2b) and F2 like r^(2a).
-    F1(s) = K((1,s),(1,s))/s and F2(r) = K((r,1),(r,1))/r: at each grid point
-    heat_kernel's own tau sum on heat_kernel's own rule, with the 1/x taken in
-    the exponent, so x below the double range's square root keeps its power law.
+    F1(s) = K((1,s),(1,s))/s and F2(r) = K((r,1),(r,1))/r: at each point _tau_sum on
+    heat_kernel's rule but on bare J_b, with the 1/x in the exponent, so that F1 ~ s^(2b)
+    and F2 ~ r^(2a) hold below the double range's square root.
     """
     if kind not in ("F1", "F2"):
         raise ValueError("kind must be 'F1' or 'F2'")

@@ -68,56 +68,60 @@ def analysis_rule(alpha, taus, f: HalfLineFunction, n_max) -> HalfLineRule:
     return profile_rule(f, panel_width(np.sqrt(lam * tau_hi)), alpha + 0.5, reach=reach)
 
 
-def _laguerre_blocks(x, per_block, axis=1) -> np.ndarray:
-    """per_block(part) over slices along axis of the table x, each about _util.BLOCK
-    doubles, on up to thread_count() workers, joined along the last axis.  The
-    recurrence acts elementwise and every sum stays inside one row or entry, so no
-    result depends on the block size or thread count."""
-    blocks = column_blocks(x.shape[1 - axis], x.shape[axis])
+def _laguerre_blocks(shape, per_block, axis=1) -> np.ndarray:
+    """per_block(part) over slices along axis of a table of the given shape, each
+    about _util.BLOCK doubles, on up to thread_count() workers, joined along the
+    last axis.  The recurrence acts elementwise and every sum stays inside one row
+    or entry, so no result depends on the block size or thread count."""
+    blocks = column_blocks(shape[1 - axis], shape[axis])
     return np.concatenate(parallel_map(per_block, blocks), axis=-1)
 
 
-def _analyze_columns(alpha, x, weighted, n_max) -> np.ndarray:
-    """sum_j weighted[k, j] l_n^a(x[k, j]) for n < n_max, as (n_max, K), from
-    tau-major (K, n_r) tables: each order is contracted inside the recurrence by
-    one dot per row, np.vecdot(l_n^a, weighted), with its bits where the scale is
-    1; the real table goes first, as vecdot conjugates its first argument.  A
-    rescaled entry's product is cur * (weight * scale), which can differ from
-    (cur * scale) * weight in the last bit."""
+def _analyze_columns(alpha, taus, rs, weighted, n_max) -> np.ndarray:
+    """sum_j weighted[k, j] l_{n,tau_k}^a(r_j) for n < n_max, as (n_max, K), from a
+    tau-major (K, len(rs)) table: each block of tau rows forms its own sqrt(tau) r
+    and contracts each order inside the recurrence by one np.vecdot(l_n^a, weighted)
+    per row (the real table first: vecdot conjugates it).  A rescaled entry's product
+    is cur * (weight * scale), which can differ from (cur * scale) * weight in the last bit."""
+    root, quarter = np.sqrt(taus), taus ** 0.25
+
     def analyze(rows):
         out = np.empty((n_max, rows.stop - rows.start), np.result_type(weighted, 1.0))
         last = None
-        for n, (cur, scale) in enumerate(_laguerre_steps(alpha, x[rows], n_max)):
+        for n, (cur, scale) in enumerate(_laguerre_steps(alpha, root[rows, None] * rs, n_max)):
             if scale is not last:  # the weights carry the scale, new at a rescale
                 last, ws = scale, weighted[rows] * scale
             np.vecdot(cur, ws, out=out[n])
+        out *= quarter[rows]
         return out
 
-    return _laguerre_blocks(x, analyze, axis=0)
+    return _laguerre_blocks(weighted.shape, analyze, axis=0)
 
 
 def _synthesize_columns(alpha, taus, values, rs) -> np.ndarray:
-    """sum_n values[n, k] l_n^a(sqrt(tau_k) r_j) as a (K, len(rs)) matrix,
-    accumulated in place with the bits of out += values[n][:, None] * l_n^a;
-    the caller applies the factor tau_k^(1/4) of l_{n,tau_k}^a."""
-    x = np.sqrt(taus)[:, None] * rs[None, :]
+    """sum_n values[n, k] l_{n,tau_k}^a(r_j) as a (K, len(rs)) matrix, each block of
+    r columns forming its own sqrt(tau) r and accumulated in place with the bits of
+    out += values[n][:, None] * l_n^a."""
+    root, quarter = np.sqrt(taus)[:, None], taus[:, None] ** 0.25
 
     def synthesize(cols):
         out = np.zeros((len(taus), cols.stop - cols.start), dtype=values.dtype)
         tmp, last = np.empty_like(out), None
-        for n, (cur, scale) in enumerate(_laguerre_steps(alpha, x[:, cols], len(values))):
+        for n, (cur, scale) in enumerate(_laguerre_steps(alpha, root * rs[cols], len(values))):
             if scale is not last:
                 last, unit = scale, np.all(scale == 1.0)
             q = cur if unit else np.multiply(cur, scale, out=tmp)
             out += np.multiply(values[n][:, None], q, out=tmp)
+        out *= quarter
         return out
 
-    return _laguerre_blocks(x, synthesize)
+    return _laguerre_blocks((len(taus), len(rs)), synthesize)
 
 
 def laguerre_analyze(alpha, tau, f, n_max: int = 128,
                      rule: HalfLineRule | None = None) -> LaguerreCoeffs:
-    """Coefficients <f, l_{n,tau}^a> for n < n_max, by quadrature."""
+    """Coefficients <f, l_{n,tau}^a> for n < n_max, by quadrature: its own per-order
+    loop over laguerre_fn_seq, where the trace hook counts specfun.laguerre_seq."""
     alpha = _laguerre_alpha(alpha)
     tau = real_value(tau, "tau")
     n_max = count_value(n_max, "n_max", 1)
@@ -133,8 +137,7 @@ def laguerre_synthesize(coeffs: LaguerreCoeffs, rs):
     """Evaluate sum_n coeffs[n] l_{n,tau}^a at the points rs > 0."""
     rs = np.asarray(real_value(rs, "rs"))
     out = _synthesize_columns(coeffs.alpha, np.array([coeffs.tau]),
-                              coeffs.values[:, None], rs.ravel())
-    out = out.reshape(rs.shape) * coeffs.tau**0.25
+                              coeffs.values[:, None], rs.ravel()).reshape(rs.shape)
     return out if out.ndim else float(out)
 
 

@@ -387,6 +387,39 @@ def test_one_tau_path():
     assert profile_names & rule_paths == {"kernel_tau_rule"}
 
 
+def test_basis_factors_in_their_own_normalization():
+    # laguerre's column kernels form sqrt(tau) r and the factor tau^(1/4) of
+    # l_{n,tau}^a for g_forward and every synthesis, so in gtransform only
+    # g_forward_hat, the order-exchanged reference, forms them itself;
+    # heat_kernel sums on the Liouville kernel sqrt(x) J_b(x), shift 1/2; and no
+    # einsum is left in the library
+    import ast
+    import inspect
+    import pathlib
+    import re
+
+    import grushin
+    from grushin import gtransform, heat
+    assert not hasattr(gtransform, "_synthesis") and not hasattr(gtransform, "_band_tables")
+    formers = set()
+    for fn in ast.parse(inspect.getsource(gtransform)).body:
+        if isinstance(fn, ast.FunctionDef):
+            for node in ast.walk(fn):
+                quarter = isinstance(node, ast.BinOp) and isinstance(node.op, ast.Pow) \
+                    and isinstance(node.right, ast.Constant) and node.right.value == 0.25
+                root = isinstance(node, ast.Call) and ast.unparse(node.func) == "np.sqrt" \
+                    and re.search(r"\b(tg|taus?|tau_grid|tau_rule)\b", ast.unparse(node.args[0]))
+                if quarter or root:
+                    formers.add(fn.name)
+    assert formers == {"g_forward_hat"}
+    shifts = [ast.literal_eval(node.args[6])
+              for node in ast.walk(ast.parse(inspect.getsource(heat.heat_kernel)))
+              if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "_tau_sum"]
+    assert shifts == [0.5]
+    sources = list(pathlib.Path(grushin.__file__).parent.glob("*.py"))
+    assert sources and not any("einsum" in path.read_text() for path in sources)
+
+
 def test_only_quadrature_defines_the_panel_law():
     # _PANEL_POINTS and _PANEL_PHASE are assigned in quadrature alone, and
     # no rule builder takes a point count of its own
