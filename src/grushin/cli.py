@@ -19,7 +19,7 @@ from scipy.interpolate import RegularGridInterpolator  # noqa: F401
 
 from . import io as gio
 from .functions import grid_plane
-from .gtransform import TypePair, g_forward, g_inverse
+from .gtransform import DEFAULT_N_MAX, TypePair, g_forward, g_inverse
 from .heat import HeatParams, diagonal_profile, heat_apply, heat_kernel
 from .quadrature import QuadratureError
 from .verify import SUITES, run_suite
@@ -32,11 +32,9 @@ class UsageError(ValueError):
 
 
 _FLAG_TYPES = {"t": float, "alpha": float, "beta": float, "nmax": int,
-               "tol_scale": float, "input": str, "output": str, "points": str,
-               "point": str, "route": str, "kind": str, "grid": str,
-               "suite": str}
-_FLAG_DEFAULTS = {"nmax": 96, "route": "kernel", "suite": "all",
-                  "tol_scale": 1.0}
+               "input": str, "output": str, "points": str, "point": str,
+               "route": str, "kind": str, "grid": str, "suite": str}
+_FLAG_DEFAULTS = {"nmax": DEFAULT_N_MAX, "route": "kernel", "suite": "all"}
 _FLAG_CHOICES = {"route": ("kernel", "spectral"), "kind": ("F1", "F2"),
                  "suite": ("all", *SUITES)}
 
@@ -57,11 +55,11 @@ def _config_flags(path, flags):
         key_val = gio.split_entry(line)
         if key_val is None:
             raise UsageError(f"{path}:{i}: expected key=value, got {line!r}")
-        key = key_val[0].replace("-", "_")
+        key, value = key_val
         if key not in _FLAG_TYPES:
-            raise UsageError(f"{path}:{i}: unknown key {key_val[0]!r}")
+            raise UsageError(f"{path}:{i}: unknown key {key!r}")
         if key in flags:
-            args.append(f"--{key.replace('_', '-')}={key_val[1]}")
+            args.append(f"--{key}={value}")
             try:  # typed and checked on its own, so that its error names the line
                 check.parse_args(args[-1:])
             except argparse.ArgumentError as exc:
@@ -71,7 +69,7 @@ def _config_flags(path, flags):
 
 def _add_flags(parser, flags):
     for flag in flags:
-        parser.add_argument("--" + flag.replace("_", "-"), dest=flag, type=_FLAG_TYPES[flag],
+        parser.add_argument("--" + flag, type=_FLAG_TYPES[flag],
                             default=_FLAG_DEFAULTS.get(flag), choices=_FLAG_CHOICES.get(flag))
     return parser
 
@@ -145,7 +143,7 @@ def _cmd_profiles(args):
 
 
 def _cmd_verify(args):
-    results = run_suite(args.suite, tol_scale=args.tol_scale)
+    results = run_suite(args.suite)
     width = max(len(r.name) for r in results) + 2
     failures = 0
     for r in results:
@@ -170,7 +168,7 @@ _COMMANDS = {
                                      "output"), "apply the heat semigroup"),
     "profiles": (_cmd_profiles, ("kind", "alpha", "beta", "grid", "output"),
                  "diagonal kernel profiles"),
-    "verify": (_cmd_verify, ("suite", "tol_scale"), "run the verification suites"),
+    "verify": (_cmd_verify, ("suite",), "run the verification suites"),
 }
 
 
@@ -199,7 +197,7 @@ def main(argv=None) -> int:
         missing = [f for f in flags if getattr(args, f) is None]
         if missing:
             raise UsageError(f"{args.command}: missing required flag(s): "
-                             + ", ".join("--" + m.replace("_", "-") for m in missing))
+                             + ", ".join("--" + m for m in missing))
         return handler(args)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0

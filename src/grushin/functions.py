@@ -75,14 +75,13 @@ def power_gaussian(alpha: float, beta: float) -> PlaneFunction:
 
 
 def packet_plane(r_center=2.0, r_width=0.6, r_freq=3.0,
-                 s_center=3.2, s_width=0.9, s_freq=5.5,
-                 window: float = 5.5) -> PlaneFunction:
-    """Product of wave packets, each declared as a profile on (0, center + window*width),
+                 s_center=3.2, s_width=0.9, s_freq=5.5) -> PlaneFunction:
+    """Product of wave packets, each declared as a profile on (0, center + 5.5 width),
     smooth at the origin (endpoint_exponent 0), resolved on panels no wider than the
-    panel law's 5 pi/freq or the width: the box cuts the windows at exp(-window^2),
+    panel law's 5 pi/freq or the width: the box cuts the windows at exp(-5.5^2),
     7.3e-14, above the centers and nothing below them."""
     def profile(center, width, freq):
-        return HalfLineFunction(wave_packet(center, width, freq), (0.0, center + window * width),
+        return HalfLineFunction(wave_packet(center, width, freq), (0.0, center + 5.5 * width),
                                 endpoint_exponent=0.0, width=min(panel_width(freq), width))
 
     fr, fs = profile(r_center, r_width, r_freq), profile(s_center, s_width, s_freq)

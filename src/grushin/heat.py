@@ -206,8 +206,7 @@ def heat_kernel_weighted(hp: HeatParams, r, s, u, v,
     """Kernel against the weighted measure u^(2a+1) v^(2b+1) du dv:
     (ru)^(-a-1/2) (sv)^(-b-1/2) K_t, written with normalized Bessel kernels
     so that it extends continuously to u = v = 0."""
-    if not (0.0 <= u < np.inf and 0.0 <= v < np.inf):
-        raise ValueError(f"u, v must be finite reals >= 0, got {u}, {v}")
+    u, v = (real_value(w, name, closed=True) for w, name in zip((u, v), "uv"))
     if (u == 0.0) != (v == 0.0):
         raise ValueError("only the joint limit u = v = 0 is defined")
     r, s = map(real_value, (r, s), "rs")

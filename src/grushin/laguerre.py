@@ -20,8 +20,7 @@ from scipy.special import gammaln
 
 from ._util import column_blocks, count_value, parallel_map, real_value
 from .quadrature import HalfLineFunction, HalfLineRule, _sampled_values, panel_width, profile_rule
-from .specfun import (_laguerre_alpha, _laguerre_steps, _order_value, laguerre_eigenvalue,
-                      laguerre_fn_seq)
+from .specfun import _laguerre_alpha, _laguerre_steps, _order_value, laguerre_eigenvalue
 
 __all__ = [
     "LaguerreCoeffs",
@@ -120,17 +119,16 @@ def _synthesize_columns(alpha, taus, values, rs) -> np.ndarray:
 
 def laguerre_analyze(alpha, tau, f, n_max: int = 128,
                      rule: HalfLineRule | None = None) -> LaguerreCoeffs:
-    """Coefficients <f, l_{n,tau}^a> for n < n_max, by quadrature: its own per-order
-    loop over laguerre_fn_seq, where the trace hook counts specfun.laguerre_seq."""
+    """Coefficients <f, l_{n,tau}^a> for n < n_max, by quadrature: the analysis
+    kernel of g_forward, _analyze_columns, on the one tau."""
     alpha = _laguerre_alpha(alpha)
     tau = real_value(tau, "tau")
     n_max = count_value(n_max, "n_max", 1)
     vals, rule = _sampled_values(f, rule,
                                  lambda hf: analysis_rule(alpha, (tau, tau), hf, n_max))
     weighted = rule.weights * vals
-    coeffs = np.array([np.dot(weighted, q)
-                       for q in laguerre_fn_seq(alpha, np.sqrt(tau) * rule.nodes, n_max)])
-    return LaguerreCoeffs(alpha, tau, coeffs * tau**0.25)
+    return LaguerreCoeffs(alpha, tau, _analyze_columns(alpha, np.array([tau]), rule.nodes,
+                                                       weighted[None, :], n_max)[:, 0])
 
 
 def laguerre_synthesize(coeffs: LaguerreCoeffs, rs):

@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from grushin import cli
+from grushin import cli, verify
 from grushin import io as gio
 from grushin.cli import main
 from grushin.diffop import GridFunction2D
@@ -163,10 +163,14 @@ def test_profiles_f2_past_the_iv_overflow_is_finite(tmp_path):
     assert len(vals) == 4 and np.all(vals > 0.0)
 
 
-def test_verify_suite_exit_codes():
+def test_verify_suite_exit_codes(monkeypatch):
     assert main(["verify", "--suite", "laguerre"]) == 0
-    # an absurdly tightened tolerance must flip to failure (exit 1)
-    assert main(["verify", "--suite", "laguerre", "--tol-scale", "1e-20"]) == 1
+    # no option loosens or tightens a tolerance
+    assert main(["verify", "--suite", "laguerre", "--tol-scale", "10"]) == 2
+    # a failing check flips the suite to failure (exit 1)
+    failing = verify.CheckResult("1", "failing", False, "max err 1.0e+00 (tol 1.0e-08)")
+    monkeypatch.setitem(verify.SUITES, "laguerre", [lambda: failing])
+    assert main(["verify", "--suite", "laguerre"]) == 1
 
 
 def test_usage_error_exit_code():

@@ -12,7 +12,7 @@ from grushin.functions import bump_plane
 from grushin.gtransform import TypePair
 from grushin.heat import HeatParams
 from grushin.quadrature import QuadratureError, build_finite_rule
-from grushin.specfun import bessel_j_table
+from grushin.specfun import bessel_j
 
 
 class TestKernelBasics:
@@ -625,7 +625,7 @@ def diagonal_profile_per_x_reference(kind, tp, x_grid):
             tau = rule.nodes
             inv = heat._inv_sinh(tau)
             arg = tau * r * r
-            out[i] = np.dot(rule.weights, bessel_j_table(tp.beta, tau * s) ** 2
+            out[i] = np.dot(rule.weights, bessel_j(tp.beta, tau * s) ** 2
                             * tau * tau * inv * np.exp(-arg * heat._coth(tau))
                             * iv(tp.alpha, arg * inv))
     return out
@@ -750,10 +750,11 @@ class TestCoordinateValidation:
         with pytest.raises(ValueError, match=f"^{named} must be a finite real > 0"):
             heat.heat_kernel_half(0.5, *coords)
 
-    @pytest.mark.parametrize("u, v", [(np.nan, 1.0), (1.0, np.nan), (np.inf, 1.0)])
+    @pytest.mark.parametrize("u, v", [(np.nan, 1.0), (1.0, np.nan), (np.inf, 1.0), (-1.0, 1.0)])
     def test_weighted_kernel_rejects_nonfinite_u_v(self, u, v):
         hp = HeatParams(0.5, TypePair(0.3, 0.45))
-        with pytest.raises(ValueError, match="^u, v must be finite reals >= 0"):
+        named = "v" if u == 1.0 else "u"
+        with pytest.raises(ValueError, match=f"^{named} must be a finite real >= 0, got "):
             heat.heat_kernel_weighted(hp, 1.0, 1.0, u, v)
 
     def test_weighted_kernel_rejects_nan_r(self):

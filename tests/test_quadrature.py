@@ -381,7 +381,7 @@ def test_one_tau_path():
     assert list(inspect.signature(heat.kernel_tau_rule).parameters) == ["hp", "freq", "point"]
     assert set(callers["_kernel_core"]) == {"_tau_sum", "mehler_kernel", "_kernel_route"}
     assert set(callers["_bessel_j_scaled"]) == {"_tau_sum"}
-    assert not any(value is specfun.bessel_j_table for value in vars(heat).values())
+    assert not any(value is specfun.bessel_j for value in vars(heat).values())
     rule_paths = {"kernel_tau_rule", "build_rule", "build_finite_rule", "profile_rule",
                      "rule_for_function", "_composite_rule", "_point_cut", "column_blocks"}
     assert profile_names & rule_paths == {"kernel_tau_rule"}

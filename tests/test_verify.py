@@ -70,20 +70,24 @@ def test_registered_check_verdicts(scratch_suite):
     def check_throwaway():
         return 1e-4, "a note"
 
+    @verify._check(scratch_suite, "x", "throwaway over its tol", tol=1e-5)
+    def check_failing():
+        return 1e-4, "a note"
+
     @verify._check(scratch_suite, "x", "throwaway on a budget", tol=1e-3, budget=0)
     def check_budgeted():
         return 1e-4
 
-    assert verify.SUITES[scratch_suite] == [check_throwaway, check_budgeted]
+    assert verify.SUITES[scratch_suite] == [check_throwaway, check_failing, check_budgeted]
     assert check_throwaway.__name__ == "check_throwaway"
     ok = check_throwaway()
     assert ok.passed and (ok.criterion, ok.name) == ("x", "throwaway")
     assert ok.detail == "max err 1.000e-04 (tol 1.0e-03); a note"
-    tight = check_throwaway(scale=1e-20)
+    tight = check_failing()
     assert not tight.passed
-    assert tight.detail == "max err 1.000e-04 (tol 1.0e-23); a note"
+    assert tight.detail == "max err 1.000e-04 (tol 1.0e-05); a note"
     over = check_budgeted()
     assert not over.passed
     assert over.detail.endswith("; over the 0 s budget")
     assert [r.name for r in verify.run_suite(scratch_suite)] == \
-        ["throwaway", "throwaway on a budget"]
+        ["throwaway", "throwaway over its tol", "throwaway on a budget"]
